@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 LINEAR = "linear"
@@ -232,6 +233,11 @@ class Algebra:
         self.check_vertex(src)
         self.check_vertex(tgt)
         return sum(1 for k in range(self.kupisch(src)) if self.down(src, k) == tgt)
+
+    @cached_property
+    def tables(self) -> Tables:
+        """Hom/Ext^1/tau tables over the indecomposables, built on first use."""
+        return Tables(self)
 
     def __str__(self) -> str:
         return f"{self.kind}{self.c}"
@@ -492,3 +498,7 @@ def iter_algebras(max_n: int, max_entry: int) -> Iterator[Algebra]:
         for n in range(1, max_n + 1):
             for c in iter_kupisch_series(kind, n, max_entry):
                 yield Algebra(kind, c)
+
+
+# The tables are built from the module classes above, so they are imported last.
+from .tables import Tables  # noqa: E402

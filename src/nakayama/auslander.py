@@ -31,6 +31,7 @@ from .algebra import (
 from .homology import gorenstein_profile
 from .tau_tilting import SupportPair, enumerate_sttilt_over
 from .tilting import (
+    TiltingError,
     TiltingRecord,
     enumerate_tilting,
     is_tilting,
@@ -201,7 +202,7 @@ def verify_counts(n: int, kind: str, bound: int = 10) -> CountReport:
     try:
         minimal_tilting(res.gamma, check=True)
         minimal_ok = True
-    except Exception:
+    except (AlgebraError, TiltingError):
         minimal_ok = False
     return CountReport(
         n=n,

@@ -1,0 +1,197 @@
+"""Per-algebra tables of homological invariants, and the clique engine.
+
+`Tables` indexes the indecomposables of one algebra once, in the order of
+`Algebra.indecomposables()` (by top, then length), and fills flat tables
+from the closed forms of `homology` evaluated on that index, without the
+per-call validation of the public functions.  Each table is built on
+first use and kept on the `Tables` object, which `Algebra.tables` caches
+on the algebra instance; nothing is kept at module level.  The public
+closed forms stay the reference: the test suite checks every entry
+against them.
+
+Modules entering from outside are validated once, by `indices`; code
+behind that line works on table indices only.  The enumerators in
+`tilting` and `tau_tilting` share one clique search, `cliques`.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import cached_property
+from typing import Iterable, Sequence
+
+from .algebra import CYCLIC, Algebra, AlgebraError, IndecModule, ModuleSet
+
+
+class Tables:
+    """Hom/Ext^1/tau tables over the indecomposables of one algebra.
+
+    `hom` and `ext1` are flat: entry `i * size + j` belongs to the pair
+    (modules[i], modules[j]).  `syzygy` and `tau` hold table indices, None
+    for zero.  `ext1_perp[i]` and `tau_perp[i]` are bitmasks over indices:
+    bit j is set when the two modules are orthogonal both ways
+    (Ext^1 in both directions vanishes; Hom(M_i, tau M_j) and
+    Hom(M_j, tau M_i) vanish).
+    """
+
+    def __init__(self, A: Algebra) -> None:
+        self.algebra = A
+        self.modules: tuple[IndecModule, ...] = A.indecomposables().modules
+        self.size = len(self.modules)
+        self._offset = [0]
+        for ci in A.c:
+            self._offset.append(self._offset[-1] + ci)
+        # Both enumerators need these; the rest is built on first use.
+        self.projective = [m.length == A.c[m.top - 1] for m in self.modules]
+        self.hom = self._hom()
+        self.tau: list[int | None] = [
+            None if proj else self._at(self._down(m.top, 1), m.length)
+            for m, proj in zip(self.modules, self.projective)
+        ]
+
+    def _at(self, top: int, length: int) -> int:
+        return self._offset[top - 1] + length - 1
+
+    def _down(self, v: int, steps: int) -> int:
+        A = self.algebra
+        return (v - 1 - steps) % A.n + 1 if A.kind == CYCLIC else v - steps
+
+    def _hom(self) -> list[int]:
+        """dim Hom: the k <= min(lengths) with k = top M - top N + len N (mod n if cyclic)."""
+        n = self.algebra.n
+        cyclic = self.algebra.kind == CYCLIC
+        out = []
+        for x in self.modules:
+            for y in self.modules:
+                short = min(x.length, y.length)
+                k = x.top - y.top + y.length
+                if cyclic:
+                    k = (k - 1) % n + 1
+                    out.append((short - k) // n + 1 if k <= short else 0)
+                else:
+                    out.append(1 if 1 <= k <= short else 0)
+        return out
+
+    @cached_property
+    def index(self) -> dict[IndecModule, int]:
+        return {m: i for i, m in enumerate(self.modules)}
+
+    @cached_property
+    def syzygy(self) -> list[int | None]:
+        c = self.algebra.c
+        return [
+            None if proj else self._at(self._down(m.top, m.length), c[m.top - 1] - m.length)
+            for m, proj in zip(self.modules, self.projective)
+        ]
+
+    @cached_property
+    def ext1(self) -> list[int]:
+        """dim Ext^1(M, N) = hom(Omega M, N) - hom(P(top M), N) + hom(M, N)."""
+        d, hom, c = self.size, self.hom, self.algebra.c
+        out = []
+        for i, (m, omega) in enumerate(zip(self.modules, self.syzygy)):
+            if omega is None:
+                out.extend([0] * d)
+                continue
+            o, p, row = omega * d, self._at(m.top, c[m.top - 1]) * d, i * d
+            out.extend(hom[o + j] - hom[p + j] + hom[row + j] for j in range(d))
+        return out
+
+    @cached_property
+    def pd(self) -> list[int | float]:
+        """Projective dimension, math.inf when the syzygy orbit cycles."""
+        out = []
+        for start in range(self.size):
+            seen = set()
+            cur, d = start, 0
+            while not self.projective[cur]:
+                if cur in seen:
+                    d = math.inf
+                    break
+                seen.add(cur)
+                cur = self.syzygy[cur]
+                d += 1
+            out.append(d)
+        return out
+
+    @cached_property
+    def projinj_socles(self) -> frozenset[int]:
+        """Socle vertices of the projective-injective indecomposables."""
+        A = self.algebra
+        return frozenset(A.socle_vertex(A.projective(v)) for v in A.projective_injective_vertices())
+
+    @cached_property
+    def ext1_perp(self) -> list[int]:
+        return self._perp(self.ext1)
+
+    @cached_property
+    def tau_perp(self) -> list[int]:
+        d, hom = self.size, self.hom
+        return self._perp([0 if t is None else hom[i * d + t] for i in range(d) for t in self.tau])
+
+    def _perp(self, flat: list[int]) -> list[int]:
+        """Bitmasks of the j with flat[i, j] == 0 == flat[j, i]."""
+        d = self.size
+        return [
+            sum(1 << j for j in range(d) if not flat[i * d + j] and not flat[j * d + i])
+            for i in range(d)
+        ]
+
+    def module_set(self, idx: Iterable[int]) -> ModuleSet:
+        """The basic module with summands at increasing indices idx."""
+        return ModuleSet(tuple(self.modules[i] for i in idx))
+
+
+def indices(A: Algebra, mods: Iterable[IndecModule]) -> list[int]:
+    """Table indices of modules entering from outside, in the given order.
+
+    Every valid module has an index, so the lookup is the validation: an
+    invalid module raises the AlgebraError of `Algebra.check_module`.
+    """
+    index = A.tables.index
+    out = []
+    for m in mods:
+        i = index.get(m)
+        if i is None:
+            A.check_module(m)
+            raise AlgebraError(f"{m!r} is not an indecomposable module over {A}")
+        out.append(i)
+    return out
+
+
+def mask(idx: Iterable[int]) -> int:
+    bits = 0
+    for i in idx:
+        bits |= 1 << i
+    return bits
+
+
+def cliques(adj: Sequence[int], allowed: int, size: int | None = None) -> list[tuple[int, ...]]:
+    """Cliques of the graph with neighbour bitmasks `adj`, inside the vertex mask `allowed`.
+
+    Cliques are increasing index tuples in DFS pre-order, i.e. in
+    lexicographic order for any fixed size.  With size=None every clique
+    is returned, the empty one first; otherwise only those with exactly
+    `size` vertices.
+    """
+    found: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def extend(allowed: int) -> None:
+        if size is None:
+            found.append(tuple(chosen))
+        elif len(chosen) == size:
+            found.append(tuple(chosen))
+            return
+        while allowed:
+            if size is not None and allowed.bit_count() < size - len(chosen):
+                return
+            low = allowed & -allowed
+            allowed ^= low
+            i = low.bit_length() - 1
+            chosen.append(i)
+            extend(allowed & adj[i])
+            chosen.pop()
+
+    extend(allowed)
+    return found

@@ -7,6 +7,13 @@ sincere tau-rigid cliques, and their products transport back to parent
 coordinates.  `is_sttilt_pair` implements the equivalent pair-side
 definition (tau-rigidity over the parent plus Hom(P(v), M) = 0 plus the
 cardinality count); the test suite asserts the two roads agree.
+
+The kill-set road reads each component's `Tables`: tau-compatibility of
+two indecomposables is a bit of `Tables.tau_perp` (Hom into each other's
+tau translate vanishes both ways), and tau-rigid sets are the cliques of
+that graph found by the shared search `tables.cliques`.  The pair-side
+road keeps the validated closed forms `hom_dim` and `tau`, so the two
+roads share no table.
 """
 
 from __future__ import annotations
@@ -14,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet, quotient_algebra
+from .algebra import Algebra, AlgebraError, ModuleSet, quotient_algebra
 from .homology import hom_dim, tau
+from .tables import cliques, mask
 
 
 @dataclass(frozen=True)
@@ -29,16 +37,6 @@ class SupportPair:
         return (self.modules.modules, tuple(sorted(self.killed)))
 
 
-def _compatible(A: Algebra, X: IndecModule, Y: IndecModule) -> bool:
-    ty = tau(A, Y)
-    if ty is not None and hom_dim(A, X, ty):
-        return False
-    tx = tau(A, X)
-    if tx is not None and hom_dim(A, Y, tx):
-        return False
-    return True
-
-
 def is_tau_rigid(A: Algebra, ms: ModuleSet) -> bool:
     """Hom(X, tau Y) = 0 for all ordered pairs of summands."""
     mods = list(ms)
@@ -50,59 +48,31 @@ def is_tau_rigid(A: Algebra, ms: ModuleSet) -> bool:
     return True
 
 
+def _rigid_candidates(A: Algebra) -> int:
+    """Mask of the tau-rigid indecomposables of A, by table index."""
+    perp = A.tables.tau_perp
+    return mask(i for i in range(len(perp)) if perp[i] >> i & 1)
+
+
 def enumerate_tau_tilting(B: Algebra) -> list[ModuleSet]:
     """tau-tilting modules of B: sincere tau-rigid cliques of size n(B)."""
-    cands = [m for m in B.indecomposables() if _compatible(B, m, m)]
-    k = len(cands)
-    n = B.n
-    adj = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if _compatible(B, cands[i], cands[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    tab = B.tables
+    # Composition factors of each indecomposable; vertex v is bit v - 1.
+    support = [mask(B.down(m.top, k) - 1 for k in range(m.length)) for m in tab.modules]
     found = []
-
-    def extend(start: int, chosen: list[int], allowed: int, support: frozenset[int]) -> None:
-        if len(chosen) == n:
-            if len(support) == n:
-                found.append(ModuleSet.of(cands[i] for i in chosen))
-            return
-        need = n - len(chosen)
-        for i in range(start, k):
-            if k - i < need:
-                break
-            if allowed >> i & 1:
-                chosen.append(i)
-                extend(i + 1, chosen, allowed & adj[i], support | set(B.layers(cands[i])))
-                chosen.pop()
-
-    extend(0, [], (1 << k) - 1, frozenset())
-    return sorted(found, key=lambda s: s.modules)
+    for idx in cliques(tab.tau_perp, _rigid_candidates(B), B.n):
+        covered = 0
+        for i in idx:
+            covered |= support[i]
+        if covered == (1 << B.n) - 1:
+            found.append(tab.module_set(idx))
+    return found
 
 
 def enumerate_tau_rigid_sets(A: Algebra) -> list[ModuleSet]:
     """All basic tau-rigid modules (cliques of every size, including empty)."""
-    cands = [m for m in A.indecomposables() if _compatible(A, m, m)]
-    k = len(cands)
-    adj = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if _compatible(A, cands[i], cands[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    out = [ModuleSet.of([])]
-
-    def extend(start: int, chosen: list[int], allowed: int) -> None:
-        for i in range(start, k):
-            if allowed >> i & 1:
-                chosen.append(i)
-                out.append(ModuleSet.of(cands[j] for j in chosen))
-                extend(i + 1, chosen, allowed & adj[i])
-                chosen.pop()
-
-    extend(0, [], (1 << k) - 1)
-    return out
+    tab = A.tables
+    return [tab.module_set(idx) for idx in cliques(tab.tau_perp, _rigid_candidates(A))]
 
 
 def enumerate_sttilt_over(A: Algebra, base_killed=frozenset()) -> list[SupportPair]:

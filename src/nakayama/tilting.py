@@ -6,22 +6,26 @@ has simples (for Nakayama algebras that pin down all classical tilting
 modules).  Enumeration is exact: candidates are the indecomposables of
 projective dimension <= 1 without self-extensions, compatibility is
 Ext^1-vanishing in both directions, and tilting modules are the
-n-cliques of the compatibility graph, re-verified one by one.
+n-cliques of the compatibility graph, found by the shared clique search
+`tables.cliques` and re-verified one by one.
+
+The tilting conditions, mutation and the summand flags read the algebra's
+`Tables` (projective dimensions, Ext^1 dimensions and Ext^1-orthogonality
+masks, projective flags, socles of the projective-injectives), not the
+validated closed forms in `homology`.
+Modules are validated once, where they enter a public function; the
+enumerators, the re-verification of their results and mutation work on
+table indices behind that line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet
-from .homology import (
-    cosyzygy,
-    ext1_dim,
-    gorenstein_profile,
-    proj_dim,
-    regular_i0,
-    regular_module,
-)
+from .homology import cosyzygy, gorenstein_profile, regular_i0, regular_module
+from .tables import Tables, cliques, indices, mask
 
 
 class TiltingError(RuntimeError):
@@ -44,20 +48,28 @@ class TiltingRecord:
     flags: tuple[SummandFlags, ...]
 
 
+def _violation(A: Algebra, tab: Tables, idx: Sequence[int]) -> str | None:
+    """First tilting violation of the summands at table indices idx, or None."""
+    pd = tab.pd
+    for i in idx:
+        if pd[i] > 1:
+            return f"pd({tab.modules[i]}) = {pd[i]} > 1"
+    summands, perp = mask(idx), tab.ext1_perp
+    if any(summands & ~perp[i] for i in idx):
+        d, ext1 = tab.size, tab.ext1
+        for i in idx:
+            for j in idx:
+                if ext1[i * d + j]:
+                    return f"ext1_dim({tab.modules[i]},{tab.modules[j]}) = {ext1[i * d + j]} != 0"
+    if len(idx) != A.n:
+        return f"|T| = {len(idx)} != {A.n}"
+    return None
+
+
 def is_tilting(A: Algebra, ms: ModuleSet) -> tuple[bool, str | None]:
     """Check the tilting conditions; returns (ok, first violation or None)."""
-    for m in ms:
-        pd = proj_dim(A, m)
-        if pd > 1:
-            return False, f"pd({m}) = {pd} > 1"
-    for x in ms:
-        for y in ms:
-            d = ext1_dim(A, x, y)
-            if d:
-                return False, f"ext1_dim({x},{y}) = {d} != 0"
-    if len(ms) != A.n:
-        return False, f"|T| = {len(ms)} != {A.n}"
-    return True, None
+    why = _violation(A, A.tables, indices(A, ms))
+    return why is None, why
 
 
 def projective_injective_socles(A: Algebra) -> frozenset[int]:
@@ -67,67 +79,45 @@ def projective_injective_socles(A: Algebra) -> frozenset[int]:
     )
 
 
-def tilting_record(A: Algebra, ms: ModuleSet) -> TiltingRecord:
-    ok, why = is_tilting(A, ms)
-    if not ok:
-        raise TiltingError(f"not a tilting module: {why}")
-    socles = projective_injective_socles(A)
-    flags = tuple(
-        SummandFlags(
-            projective=A.is_projective(m),
-            simple_socle_of_projinj=(m.length == 1 and m.top in socles),
-        )
-        for m in ms
+def _flags(tab: Tables, i: int) -> SummandFlags:
+    m = tab.modules[i]
+    return SummandFlags(
+        projective=tab.projective[i],
+        simple_socle_of_projinj=(m.length == 1 and m.top in tab.projinj_socles),
     )
-    return TiltingRecord(ms, flags)
+
+
+def _record(A: Algebra, tab: Tables, ms: ModuleSet, idx: Sequence[int], flags) -> TiltingRecord:
+    """Re-verify ms from the tables; `flags[i]` are the flags of index i."""
+    why = _violation(A, tab, idx)
+    if why is not None:
+        raise TiltingError(f"not a tilting module: {why}")
+    return TiltingRecord(ms, tuple(flags[i] for i in idx))
+
+
+def tilting_record(A: Algebra, ms: ModuleSet) -> TiltingRecord:
+    tab = A.tables
+    idx = indices(A, ms)
+    return _record(A, tab, ms, idx, {i: _flags(tab, i) for i in idx})
 
 
 def summand_shape_check(A: Algebra, ms: ModuleSet) -> list[IndecModule]:
     """Summands that are neither projective nor the simple socle of a
     projective-injective; empty means the shape claim holds."""
-    socles = projective_injective_socles(A)
-    return [
-        m
-        for m in ms
-        if not A.is_projective(m) and not (m.length == 1 and m.top in socles)
-    ]
+    flags = (_flags(A.tables, i) for i in indices(A, ms))
+    return [m for m, f in zip(ms, flags) if not (f.projective or f.simple_socle_of_projinj)]
 
 
 def enumerate_tilting(A: Algebra) -> list[TiltingRecord]:
     """All basic tilting modules, sorted by their canonical summand tuples."""
-    cands = [
-        m
-        for m in A.indecomposables()
-        if proj_dim(A, m) <= 1 and ext1_dim(A, m, m) == 0
+    tab = A.tables
+    perp = tab.ext1_perp
+    cands = mask(i for i in range(tab.size) if tab.pd[i] <= 1 and perp[i] >> i & 1)
+    flags = [_flags(tab, i) for i in range(tab.size)]
+    return [
+        _record(A, tab, tab.module_set(idx), idx, flags)  # re-verifies every clique
+        for idx in cliques(perp, cands, A.n)
     ]
-    k = len(cands)
-    n = A.n
-    adj = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if ext1_dim(A, cands[i], cands[j]) == 0 and ext1_dim(A, cands[j], cands[i]) == 0:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    found: list[ModuleSet] = []
-
-    def extend(start: int, chosen: list[int], allowed: int) -> None:
-        if len(chosen) == n:
-            found.append(ModuleSet.of(cands[i] for i in chosen))
-            return
-        need = n - len(chosen)
-        for i in range(start, k):
-            if k - i < need:
-                break
-            if allowed >> i & 1:
-                chosen.append(i)
-                extend(i + 1, chosen, allowed & adj[i])
-                chosen.pop()
-
-    extend(0, [], (1 << k) - 1)
-    records = []
-    for ms in sorted(found, key=lambda s: s.modules):
-        records.append(tilting_record(A, ms))  # re-verifies every clique
-    return records
 
 
 # -- the generation order ------------------------------------------------------
@@ -136,12 +126,17 @@ def enumerate_tilting(A: Algebra) -> list[TiltingRecord]:
 def generates(A: Algebra, T: ModuleSet, X: IndecModule) -> bool:
     """X lies in Gen(T): for uniserial modules, X is a quotient of a summand."""
     A.check_module(X)
+    return _generated(T, X)
+
+
+def _generated(T: ModuleSet, X: IndecModule) -> bool:
     return any(s.top == X.top and s.length >= X.length for s in T)
 
 
 def leq_gen(A: Algebra, T1: ModuleSet, T2: ModuleSet) -> bool:
     """Gen(T1) contained in Gen(T2), tested on the summands of T1."""
-    return all(generates(A, T2, s) for s in T1)
+    indices(A, T1)  # validates the summands of T1
+    return all(_generated(T2, s) for s in T1)
 
 
 # -- mutation ------------------------------------------------------------------
@@ -156,16 +151,22 @@ def mutation_at(A: Algebra, T: ModuleSet, X: IndecModule) -> TiltingRecord | Non
     """
     if X not in T:
         raise AlgebraError(f"{X} is not a summand of the given tilting module")
+    tab = A.tables
+    idx = indices(A, T)
+    x = idx[T.modules.index(X)]
     rest = T.minus(X)
+    rest_idx = [i for i in idx if i != x]
+    rest_mask = mask(rest_idx)
+    pd, perp = tab.pd, tab.ext1_perp
     partners = []
-    for y in A.indecomposables():
-        if y == X or y in rest:
-            continue
-        if proj_dim(A, y) > 1:
-            continue
-        ok, _ = is_tilting(A, rest.plus(y))
-        if ok:
-            partners.append(y)
+    # rest + Y is tilting iff rest is a partial tilting module with n - 1
+    # summands and Y has pd <= 1 and no Ext^1 with itself or with rest.
+    if len(rest_idx) + 1 == A.n and all(pd[i] <= 1 and not rest_mask & ~perp[i] for i in rest_idx):
+        partners = [
+            tab.modules[y]
+            for y in range(tab.size)
+            if y != x and not rest_mask >> y & 1 and pd[y] <= 1 and not (rest_mask | 1 << y) & ~perp[y]
+        ]
     if not partners:
         return None
     if len(partners) > 1:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import IndecModule, iter_algebras, make_rsz_nakayama
+from .algebra import AlgebraError, IndecModule, iter_algebras, make_rsz_nakayama
 from . import homology as H
 from . import oracle as O
 from .auslander import auslander_algebra, verify_bijection, verify_counts
 from .tau_tilting import enumerate_sttilt
-from .tilting import enumerate_tilting, proj_mutation_sequence
+from .tilting import TiltingError, enumerate_tilting, proj_mutation_sequence
 
 
 def _assertion(name: str, passed: bool, detail: str) -> dict:
@@ -160,7 +160,7 @@ def mutation_shape_assertions(max_n: int) -> list[dict]:
                     checked += 1
                     try:
                         seq = proj_mutation_sequence(gamma, rec.modules, p)
-                    except Exception as exc:  # structural failure
+                    except (AlgebraError, TiltingError) as exc:  # structural failure
                         violations.append(f"{rec.modules} at {p}: {exc}")
                         continue
                     if seq.mutated is not None and not gamma.is_simple(seq.cokernel):
@@ -191,7 +191,7 @@ def minimal_tilting_assertions(max_n: int) -> list[dict]:
                         f"minimal_tilting_{kind}_n{n}", True, f"minimum is {rec.modules}"
                     )
                 )
-            except Exception as exc:
+            except (AlgebraError, TiltingError) as exc:
                 out.append(_assertion(f"minimal_tilting_{kind}_n{n}", False, str(exc)))
     return out
 

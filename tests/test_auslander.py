@@ -8,7 +8,7 @@ from nakayama.auslander import (
     verify_counts,
 )
 from nakayama.homology import gorenstein_profile, hom_dim
-from nakayama.tilting import enumerate_tilting
+from nakayama.tilting import TiltingError, enumerate_tilting
 
 M = IndecModule
 
@@ -194,6 +194,22 @@ class TestCountReports:
             verify_counts(7, "linear", bound=6)
         with pytest.raises(AlgebraError):
             verify_counts(0, "linear")
+
+    def test_structural_failure_is_reported(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise TiltingError("Gen-minimum mismatch")
+
+        monkeypatch.setattr("nakayama.auslander.minimal_tilting", fails)
+        report = verify_counts(2, "linear")
+        assert not report.minimal_ok and not report.passed
+
+    def test_unexpected_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("missing table entry")
+
+        monkeypatch.setattr("nakayama.auslander.minimal_tilting", broken)
+        with pytest.raises(KeyError):
+            verify_counts(2, "linear")
 
 
 class TestProfiles:
