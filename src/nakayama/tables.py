@@ -45,11 +45,12 @@ class Tables:
         self.projective = [m.length == A.c[m.top - 1] for m in self.modules]
         self.hom = self._hom()
         self.tau: list[int | None] = [
-            None if proj else self._at(self._down(m.top, 1), m.length)
+            None if proj else self.at(self._down(m.top, 1), m.length)
             for m, proj in zip(self.modules, self.projective)
         ]
 
-    def _at(self, top: int, length: int) -> int:
+    def at(self, top: int, length: int) -> int:
+        """Table index of M(top, length); the caller vouches that it is valid."""
         return self._offset[top - 1] + length - 1
 
     def _down(self, v: int, steps: int) -> int:
@@ -80,7 +81,7 @@ class Tables:
     def syzygy(self) -> list[int | None]:
         c = self.algebra.c
         return [
-            None if proj else self._at(self._down(m.top, m.length), c[m.top - 1] - m.length)
+            None if proj else self.at(self._down(m.top, m.length), c[m.top - 1] - m.length)
             for m, proj in zip(self.modules, self.projective)
         ]
 
@@ -93,7 +94,7 @@ class Tables:
             if omega is None:
                 out.extend([0] * d)
                 continue
-            o, p, row = omega * d, self._at(m.top, c[m.top - 1]) * d, i * d
+            o, p, row = omega * d, self.at(m.top, c[m.top - 1]) * d, i * d
             out.extend(hom[o + j] - hom[p + j] + hom[row + j] for j in range(d))
         return out
 
@@ -139,7 +140,7 @@ class Tables:
 
     def module_set(self, idx: Iterable[int]) -> ModuleSet:
         """The basic module with summands at increasing indices idx."""
-        return ModuleSet(tuple(self.modules[i] for i in idx))
+        return ModuleSet(tuple([self.modules[i] for i in idx]))
 
 
 def indices(A: Algebra, mods: Iterable[IndecModule]) -> list[int]:

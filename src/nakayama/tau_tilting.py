@@ -14,12 +14,24 @@ tau translate vanishes both ways), and tau-rigid sets are the cliques of
 that graph found by the shared search `tables.cliques`.  The pair-side
 road keeps the validated closed forms `hom_dim` and `tau`, so the two
 roads share no table.
+
+The same component series recur across the 2^n kill sets, so
+`enumerate_sttilt_over` keeps a memo local to each call, keyed by the
+component `Algebra` (equal series hash alike): `enumerate_tau_tilting`
+runs once per distinct series, and its modules are kept as local
+(top, length) pairs.  Each kill set maps those pairs through the
+component's embedding straight to parent table indices; the parent's
+tables index modules in (top, length) order, so sorted indices are the
+canonical `ModuleSet` order and pairs are sorted on integers.  Validation
+happens once, at entry (the base kill set); the quotient components and
+their modules come from tables, so they are valid by construction and
+nothing is re-checked per module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .algebra import Algebra, AlgebraError, ModuleSet, quotient_algebra
 from .homology import hom_dim, tau
@@ -86,32 +98,36 @@ def enumerate_sttilt_over(A: Algebra, base_killed=frozenset()) -> list[SupportPa
     for v in base:
         A.check_vertex(v)
     ambient = [v for v in A.vertices if v not in base]
-    pairs: list[SupportPair] = []
+    tab = A.tables
+    # tau-tilting modules of each component series met in this call, as
+    # component-local (top, length) pairs.
+    series: dict[Algebra, list[list[tuple[int, int]]]] = {}
+    # Kill set of each module part, as parent table indices; combinations()
+    # yields sorted kill tuples.
+    kill_of: dict[tuple[int, ...], tuple[int, ...]] = {}
     for r in range(len(ambient) + 1):
         for extra in combinations(ambient, r):
             killed_total = base | set(extra)
             q = quotient_algebra(A, killed_total)
-            if not q.components:
-                pairs.append(SupportPair(ModuleSet.of([]), frozenset(extra)))
-                continue
-            per_component = [enumerate_tau_tilting(comp) for comp in q.components]
-            if any(not lst for lst in per_component):
-                # The regular module is always tau-tilting, so this is a bug.
-                raise RuntimeError(f"component of {A}/{sorted(killed_total)} has no tau-tilting module")
+            per_component = []
+            for comp, emb in zip(q.components, q.embeds):
+                local = series.get(comp)
+                if local is None:
+                    local = series[comp] = [
+                        [(m.top, m.length) for m in ms] for ms in enumerate_tau_tilting(comp)
+                    ]
+                if not local:
+                    # The regular module is always tau-tilting, so this is a bug.
+                    raise RuntimeError(f"component of {A}/{sorted(killed_total)} has no tau-tilting module")
+                per_component.append([[tab.at(emb[t - 1], l) for t, l in ms] for ms in local])
             for choice in product(*per_component):
-                mods = []
-                for ci, ms in enumerate(choice):
-                    mods.extend(q.to_parent(ci, m) for m in ms)
-                pairs.append(SupportPair(ModuleSet.of(mods), frozenset(extra)))
-    by_modules: dict[ModuleSet, SupportPair] = {}
-    for p in pairs:
-        prev = by_modules.get(p.modules)
-        if prev is not None:
-            raise AlgebraError(
-                f"kill sets {sorted(prev.killed)} and {sorted(p.killed)} share a module part"
-            )
-        by_modules[p.modules] = p
-    return sorted(pairs, key=SupportPair.sort_key)
+                idx = tuple(sorted(chain.from_iterable(choice)))
+                if idx in kill_of:
+                    raise AlgebraError(f"kill sets {sorted(kill_of[idx])} and {sorted(extra)} share a module part")
+                kill_of[idx] = extra
+    # Table indices follow the (top, length) order of the modules, so this
+    # is the order of SupportPair.sort_key.
+    return [SupportPair(tab.module_set(idx), frozenset(extra)) for idx, extra in sorted(kill_of.items())]
 
 
 def enumerate_sttilt(A: Algebra) -> list[SupportPair]:

@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from nakayama import cli
 from nakayama.algebra import algebra_to_json, make_rsz_nakayama
@@ -151,6 +154,31 @@ class TestTiltingVerbs:
         assert code == 0
         assert "0 | killed 1" in out
         assert "M(1,1) | killed -" in out
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (("tilt", "enumerate", "--n", "40", "--kind", "cyclic"), cli.MAX_TILT_ENUMERATE_N),
+            (("tilt", "graph", "--n", "40", "--kind", "cyclic"), cli.MAX_TILT_GRAPH_N),
+            (("sttilt", "enumerate", "--n", "40", "--kind", "cyclic"), cli.MAX_STTILT_SIMPLES),
+        ],
+    )
+    def test_oversized_request_refused_at_once(self, capsys, argv, limit):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert f"exceeds the limit {limit}" in err
+
+    def test_sttilt_limit_applies_to_algebra_files(self, capsys, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"kind": "linear", "kupisch": [1] * (cli.MAX_STTILT_SIMPLES + 1)}))
+        code, _, err = run_cli(capsys, "sttilt", "enumerate", "--algebra", str(path))
+        assert code == 2
+        assert f"exceeds the limit {cli.MAX_STTILT_SIMPLES}" in err
 
 
 class TestAuslanderVerbs:

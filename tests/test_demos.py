@@ -1,0 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_demos_run():
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert len(demos) == 6
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for demo in demos:
+        proc = subprocess.run(
+            [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, f"{demo.name}: {proc.stderr}"
+        assert proc.stdout.strip(), f"{demo.name} printed nothing"

@@ -1,6 +1,10 @@
 from itertools import combinations
+from math import comb
 
-from nakayama.algebra import Algebra, IndecModule, ModuleSet
+import pytest
+
+from nakayama import tau_tilting
+from nakayama.algebra import Algebra, AlgebraError, IndecModule, ModuleSet, make_rsz_nakayama
 from nakayama.tau_tilting import (
     SupportPair,
     enumerate_sttilt,
@@ -145,3 +149,74 @@ class TestPairFormEquivalence:
         a = SupportPair(ModuleSet.of([]), frozenset({1, 2}))
         b = SupportPair(ModuleSet.of([M(1, 1)]), frozenset({2}))
         assert sorted([b, a], key=SupportPair.sort_key)[0] is a
+
+
+def pell_like(first: int, second: int, count: int) -> list[int]:
+    """a(1), ..., a(count) with a(n) = 2 a(n-1) + a(n-2)."""
+    out = [first, second]
+    while len(out) < count:
+        out.append(2 * out[-1] + out[-2])
+    return out[:count]
+
+
+class TestClosedFormCounts:
+    def test_linear_rsz_pell(self):
+        expected = pell_like(2, 5, 12)
+        assert expected[-1] == 33461
+        got = [len(enumerate_sttilt(make_rsz_nakayama(n, "linear"))) for n in range(1, 13)]
+        assert got == expected
+
+    def test_cyclic_rsz_pell_lucas(self):
+        expected = pell_like(2, 6, 12)
+        assert expected[-1] == 39202
+        got = [len(enumerate_sttilt(make_rsz_nakayama(n, "cyclic"))) for n in range(1, 13)]
+        assert got == expected
+
+    def test_selfinjective_cyclic_central_binomial(self):
+        # Adachi, J. Algebra 452 (2016): (c,)*n with c >= n has C(2n, n).
+        for n in range(1, 6):
+            for c in range(max(n, 2), n + 2):
+                assert len(enumerate_sttilt(Algebra("cyclic", (c,) * n))) == comb(2 * n, n)
+
+
+@pytest.fixture
+def tau_tilting_calls(monkeypatch):
+    """The algebras enumerate_tau_tilting is called on, in call order."""
+    seen = []
+    inner = tau_tilting.enumerate_tau_tilting
+
+    def counting(B):
+        seen.append(B)
+        return inner(B)
+
+    monkeypatch.setattr(tau_tilting, "enumerate_tau_tilting", counting)
+    return seen
+
+
+class TestKillSetMemo:
+    def test_each_component_series_enumerated_once(self, tau_tilting_calls):
+        pairs = enumerate_sttilt(make_rsz_nakayama(8, "cyclic"))
+        assert len(pairs) == pell_like(2, 6, 8)[-1]
+        expected = [make_rsz_nakayama(8, "cyclic")]
+        expected += [make_rsz_nakayama(n, "linear") for n in range(1, 8)]
+        assert sorted(tau_tilting_calls, key=lambda B: (B.kind, B.n)) == expected
+
+    def test_memo_is_per_call(self, tau_tilting_calls):
+        A = make_rsz_nakayama(3, "linear")
+        enumerate_sttilt(A)
+        first = len(tau_tilting_calls)
+        enumerate_sttilt(A)
+        assert len(tau_tilting_calls) == 2 * first
+
+    def test_component_without_tau_tilting_module_raises(self, monkeypatch):
+        monkeypatch.setattr(tau_tilting, "enumerate_tau_tilting", lambda B: [])
+        with pytest.raises(RuntimeError, match="has no tau-tilting module"):
+            enumerate_sttilt(make_rsz_nakayama(3, "cyclic"))
+
+    def test_shared_module_part_raises(self, monkeypatch):
+        # Every component claims M(1,1) alone; the empty kill set and the
+        # kill set {2} of the cyclic algebra then both give M(1,1).
+        fixed = [ModuleSet.of([M(1, 1)])]
+        monkeypatch.setattr(tau_tilting, "enumerate_tau_tilting", lambda B: fixed)
+        with pytest.raises(AlgebraError, match="share a module part"):
+            enumerate_sttilt(make_rsz_nakayama(2, "cyclic"))
