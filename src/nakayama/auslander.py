@@ -27,6 +27,7 @@ from .algebra import (
     AlgebraError,
     IndecModule,
     ModuleSet,
+    make_rsz_nakayama,
 )
 from .homology import gorenstein_profile
 from .tau_tilting import SupportPair, enumerate_sttilt_over
@@ -192,8 +193,6 @@ def verify_counts(n: int, kind: str, bound: int = 10) -> CountReport:
         raise AlgebraError(f"need n >= 1, got {n}")
     if n > bound:
         raise AlgebraError(f"n = {n} exceeds the configured bound {bound}")
-    from .algebra import make_rsz_nakayama
-
     lam = make_rsz_nakayama(n, kind)
     res = auslander_algebra(lam)
     records = enumerate_tilting(res.gamma)

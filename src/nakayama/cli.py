@@ -49,10 +49,12 @@ USAGE_ERROR = 2
 # Single runs at the limit on a 2-CPU Xeon VM: tilt enumerate --n 14
 # --kind cyclic 4.7 s; tilt graph --n 10 --kind cyclic 19 s; sttilt
 # enumerate --n 14 --kind cyclic (2^14 kill sets, 228,486 pairs) 7.0 s,
-# 2.9 s of it enumeration and the rest JSON output.
+# 2.9 s of it enumeration and the rest JSON output; verify paper --max-n
+# 12 8.1 s.
 MAX_TILT_ENUMERATE_N = 14
 MAX_TILT_GRAPH_N = 10
 MAX_STTILT_SIMPLES = 14
+MAX_VERIFY_N = 12
 
 
 def _json_dim(value) -> object:
@@ -237,6 +239,7 @@ def cmd_auslander_build(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    _check_limit("verify paper", "--max-n", args.max_n, MAX_VERIFY_N)
     report = paper_report(max_n=args.max_n, with_oracle=args.with_oracle)
     _dump(args, report)
     return 0 if all(item["passed"] for item in report) else 1

@@ -163,6 +163,7 @@ class TestSizeLimits:
             (("tilt", "enumerate", "--n", "40", "--kind", "cyclic"), cli.MAX_TILT_ENUMERATE_N),
             (("tilt", "graph", "--n", "40", "--kind", "cyclic"), cli.MAX_TILT_GRAPH_N),
             (("sttilt", "enumerate", "--n", "40", "--kind", "cyclic"), cli.MAX_STTILT_SIMPLES),
+            (("verify", "paper", "--max-n", "40"), cli.MAX_VERIFY_N),
         ],
     )
     def test_oversized_request_refused_at_once(self, capsys, argv, limit):
