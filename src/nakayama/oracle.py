@@ -7,19 +7,33 @@ Ext^1 comes from the syzygy sequence, and the Auslander-Reiten translate
 is computed as D Tr from a minimal projective presentation.  Nothing here
 reuses the closed forms from `homology`; agreement between the two is a
 test target, not an assumption.
+
+Caching: each algebra gets a workspace holding its arrow list, the
+representation of each module, the projective cover of each module and
+the Hom basis of each ordered pair, filled on first use.  Workspaces are
+keyed by the `Algebra` value (equal algebras share one) and kept in an
+LRU of `WORKSPACES` entries, so at most that many algebras' data stay
+alive.  The objects in a workspace are shared between calls; only
+`to_representation` hands out a fresh representation.
+
+Validation: the public functions validate each module once, as it enters
+a workspace (a bad top or length raises the `check_module` AlgebraError
+and nothing is cached); a module found in a workspace has been validated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import Algebra, IndecModule
 from . import linalg
 from .linalg import Matrix, QuotientSpace, mat_mul, mat_vec
 
-_cover_cache: dict = {}
-_hom_basis_cache: dict = {}
+# Workspaces alive at once: a sweep works on one algebra at a time, so a
+# few entries keep its hits while bounding memory.
+WORKSPACES = 4
 
 
 class OracleError(RuntimeError):
@@ -112,17 +126,15 @@ def check_relations(A: Algebra, rep: Representation) -> bool:
 # -- Hom as an intertwiner nullspace ------------------------------------------
 
 
-def _hom_system(A: Algebra, X: Representation, Y: Representation):
+def _hom_system(ws: "_Workspace", X: Representation, Y: Representation):
     """Linear system whose kernel is Hom(X, Y); returns (rows, total, offsets)."""
-    n = A.n
-    offsets = [0] * n
+    offsets = [0] * ws.n
     total = 0
-    for v in range(n):
+    for v in range(ws.n):
         offsets[v] = total
         total += Y.dims[v] * X.dims[v]
     rows = []
-    for src in arrow_sources(A):
-        tgt = A.down(src)
+    for src, tgt in ws.arrows:
         Xa, Ya = X.maps[src], Y.maps[src]
         dXs, dXt = X.dims[src - 1], X.dims[tgt - 1]
         dYs, dYt = Y.dims[src - 1], Y.dims[tgt - 1]
@@ -140,23 +152,23 @@ def _hom_system(A: Algebra, X: Representation, Y: Representation):
     return rows, total, offsets
 
 
-def rep_hom_dim(A: Algebra, X: Representation, Y: Representation) -> int:
-    rows, total, _ = _hom_system(A, X, Y)
+def _rep_hom_dim(ws: "_Workspace", X: Representation, Y: Representation) -> int:
+    rows, total, _ = _hom_system(ws, X, Y)
     if total == 0:
         return 0
     return total - linalg.rank(rows)
 
 
-def rep_hom_basis(A: Algebra, X: Representation, Y: Representation) -> list[list[Matrix]]:
+def _rep_hom_basis(ws: "_Workspace", X: Representation, Y: Representation) -> list[list[Matrix]]:
     """Basis of Hom(X, Y), each element a list of per-vertex matrices."""
-    rows, total, offsets = _hom_system(A, X, Y)
+    rows, total, offsets = _hom_system(ws, X, Y)
     if total == 0:
         return []
     vectors = linalg.nullspace(rows, total)
     basis = []
     for vec in vectors:
         mats = []
-        for v in range(A.n):
+        for v in range(ws.n):
             r, c = Y.dims[v], X.dims[v]
             block = vec[offsets[v]: offsets[v] + r * c]
             mats.append([list(block[i * c:(i + 1) * c]) for i in range(r)])
@@ -171,17 +183,12 @@ class HomSpace:
 
 
 def hom_space(A: Algebra, M: IndecModule, N: IndecModule) -> HomSpace:
-    key = (A, M, N)
-    cached = _hom_basis_cache.get(key)
-    if cached is None:
-        basis = rep_hom_basis(A, to_representation(A, M), to_representation(A, N))
-        cached = HomSpace(len(basis), tuple(basis))
-        _hom_basis_cache[key] = cached
-    return cached
+    return _workspace(A).hom_space(M, N)
 
 
 def hom_space_dim(A: Algebra, M: IndecModule, N: IndecModule) -> int:
-    return rep_hom_dim(A, to_representation(A, M), to_representation(A, N))
+    ws = _workspace(A)
+    return _rep_hom_dim(ws, ws.rep(M), ws.rep(N))
 
 
 # -- projective covers and syzygies -------------------------------------------
@@ -202,12 +209,13 @@ class CoverData:
 
 
 def cover_data(A: Algebra, M: IndecModule) -> CoverData:
-    key = (A, M)
-    cached = _cover_cache.get(key)
-    if cached is not None:
-        return cached
+    return _workspace(A).cover(M)
+
+
+def _build_cover(ws: "_Workspace", M: IndecModule) -> CoverData:
+    A = ws.A
     P0 = A.projective(M.top)
-    Prep = to_representation(A, P0)
+    Prep = ws.rep(P0)
     # Cover map: layer k of P0 goes to layer k of M for k < len(M), else to 0.
     p_positions: dict[int, list[int]] = {v: [] for v in A.vertices}
     for k, v in enumerate(A.layers(P0)):
@@ -234,8 +242,7 @@ def cover_data(A: Algebra, M: IndecModule) -> CoverData:
         incl.append(linalg.transpose(basis) if basis else [[] for _ in range(cols)])
         kdims.append(len(basis))
     kmaps: dict[int, Matrix] = {}
-    for src in arrow_sources(A):
-        tgt = A.down(src)
+    for src, tgt in ws.arrows:
         image = mat_mul(Prep.maps[src], incl[src - 1])
         tgt_cols = linalg.transpose(incl[tgt - 1])
         mat = linalg.zero_matrix(kdims[tgt - 1], kdims[src - 1])
@@ -246,9 +253,56 @@ def cover_data(A: Algebra, M: IndecModule) -> CoverData:
             for i, x in enumerate(coords):
                 mat[i][j] = x
         kmaps[src] = mat
-    data = CoverData(P0, Prep, Representation(kdims, kmaps), incl)
-    _cover_cache[key] = data
-    return data
+    return CoverData(P0, Prep, Representation(kdims, kmaps), incl)
+
+
+# -- the per-algebra workspace ------------------------------------------------
+
+
+class _Workspace:
+    """What the oracle has built for one algebra, filled on first use.
+
+    `reps[M]`, `covers[M]` and `hom_spaces[(M, N)]` are shared by every
+    caller; a module becomes a key only after `A.check_module` accepted it.
+    """
+
+    __slots__ = ("A", "n", "arrows", "reps", "covers", "hom_spaces")
+
+    def __init__(self, A: Algebra):
+        self.A = A
+        self.n = A.n
+        self.arrows = [(src, A.down(src)) for src in arrow_sources(A)]
+        self.reps: dict[IndecModule, Representation] = {}
+        self.covers: dict[IndecModule, CoverData] = {}
+        self.hom_spaces: dict[tuple[IndecModule, IndecModule], HomSpace] = {}
+
+    def rep(self, M: IndecModule) -> Representation:
+        rep = self.reps.get(M)
+        if rep is None:
+            # Called through the module-level name, so each miss is one
+            # `to_representation` call; it validates M.
+            rep = self.reps[M] = to_representation(self.A, M)
+        return rep
+
+    def cover(self, M: IndecModule) -> CoverData:
+        data = self.covers.get(M)
+        if data is None:
+            self.A.check_module(M)
+            data = self.covers[M] = _build_cover(self, M)
+        return data
+
+    def hom_space(self, M: IndecModule, N: IndecModule) -> HomSpace:
+        key = (M, N)
+        space = self.hom_spaces.get(key)
+        if space is None:
+            basis = _rep_hom_basis(self, self.rep(M), self.rep(N))
+            space = self.hom_spaces[key] = HomSpace(len(basis), tuple(basis))
+        return space
+
+
+@lru_cache(maxsize=WORKSPACES)
+def _workspace(A: Algebra) -> _Workspace:
+    return _Workspace(A)
 
 
 def identify_module(A: Algebra, rep) -> IndecModule | None:
@@ -278,7 +332,7 @@ def identify_module(A: Algebra, rep) -> IndecModule | None:
     candidate = IndecModule(top, total)
     if not A.valid_module(candidate):
         raise OracleError(f"dimensions do not fit any uniserial module: {candidate}")
-    expected = to_representation(A, candidate)
+    expected = _workspace(A).rep(candidate)
     if expected.dims != list(rep.dims):
         raise OracleError(f"dimension vector does not match {candidate}")
     return candidate
@@ -299,18 +353,19 @@ def ext1_space_dim(A: Algebra, M: IndecModule, N: IndecModule) -> int:
     the dimension is dim Hom(K, N) minus the rank of the restrictions of a
     basis of Hom(P0, N) to K.
     """
-    data = cover_data(A, M)
+    ws = _workspace(A)
+    data = ws.cover(M)
+    Nrep = ws.rep(N)
     if data.kernel_rep.total_dim() == 0:
         return 0
-    Nrep = to_representation(A, N)
-    hom_k = rep_hom_dim(A, data.kernel_rep, Nrep)
+    hom_k = _rep_hom_dim(ws, data.kernel_rep, Nrep)
     if hom_k == 0:
         return 0
-    basis = hom_space(A, data.cover_module, N).basis
+    basis = ws.hom_space(data.cover_module, N).basis
     restricted = []
     for h in basis:
         flat = []
-        for v in range(A.n):
+        for v in range(ws.n):
             prod = mat_mul(h[v], data.incl[v])
             for row in prod:
                 flat.extend(row)
@@ -492,15 +547,14 @@ def end_algebra(A: Algebra, modules) -> EndTable:
     objects = tuple(modules)
     if len(set(objects)) != len(objects):
         raise OracleError("end_algebra needs pairwise non-isomorphic summands")
-    for m in objects:
-        A.check_module(m)
-    reps = [to_representation(A, m) for m in objects]
+    ws = _workspace(A)
+    reps = [ws.rep(m) for m in objects]
     r = len(objects)
     bases: dict[tuple[int, int], list] = {}
     block_dims: dict[tuple[int, int], int] = {}
     for a in range(r):
         for b in range(r):
-            basis = rep_hom_basis(A, reps[a], reps[b])
+            basis = _rep_hom_basis(ws, reps[a], reps[b])
             bases[(a, b)] = basis
             block_dims[(a, b)] = len(basis)
     basis_index: list[tuple[int, int, int]] = []
@@ -524,7 +578,7 @@ def end_algebra(A: Algebra, modules) -> EndTable:
             # Composition through a zero-dimensional fiber loses the shape
             # under plain list multiplication, so force it explicitly.
             comp = []
-            for v in range(A.n):
+            for v in range(ws.n):
                 if reps[a].dims[v] and reps[b].dims[v] and reps[c].dims[v]:
                     comp.append(mat_mul(g[v], f[v]))
                 else:
@@ -654,8 +708,3 @@ def quiver_of(table: EndTable) -> QuiverData:
         rad_dims={(a + 1, b + 1): d for (a, b), d in rad_dims.items()},
         rad_square_dims={(a + 1, b + 1): d for (a, b), d in rad_square_dims.items()},
     )
-
-
-def clear_caches() -> None:
-    _cover_cache.clear()
-    _hom_basis_cache.clear()

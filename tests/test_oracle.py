@@ -1,16 +1,23 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from nakayama.algebra import Algebra, IndecModule, make_rsz_nakayama
+from nakayama.algebra import Algebra, AlgebraError, IndecModule, make_rsz_nakayama
 from nakayama.homology import ext1_dim, hom_dim, syzygy, tau
 from nakayama import linalg
 from nakayama.oracle import (
+    WORKSPACES,
     OracleError,
+    _workspace,
     arrow_sources,
     check_relations,
+    cover_data,
     end_algebra,
     ext1_space_dim,
+    hom_space,
     hom_space_dim,
     identify_module,
     identity_coords,
@@ -19,6 +26,8 @@ from nakayama.oracle import (
     tau_via_dtr,
     to_representation,
 )
+from nakayama.verification import oracle_sweep_assertions
+from test_tables import kupisch_algebras
 
 M = IndecModule
 
@@ -111,6 +120,86 @@ class TestOracleAgreement:
         for A in small_universe:
             for m in A.indecomposables():
                 assert tau_via_dtr(A, m) == tau(A, m)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(kupisch_algebras())
+def test_oracle_agrees_on_random_series(A):
+    mods = list(A.indecomposables())
+    for m in mods:
+        assert syzygy_oracle(A, m) == syzygy(A, m), (A, m)
+        assert tau_via_dtr(A, m) == tau(A, m), (A, m)
+    pairs = list(itertools.product(mods, repeat=2))
+    for m, nmod in random.Random(str(A)).sample(pairs, min(64, len(pairs))):
+        assert hom_space_dim(A, m, nmod) == hom_dim(A, m, nmod), (A, m, nmod)
+        assert ext1_space_dim(A, m, nmod) == ext1_dim(A, m, nmod), (A, m, nmod)
+
+
+# Every public function that takes modules, called with one invalid module
+# of the cyclic series (2, 2).  M(1, 2) is projective, so without validation
+# `ext1_space_dim(P, bad)` would return 0 without looking at `bad`.
+ENTRY_POINTS = {
+    "hom_space_dim(bad, M)": lambda A, bad: hom_space_dim(A, bad, M(1, 1)),
+    "hom_space_dim(M, bad)": lambda A, bad: hom_space_dim(A, M(1, 1), bad),
+    "hom_space(bad, M)": lambda A, bad: hom_space(A, bad, M(1, 1)),
+    "hom_space(M, bad)": lambda A, bad: hom_space(A, M(1, 1), bad),
+    "ext1_space_dim(bad, M)": lambda A, bad: ext1_space_dim(A, bad, M(1, 1)),
+    "ext1_space_dim(P, bad)": lambda A, bad: ext1_space_dim(A, M(1, 2), bad),
+    "syzygy_oracle": lambda A, bad: syzygy_oracle(A, bad),
+    "cover_data": lambda A, bad: cover_data(A, bad),
+    "tau_via_dtr": lambda A, bad: tau_via_dtr(A, bad),
+    "end_algebra": lambda A, bad: end_algebra(A, [M(1, 1), bad]),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+@pytest.mark.parametrize(
+    "bad, message",
+    [(M(3, 1), "vertex 3 out of range 1..2"), (M(1, 10), "length 10 invalid at vertex 1: need 1..2")],
+    ids=["top", "length"],
+)
+def test_invalid_module_raises_at_entry(entry, bad, message):
+    A = Algebra("cyclic", (2, 2))
+    # Twice: a rejected module must not have been cached by the first call.
+    for _ in range(2):
+        with pytest.raises(AlgebraError, match=message):
+            entry(A, bad)
+
+
+class TestWorkspaceScope:
+    @staticmethod
+    def roads(A):
+        pairs = itertools.product(A.indecomposables(), repeat=2)
+        return [(hom_space_dim(A, x, y), ext1_space_dim(A, x, y)) for x, y in pairs]
+
+    @staticmethod
+    def wreck(A):
+        for m in A.indecomposables():
+            rep = to_representation(A, m)
+            rep.dims[:] = [0] * len(rep.dims)
+            rep.maps.clear()
+
+    def test_returned_representations_are_not_the_cached_ones(self):
+        A = Algebra("cyclic", (3, 3, 2))
+        _workspace.cache_clear()
+        self.wreck(A)
+        expected = [(hom_dim(A, x, y), ext1_dim(A, x, y)) for x, y in itertools.product(A.indecomposables(), repeat=2)]
+        assert self.roads(A) == expected
+        self.wreck(A)
+        assert self.roads(A) == expected
+
+    def test_equal_algebras_built_separately_agree(self):
+        A, B = Algebra("linear", (1, 2, 3, 2)), Algebra("linear", (1, 2, 3, 2))
+        assert A is not B
+        assert self.roads(A) == self.roads(B)
+        assert [syzygy_oracle(A, m) for m in A.indecomposables()] == [syzygy_oracle(B, m) for m in B.indecomposables()]
+
+    def test_live_workspaces_are_bounded(self):
+        [record] = oracle_sweep_assertions(3, 3)
+        assert record["passed"]
+        assert record["detail"].startswith("algebras=22 ")
+        assert _workspace.cache_info().maxsize == WORKSPACES
+        assert _workspace.cache_info().currsize <= WORKSPACES < 22
 
 
 class TestEndomorphismAlgebras:
