@@ -127,6 +127,8 @@ class Algebra:
         return m
 
     def check_module(self, m: IndecModule) -> None:
+        if 1 <= m.top <= len(self.c) and 1 <= m.length <= self.c[m.top - 1]:
+            return
         self.check_vertex(m.top)
         if not 1 <= m.length <= self.kupisch(m.top):
             raise AlgebraError(

@@ -1,24 +1,87 @@
 """Closed-form homological calculus for uniserial modules.
 
-Everything here reduces to counting congruences of layer indices, so all
-functions run in time linear in the module lengths.  Infinite projective
-or injective dimension is reported as ``math.inf`` (the syzygy orbit of a
-uniserial module is eventually periodic, so a revisited module proves
-infinitude).
+Everything here reduces to arithmetic on the Kupisch coordinates (top,
+length) of the modules.  Each closed form is written once, as a private
+kernel that trusts its arguments: `_hom`, `_syzygy`, `_cosyzygy`, `_tau`,
+`_ext1` and the resolution orbit `_dim_along` behind `proj_dim` and
+`inj_dim`.  The public functions validate each module once, with
+`Algebra.check_module`, and then call the kernels; `tables.Tables` fills
+its tables by mapping the same kernels over its index.  The test suite
+holds the kernels to an independent copy of the formulas kept in
+`tests/test_tables.py` and to the matrix oracle.
+
+Infinite projective or injective dimension is reported as ``math.inf``
+(the syzygy orbit of a uniserial module is eventually periodic, so a
+revisited module proves infinitude).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet
+from .algebra import CYCLIC, Algebra, AlgebraError, IndecModule, ModuleSet
 
 INFINITE = math.inf
 
 
+# -- kernels: no validation, the caller vouches for its modules ---------------
+
+
+def _hom(A: Algebra, M: IndecModule, N: IndecModule) -> int:
+    """dim Hom: the k <= min(lengths) with k = top M - top N + len N (mod n if cyclic)."""
+    short = min(M.length, N.length)
+    k = M.top - N.top + N.length
+    if A.kind == CYCLIC:
+        n = len(A.c)
+        k = (k - 1) % n + 1
+        return (short - k) // n + 1 if k <= short else 0
+    return 1 if 1 <= k <= short else 0
+
+
+def _syzygy(A: Algebra, M: IndecModule) -> IndecModule | None:
+    cover = A.c[M.top - 1]
+    return None if M.length == cover else IndecModule(A.down(M.top, M.length), cover - M.length)
+
+
+def _envelope(A: Algebra, M: IndecModule) -> IndecModule:
+    """Injective envelope I(socle M)."""
+    return A.injective_env_vertex(A.down(M.top, M.length - 1))
+
+
+def _cosyzygy(A: Algebra, M: IndecModule) -> IndecModule | None:
+    env = _envelope(A, M)
+    return None if env == M else IndecModule(env.top, env.length - M.length)
+
+
+def _tau(A: Algebra, M: IndecModule) -> IndecModule | None:
+    return None if M.length == A.c[M.top - 1] else IndecModule(A.down(M.top), M.length)
+
+
+def _ext1(A: Algebra, M: IndecModule, N: IndecModule) -> int:
+    omega = _syzygy(A, M)
+    if omega is None:
+        return 0
+    return _hom(A, omega, N) - _hom(A, IndecModule(M.top, A.c[M.top - 1]), N) + _hom(A, M, N)
+
+
+def _dim_along(step: Callable, A: Algebra, M: IndecModule | None) -> int | float:
+    """Steps of `step` (syzygy or cosyzygy) from M to zero; INFINITE if the orbit cycles."""
+    seen = set()
+    while M is not None:
+        if M in seen:
+            return INFINITE
+        seen.add(M)
+        M = step(A, M)
+    return len(seen) - 1
+
+
+# -- public functions: validate once, then call the kernels -------------------
+
+
 def hom_dim(A: Algebra, M: IndecModule, N: IndecModule) -> int:
-    """dim Hom(M, N).
+    """dim Hom(M, N), in constant time.
 
     A homomorphism sends the top of M onto layer k of N (1-based from the
     top) and is determined by that image; it exists iff the layer vertices
@@ -28,58 +91,30 @@ def hom_dim(A: Algebra, M: IndecModule, N: IndecModule) -> int:
     """
     A.check_module(M)
     A.check_module(N)
-    total = 0
-    for k in range(1, min(M.length, N.length) + 1):
-        diff = N.top - N.length + k - M.top
-        if (diff % A.n == 0) if A.kind == "cyclic" else (diff == 0):
-            total += 1
-    return total
+    return _hom(A, M, N)
 
 
 def syzygy(A: Algebra, M: IndecModule) -> IndecModule | None:
     """Kernel of the projective cover P(top M) -> M; None for projective M."""
     A.check_module(M)
-    if A.is_projective(M):
-        return None
-    return IndecModule(A.down(M.top, M.length), A.kupisch(M.top) - M.length)
+    return _syzygy(A, M)
 
 
 def cosyzygy(A: Algebra, M: IndecModule) -> IndecModule | None:
     """Cokernel of the injective envelope M -> I(socle M); None for injective M."""
     A.check_module(M)
-    env = A.injective_env_vertex(A.socle_vertex(M))
-    if env == M:
-        return None
-    return IndecModule(env.top, env.length - M.length)
+    return _cosyzygy(A, M)
 
 
 def proj_dim(A: Algebra, M: IndecModule) -> int | float:
     """Projective dimension, math.inf if the syzygy orbit cycles."""
     A.check_module(M)
-    seen = set()
-    d = 0
-    cur = M
-    while not A.is_projective(cur):
-        if cur in seen:
-            return INFINITE
-        seen.add(cur)
-        cur = syzygy(A, cur)
-        d += 1
-    return d
+    return _dim_along(_syzygy, A, M)
 
 
 def inj_dim(A: Algebra, M: IndecModule) -> int | float:
     A.check_module(M)
-    seen = set()
-    d = 0
-    cur = M
-    while not A.is_injective(cur):
-        if cur in seen:
-            return INFINITE
-        seen.add(cur)
-        cur = cosyzygy(A, cur)
-        d += 1
-    return d
+    return _dim_along(_cosyzygy, A, M)
 
 
 def tau(A: Algebra, M: IndecModule) -> IndecModule | None:
@@ -89,16 +124,12 @@ def tau(A: Algebra, M: IndecModule) -> IndecModule | None:
     length.
     """
     A.check_module(M)
-    if A.is_projective(M):
-        return None
-    return IndecModule(A.down(M.top), M.length)
+    return _tau(A, M)
 
 
 def tau_inv(A: Algebra, M: IndecModule) -> IndecModule | None:
     A.check_module(M)
-    if A.is_injective(M):
-        return None
-    return IndecModule(A.up(M.top), M.length)
+    return None if _envelope(A, M) == M else IndecModule(A.up(M.top), M.length)
 
 
 def ext1_dim(A: Algebra, M: IndecModule, N: IndecModule) -> int:
@@ -108,23 +139,20 @@ def ext1_dim(A: Algebra, M: IndecModule, N: IndecModule) -> int:
     """
     A.check_module(M)
     A.check_module(N)
-    if A.is_projective(M):
-        return 0
-    omega = syzygy(A, M)
-    cover = A.projective(M.top)
-    return hom_dim(A, omega, N) - hom_dim(A, cover, N) + hom_dim(A, M, N)
+    return _ext1(A, M, N)
 
 
 def ext_dim(A: Algebra, M: IndecModule, N: IndecModule, i: int = 1) -> int:
     """dim Ext^i for i >= 1, by dimension shift along the syzygy chain."""
     if i < 1:
         raise AlgebraError(f"ext_dim needs i >= 1, got {i}")
-    cur: IndecModule | None = M
+    A.check_module(M)
+    A.check_module(N)
     for _ in range(i - 1):
-        cur = syzygy(A, cur)
-        if cur is None:
+        M = _syzygy(A, M)
+        if M is None:
             return 0
-    return ext1_dim(A, cur, N)
+    return _ext1(A, M, N)
 
 
 def ext1_total(A: Algebra, S: ModuleSet, T: ModuleSet) -> int:
@@ -143,17 +171,13 @@ def regular_module(A: Algebra) -> ModuleSet:
 
 def regular_i0(A: Algebra) -> ModuleSet:
     """I0 = basic version of the injective envelope of the regular module."""
-    return ModuleSet.of(A.injective_env_vertex(A.socle_vertex(A.projective(i))) for i in A.vertices)
+    return ModuleSet.of(_envelope(A, P) for P in regular_module(A))
 
 
 def regular_i1(A: Algebra) -> ModuleSet:
     """I1 = basic version of the next term in the minimal injective resolution of A."""
-    mods = []
-    for i in A.vertices:
-        cos = cosyzygy(A, A.projective(i))
-        if cos is not None:
-            mods.append(A.injective_env_vertex(A.socle_vertex(cos)))
-    return ModuleSet.of(mods)
+    cos = (_cosyzygy(A, P) for P in regular_module(A))
+    return ModuleSet.of(_envelope(A, m) for m in cos if m is not None)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,12 @@
 
 `Tables` indexes the indecomposables of one algebra once, in the order of
 `Algebra.indecomposables()` (by top, then length), and fills flat tables
-from the closed forms of `homology` evaluated on that index, without the
-per-call validation of the public functions.  Each table is built on
-first use and kept on the `Tables` object, which `Algebra.tables` caches
-on the algebra instance; nothing is kept at module level.  The public
-closed forms stay the reference: the test suite checks every entry
-against them.
+by mapping the unvalidated kernels of `homology` over that index, so each
+closed form has one copy.  Each table is built on first use and kept on
+the `Tables` object, which `Algebra.tables` caches on the algebra
+instance; nothing is kept at module level.  The test suite checks every
+entry against an independent copy of the formulas and the oracle checks
+the kernels through the public functions.
 
 Modules entering from outside are validated once, by `indices`; code
 behind that line works on table indices only.  The enumerators in
@@ -16,11 +16,11 @@ behind that line works on table indices only.  The enumerators in
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .algebra import CYCLIC, Algebra, AlgebraError, IndecModule, ModuleSet
+from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet
+from .homology import _dim_along, _hom, _syzygy, _tau
 
 
 class Tables:
@@ -43,35 +43,15 @@ class Tables:
             self._offset.append(self._offset[-1] + ci)
         # Both enumerators need these; the rest is built on first use.
         self.projective = [m.length == A.c[m.top - 1] for m in self.modules]
-        self.hom = self._hom()
-        self.tau: list[int | None] = [
-            None if proj else self.at(self._down(m.top, 1), m.length)
-            for m, proj in zip(self.modules, self.projective)
-        ]
+        self.hom = [_hom(A, x, y) for x in self.modules for y in self.modules]
+        self.tau = self._indices(_tau(A, m) for m in self.modules)
 
     def at(self, top: int, length: int) -> int:
         """Table index of M(top, length); the caller vouches that it is valid."""
         return self._offset[top - 1] + length - 1
 
-    def _down(self, v: int, steps: int) -> int:
-        A = self.algebra
-        return (v - 1 - steps) % A.n + 1 if A.kind == CYCLIC else v - steps
-
-    def _hom(self) -> list[int]:
-        """dim Hom: the k <= min(lengths) with k = top M - top N + len N (mod n if cyclic)."""
-        n = self.algebra.n
-        cyclic = self.algebra.kind == CYCLIC
-        out = []
-        for x in self.modules:
-            for y in self.modules:
-                short = min(x.length, y.length)
-                k = x.top - y.top + y.length
-                if cyclic:
-                    k = (k - 1) % n + 1
-                    out.append((short - k) // n + 1 if k <= short else 0)
-                else:
-                    out.append(1 if 1 <= k <= short else 0)
-        return out
+    def _indices(self, mods: Iterable[IndecModule | None]) -> list[int | None]:
+        return [None if m is None else self.at(m.top, m.length) for m in mods]
 
     @cached_property
     def index(self) -> dict[IndecModule, int]:
@@ -79,15 +59,13 @@ class Tables:
 
     @cached_property
     def syzygy(self) -> list[int | None]:
-        c = self.algebra.c
-        return [
-            None if proj else self.at(self._down(m.top, m.length), c[m.top - 1] - m.length)
-            for m, proj in zip(self.modules, self.projective)
-        ]
+        return self._indices(_syzygy(self.algebra, m) for m in self.modules)
 
     @cached_property
     def ext1(self) -> list[int]:
         """dim Ext^1(M, N) = hom(Omega M, N) - hom(P(top M), N) + hom(M, N)."""
+        # Rows of the hom table, not homology._ext1 per pair: over iter_algebras(6, 4)
+        # that is 0.03 s against 0.5 s (Python 3.11, one Xeon core).
         d, hom, c = self.size, self.hom, self.algebra.c
         out = []
         for i, (m, omega) in enumerate(zip(self.modules, self.syzygy)):
@@ -101,19 +79,7 @@ class Tables:
     @cached_property
     def pd(self) -> list[int | float]:
         """Projective dimension, math.inf when the syzygy orbit cycles."""
-        out = []
-        for start in range(self.size):
-            seen = set()
-            cur, d = start, 0
-            while not self.projective[cur]:
-                if cur in seen:
-                    d = math.inf
-                    break
-                seen.add(cur)
-                cur = self.syzygy[cur]
-                d += 1
-            out.append(d)
-        return out
+        return [_dim_along(_syzygy, self.algebra, m) for m in self.modules]
 
     @cached_property
     def projinj_socles(self) -> frozenset[int]:

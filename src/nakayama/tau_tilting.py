@@ -12,8 +12,10 @@ The kill-set road reads each component's `Tables`: tau-compatibility of
 two indecomposables is a bit of `Tables.tau_perp` (Hom into each other's
 tau translate vanishes both ways), and tau-rigid sets are the cliques of
 that graph found by the shared search `tables.cliques`.  The pair-side
-road keeps the validated closed forms `hom_dim` and `tau`, so the two
-roads share no table.
+road calls the validated public functions `hom_dim` and `tau`, so the two
+roads share no table and no clique search.  Both rest on the one copy of
+the Hom and tau closed forms, the kernels in `homology`; the tests hold
+those to an independent reference and to the matrix oracle.
 
 The same component series recur across the 2^n kill sets, so
 `enumerate_sttilt_over` keeps a memo local to each call, keyed by the

@@ -11,8 +11,10 @@ n-cliques of the compatibility graph, found by the shared clique search
 
 The tilting conditions, mutation and the summand flags read the algebra's
 `Tables` (projective dimensions, Ext^1 dimensions and Ext^1-orthogonality
-masks, projective flags, socles of the projective-injectives), not the
-validated closed forms in `homology`.
+masks, projective flags, socles of the projective-injectives).  Those are
+filled from the single copy of each closed form, the kernels in
+`homology`, which the tests hold to an independent reference and to the
+matrix oracle.
 Modules are validated once, where they enter a public function; the
 enumerators, the re-verification of their results and mutation work on
 table indices behind that line.
@@ -70,13 +72,6 @@ def is_tilting(A: Algebra, ms: ModuleSet) -> tuple[bool, str | None]:
     """Check the tilting conditions; returns (ok, first violation or None)."""
     why = _violation(A, A.tables, indices(A, ms))
     return why is None, why
-
-
-def projective_injective_socles(A: Algebra) -> frozenset[int]:
-    """Socle vertices of the projective-injective indecomposables."""
-    return frozenset(
-        A.socle_vertex(A.projective(v)) for v in A.projective_injective_vertices()
-    )
 
 
 def _flags(tab: Tables, i: int) -> SummandFlags:

@@ -1,6 +1,6 @@
 import pytest
 
-from nakayama.algebra import Algebra, IndecModule, make_rsz_nakayama
+from nakayama.algebra import Algebra, AlgebraError, IndecModule, make_rsz_nakayama
 from nakayama.homology import (
     INFINITE,
     cosyzygy,
@@ -231,3 +231,47 @@ class TestGorensteinProfiles:
         assert gorenstein_profile(make_rsz_nakayama(3, "linear")).is_auslander
         prof4 = gorenstein_profile(make_rsz_nakayama(4, "linear"))
         assert prof4.gldim == 3 and not prof4.is_auslander
+
+
+# Every public function that takes modules, called with one invalid module
+# of the cyclic series (2, 2).  M(1, 2) is projective, so a function that
+# validated lazily would return 0 for `ext1_dim(P, bad)` or
+# `ext_dim(P, bad, 2)` without looking at `bad`.
+ENTRY_POINTS = {
+    "hom_dim(bad, M)": lambda A, bad: hom_dim(A, bad, M(1, 1)),
+    "hom_dim(M, bad)": lambda A, bad: hom_dim(A, M(1, 1), bad),
+    "ext1_dim(bad, M)": lambda A, bad: ext1_dim(A, bad, M(1, 1)),
+    "ext1_dim(M, bad)": lambda A, bad: ext1_dim(A, M(1, 1), bad),
+    "ext1_dim(P, bad)": lambda A, bad: ext1_dim(A, M(1, 2), bad),
+    "ext_dim(bad, M, 2)": lambda A, bad: ext_dim(A, bad, M(1, 1), 2),
+    "ext_dim(P, bad, 2)": lambda A, bad: ext_dim(A, M(1, 2), bad, 2),
+    "syzygy": lambda A, bad: syzygy(A, bad),
+    "cosyzygy": lambda A, bad: cosyzygy(A, bad),
+    "tau": lambda A, bad: tau(A, bad),
+    "tau_inv": lambda A, bad: tau_inv(A, bad),
+    "proj_dim": lambda A, bad: proj_dim(A, bad),
+    "inj_dim": lambda A, bad: inj_dim(A, bad),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+@pytest.mark.parametrize(
+    "bad, message",
+    [(M(3, 1), "vertex 3 out of range 1..2"), (M(1, 10), "length 10 invalid at vertex 1: need 1..2")],
+    ids=["top", "length"],
+)
+def test_invalid_module_raises_at_entry(entry, bad, message):
+    with pytest.raises(AlgebraError, match=message):
+        entry(Algebra("cyclic", (2, 2)), bad)
+
+
+def test_single_queries_build_no_table():
+    # A table over this algebra would hold 4 * 10^12 Hom entries.
+    A = make_rsz_nakayama(10**6, "cyclic")
+    assert hom_dim(A, M(2, 2), M(2, 1)) == 1
+    assert hom_dim(A, M(2, 1), M(2, 2)) == 0
+    assert ext1_dim(A, M(1, 1), M(10**6, 1)) == 1
+    assert ext1_dim(A, M(1, 1), M(1, 1)) == 0
+    assert syzygy(A, M(1, 1)) == tau(A, M(1, 1)) == M(10**6, 1)
+    assert syzygy(A, M(1, 2)) is None and tau(A, M(1, 2)) is None
+    assert "tables" not in vars(A)
