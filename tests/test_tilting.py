@@ -2,10 +2,19 @@ from itertools import combinations
 
 import pytest
 
-from nakayama.algebra import Algebra, AlgebraError, IndecModule, ModuleSet, make_rsz_nakayama
+import nakayama.tilting
+from nakayama.algebra import (
+    Algebra,
+    AlgebraError,
+    IndecModule,
+    ModuleSet,
+    iter_algebras,
+    make_rsz_nakayama,
+)
 from nakayama.auslander import auslander_algebra
 from nakayama.tilting import (
     TiltingError,
+    TiltingRecord,
     enumerate_tilting,
     exchange_graph,
     exchange_graph_dot,
@@ -136,6 +145,30 @@ class TestGenOrder:
         for rec in enumerate_tilting(gamma_lin3):
             assert leq_gen(gamma_lin3, rec.modules, reg)
 
+    BAD_LENGTH = "length 9 invalid at vertex 2: need 1..2"
+    BAD_TOP = "vertex 4 out of range 1..3"
+    GOOD = ModuleSet.of([M(2, 2), M(3, 1)])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda A, bad, good: leq_gen(A, bad, good),
+            lambda A, bad, good: leq_gen(A, good, bad),
+            lambda A, bad, good: generates(A, bad, M(2, 1)),
+            lambda A, bad, good: generates(A, good, next(iter(bad))),
+        ],
+        ids=["leq_gen-T1", "leq_gen-T2", "generates-T", "generates-X"],
+    )
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(M(2, 9), BAD_LENGTH), (M(4, 1), BAD_TOP)],
+        ids=["length", "top"],
+    )
+    def test_every_argument_is_validated(self, call, bad, message):
+        A = Algebra("linear", (1, 2, 2))
+        with pytest.raises(AlgebraError, match=f"^{message}$"):
+            call(A, ModuleSet.of([bad]), self.GOOD)
+
 
 class TestMutation:
     def test_mutations_from_regular(self, gamma_lin3):
@@ -207,6 +240,31 @@ class TestMinimalTilting:
         for other in enumerate_tilting(gamma_cyc3):
             assert leq_gen(gamma_cyc3, rec.modules, other.modules)
 
+    def test_minimum_check_makes_at_most_2k_calls(self, gamma_cyc3, monkeypatch):
+        calls = []
+
+        def counting(A, T1, T2):
+            calls.append((T1, T2))
+            return leq_gen(A, T1, T2)
+
+        monkeypatch.setattr(nakayama.tilting, "leq_gen", counting)
+        minimal_tilting(gamma_cyc3)
+        assert len(calls) <= 2 * len(enumerate_tilting(gamma_cyc3))
+
+    def test_minimum_mismatch_names_the_enumerated_minima(self, gamma_lin3, monkeypatch):
+        records = enumerate_tilting(gamma_lin3)
+        formula = minimal_tilting(gamma_lin3).modules
+        others = [r for r in records if r.modules != formula]
+        monkeypatch.setattr(nakayama.tilting, "enumerate_tilting", lambda A: others)
+        minima = [
+            str(r.modules) for r in others if all(leq_gen(gamma_lin3, r.modules, o.modules) for o in others)
+        ]
+        with pytest.raises(TiltingError) as err:
+            minimal_tilting(gamma_lin3)
+        assert str(err.value) == (
+            f"Gen-minimum mismatch: formula gave {formula}, enumeration gave {minima}"
+        )
+
     def test_works_beyond_auslander_algebras(self):
         # Serial algebras are QF-3, so the formula applies to any of them;
         # over the linear radical-square-zero series it still checks out.
@@ -252,6 +310,67 @@ class TestExchangeGraph:
         for i, j in g.hasse:
             assert leq_gen(gamma_lin3, g.nodes[i].modules, g.nodes[j].modules)
             assert not leq_gen(gamma_lin3, g.nodes[j].modules, g.nodes[i].modules)
+
+
+def _reference_graph(A):
+    """The exchange graph by brute force: pairwise intersections, the full
+    Gen-order matrix and the cubic Hasse loop."""
+    records = enumerate_tilting(A)
+    k = len(records)
+    edges = [
+        (i, j)
+        for i in range(k)
+        for j in range(i + 1, k)
+        if records[i].modules.intersection_size(records[j].modules) == A.n - 1
+    ]
+    less = [
+        [i != j and leq_gen(A, records[i].modules, records[j].modules) for j in range(k)]
+        for i in range(k)
+    ]
+    hasse = [
+        (i, j)
+        for i in range(k)
+        for j in range(k)
+        if less[i][j] and not any(less[i][m] and less[m][j] for m in range(k))
+    ]
+    return tuple(records), tuple(edges), tuple(hasse)
+
+
+@pytest.fixture(scope="module")
+def graph_universe():
+    """Auslander algebras up to n = 6 of both kinds, then iter_algebras(5, 4)."""
+    gammas = [
+        auslander_algebra(make_rsz_nakayama(n, kind)).gamma
+        for n in range(1, 7)
+        for kind in ("linear", "cyclic")
+    ]
+    return [(A, exchange_graph(A)) for A in gammas + list(iter_algebras(5, 4))]
+
+
+class TestExchangeGraphReference:
+    def test_matches_brute_force(self, graph_universe):
+        for A, g in graph_universe:
+            assert (g.nodes, g.edges, g.hasse) == _reference_graph(A), A
+
+    def test_hasse_is_exchange_graph_oriented_by_gen(self, graph_universe):
+        # Happel-Unger: the covers of the Gen order are exactly the mutations.
+        for A, g in graph_universe:
+            oriented = sorted(
+                (i, j) if leq_gen(A, g.nodes[i].modules, g.nodes[j].modules) else (j, i)
+                for i, j in g.edges
+            )
+            assert list(g.hasse) == oriented, A
+
+    def test_three_complements_raise(self, monkeypatch):
+        A = Algebra("linear", (1, 2, 2))
+        shared = [M(1, 1), M(2, 2)]
+        stub = [
+            TiltingRecord(ModuleSet.of(shared + [extra]), ())
+            for extra in (M(2, 1), M(3, 1), M(3, 2))
+        ]
+        monkeypatch.setattr(nakayama.tilting, "enumerate_tilting", lambda A: stub)
+        with pytest.raises(TiltingError, match="3 complements"):
+            exchange_graph(A)
 
 
 class TestCounts:
