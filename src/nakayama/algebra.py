@@ -298,9 +298,6 @@ class ModuleSet:
     def union(self, other: Iterable[IndecModule]) -> "ModuleSet":
         return ModuleSet.of(list(self.modules) + list(other))
 
-    def intersection_size(self, other: "ModuleSet") -> int:
-        return len(set(self.modules) & set(other.modules))
-
     def literals(self) -> list[str]:
         return [str(m) for m in self.modules]
 
@@ -372,34 +369,29 @@ def quotient_algebra(A: Algebra, killed: Iterable[int]) -> QuotientAlgebra:
     if not killed_set and A.kind == CYCLIC:
         return QuotientAlgebra((A,), (tuple(A.vertices),), killed_set)
 
-    surviving = [v for v in A.vertices if v not in killed_set]
-
-    def is_bottom(v: int) -> bool:
-        if A.kind == LINEAR and v == 1:
-            return True
-        return A.down(v) in killed_set
-
+    # Vertex arithmetic on c directly: v - 1 and v + 1 are the vertices
+    # below and above v, wrapping between 1 and n only when cyclic; 0 is none.
+    c, n, cyclic = A.c, len(A.c), A.kind == CYCLIC
     runs = []
-    for b in surviving:
-        if not is_bottom(b):
+    for b in range(1, n + 1):
+        below = b - 1 if b > 1 else n if cyclic else 0
+        # b starts a run when it survives and the vertex below it, if any, does not.
+        if b in killed_set or (below and below not in killed_set):
             continue
         run = [b]
+        v = b
         while True:
-            v = run[-1]
-            if A.kind == LINEAR and v == A.n:
+            v = v + 1 if v < n else 1 if cyclic else 0
+            if not v or v in killed_set:
                 break
-            w = A.up(v)
-            if w in killed_set:
-                break
-            run.append(w)
+            run.append(v)
         runs.append(run)
-    runs.sort(key=lambda r: min(r))
+    runs.sort(key=min)
 
     comps = []
     embeds = []
     for run in runs:
-        c = tuple(min(A.kupisch(v), t) for t, v in enumerate(run, start=1))
-        comps.append(Algebra(LINEAR, c))
+        comps.append(Algebra(LINEAR, tuple(min(c[v - 1], t) for t, v in enumerate(run, start=1))))
         embeds.append(tuple(run))
     return QuotientAlgebra(tuple(comps), tuple(embeds), killed_set)
 

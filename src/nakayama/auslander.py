@@ -34,10 +34,10 @@ from .tau_tilting import SupportPair, enumerate_sttilt_over
 from .tilting import (
     TiltingError,
     TiltingRecord,
+    check_gen_minimum,
     enumerate_tilting,
     is_tilting,
     minimal_tilting,
-    summand_shape_check,
 )
 
 
@@ -186,8 +186,10 @@ def verify_counts(n: int, kind: str, bound: int = 10) -> CountReport:
     """Count tilting modules over the Auslander algebra of the rsz algebra.
 
     Expected counts: 2^(n-1) for linear, 2^n for cyclic.  Also re-checks
-    the summand shapes and the minimal tilting module.  `bound` caps n
-    (the enumeration is exponential).
+    the summand shapes, from the record flags, and that the minimal
+    tilting module is the unique Gen-minimum of the same records, so the
+    algebra is enumerated once.  `bound` caps n (the enumeration is
+    exponential).
     """
     if n < 1:
         raise AlgebraError(f"need n >= 1, got {n}")
@@ -197,9 +199,12 @@ def verify_counts(n: int, kind: str, bound: int = 10) -> CountReport:
     res = auslander_algebra(lam)
     records = enumerate_tilting(res.gamma)
     expected = 2 ** (n - 1) if kind == "linear" else 2 ** n
-    shape_ok = all(not summand_shape_check(res.gamma, rec.modules) for rec in records)
+    # The record flags are the ones summand_shape_check reads.
+    shape_ok = all(f.projective or f.simple_socle_of_projinj for rec in records for f in rec.flags)
     try:
-        minimal_tilting(res.gamma, check=True)
+        # One enumeration: the minimum is checked against these records.
+        minimum = minimal_tilting(res.gamma, check=False)
+        check_gen_minimum(res.gamma, minimum.modules, records)
         minimal_ok = True
     except (AlgebraError, TiltingError):
         minimal_ok = False

@@ -11,7 +11,10 @@ the kernels through the public functions.
 
 Modules entering from outside are validated once, by `indices`; code
 behind that line works on table indices only.  The enumerators in
-`tilting` and `tau_tilting` share one clique search, `cliques`.
+`tilting` and `tau_tilting` share one clique search, `cliques`; their
+n-clique searches take the vertices adjacent to every candidate as given
+and branch only on the rest, which is sound because neither graph has a
+clique of more than n vertices.
 """
 
 from __future__ import annotations
@@ -140,18 +143,43 @@ def cliques(adj: Sequence[int], allowed: int, size: int | None = None) -> list[t
     lexicographic order for any fixed size.  With size=None every clique
     is returned, the empty one first; otherwise only those with exactly
     `size` vertices.
+
+    A fixed size presumes that no clique inside `allowed` has more than
+    `size` vertices.  Both callers pass n, the number of simples: a
+    partial tilting module has at most n summands (Bongartz, Tilted
+    algebras, LNM 903, 1981), and so has a tau-rigid module
+    (Adachi-Iyama-Reiten, tau-tilting theory, Compos. Math. 150, 2014).
+    Under that bound a forced vertex, one adjacent to every other allowed
+    vertex, lies in every clique of `size` vertices, so the search takes
+    the forced vertices as given and branches only on the rest.  Adding
+    the same disjoint set to every clique keeps their lexicographic order.
+    The self bit `adj[i] >> i & 1` is ignored.  More forced vertices than
+    `size` form a larger clique, so they raise RuntimeError.
     """
     found: list[tuple[int, ...]] = []
     chosen: list[int] = []
+    forced: list[int] = []
+    if size is not None:
+        forced = [
+            i for i in range(allowed.bit_length())
+            if allowed >> i & 1 and not allowed & ~adj[i] & ~(1 << i)
+        ]
+        if len(forced) > size:
+            raise RuntimeError(
+                f"{len(forced)} vertices are adjacent to all others, but cliques were "
+                f"bounded by {size} vertices"
+            )
+        allowed &= ~mask(forced)
+        need = size - len(forced)
 
     def extend(allowed: int) -> None:
         if size is None:
             found.append(tuple(chosen))
-        elif len(chosen) == size:
-            found.append(tuple(chosen))
+        elif len(chosen) == need:
+            found.append(tuple(sorted(forced + chosen)))
             return
         while allowed:
-            if size is not None and allowed.bit_count() < size - len(chosen):
+            if size is not None and allowed.bit_count() < need - len(chosen):
                 return
             low = allowed & -allowed
             allowed ^= low

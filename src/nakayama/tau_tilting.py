@@ -11,11 +11,14 @@ cardinality count); the test suite asserts the two roads agree.
 The kill-set road reads each component's `Tables`: tau-compatibility of
 two indecomposables is a bit of `Tables.tau_perp` (Hom into each other's
 tau translate vanishes both ways), and tau-rigid sets are the cliques of
-that graph found by the shared search `tables.cliques`.  The pair-side
-road calls the validated public functions `hom_dim` and `tau`, so the two
-roads share no table and no clique search.  Both rest on the one copy of
-the Hom and tau closed forms, the kernels in `homology`; the tests hold
-those to an independent reference and to the matrix oracle.
+that graph found by the shared search `tables.cliques`.  A tau-rigid
+module has at most n summands (Adachi-Iyama-Reiten), so the search for
+tau-tilting modules takes the candidates compatible with every candidate
+as given.  The pair-side road calls the validated public functions
+`hom_dim` and `tau`, so the two roads share no table and no clique
+search.  Both rest on the one copy of the Hom and tau closed forms, the
+kernels in `homology`; the tests hold those to an independent reference
+and to the matrix oracle.
 
 The same component series recur across the 2^n kill sets, so
 `enumerate_sttilt_over` keeps a memo local to each call, keyed by the

@@ -7,7 +7,12 @@ modules).  Enumeration is exact: candidates are the indecomposables of
 projective dimension <= 1 without self-extensions, compatibility is
 Ext^1-vanishing in both directions, and tilting modules are the
 n-cliques of the compatibility graph, found by the shared clique search
-`tables.cliques` and re-verified one by one.
+`tables.cliques` and re-verified one by one.  A partial tilting module
+has at most n summands (Bongartz), so a candidate with no Ext^1 against
+any candidate is a summand of every tilting module, and the search takes
+it as given.  `check_gen_minimum` tests the minimal tilting module
+against records already enumerated, so a caller holding them enumerates
+once.
 
 The tilting conditions, mutation and the summand flags read the algebra's
 `Tables` (projective dimensions, Ext^1 dimensions and Ext^1-orthogonality
@@ -228,7 +233,7 @@ def minimal_tilting(A: Algebra, check: bool = True) -> TiltingRecord:
     """The Gen-minimal tilting module I0 + cosyzygy(A) of a 1-Gorenstein algebra.
 
     With check=True the full enumeration is compared: the result must be
-    the unique Gen-minimum.
+    the unique Gen-minimum (`check_gen_minimum`).
     """
     profile = gorenstein_profile(A)
     if not profile.is_1_gorenstein:
@@ -244,25 +249,32 @@ def minimal_tilting(A: Algebra, check: bool = True) -> TiltingRecord:
         raise TiltingError(f"minimal tilting candidate fails: {why}")
     record = tilting_record(A, ms)
     if check:
-        records = enumerate_tilting(A)
-        # ms is the unique minimum iff it is a record below every record and
-        # no other record lies below it (Gen inclusion is transitive): < 2k calls.
-        unique_minimum = (
-            any(r.modules == ms for r in records)
-            and all(leq_gen(A, ms, r.modules) for r in records)
-            and not any(r.modules != ms and leq_gen(A, r.modules, ms) for r in records)
-        )
-        if not unique_minimum:
-            minima = [
-                r
-                for r in records
-                if all(leq_gen(A, r.modules, other.modules) for other in records)
-            ]
-            raise TiltingError(
-                f"Gen-minimum mismatch: formula gave {ms}, enumeration gave "
-                f"{[str(r.modules) for r in minima]}"
-            )
+        check_gen_minimum(A, ms, enumerate_tilting(A))
     return record
+
+
+def check_gen_minimum(A: Algebra, ms: ModuleSet, records: Sequence[TiltingRecord]) -> None:
+    """Raise TiltingError unless ms is the unique Gen-minimum of the records.
+
+    ms is the unique minimum iff it is a record below every record and no
+    other record lies below it (Gen inclusion is transitive): fewer than
+    2k `leq_gen` calls for k records.
+    """
+    unique_minimum = (
+        any(r.modules == ms for r in records)
+        and all(leq_gen(A, ms, r.modules) for r in records)
+        and not any(r.modules != ms and leq_gen(A, r.modules, ms) for r in records)
+    )
+    if not unique_minimum:
+        minima = [
+            r
+            for r in records
+            if all(leq_gen(A, r.modules, other.modules) for other in records)
+        ]
+        raise TiltingError(
+            f"Gen-minimum mismatch: formula gave {ms}, enumeration gave "
+            f"{[str(r.modules) for r in minima]}"
+        )
 
 
 # -- exchange graph and Hasse diagram ------------------------------------------

@@ -182,7 +182,6 @@ class TestModuleSet:
         assert M(1, 1) in ms
         assert ms.plus(M(3, 1)).modules == (M(1, 1), M(2, 2), M(3, 1))
         assert ms.minus(M(1, 1)).modules == (M(2, 2),)
-        assert ms.intersection_size(ModuleSet.of([M(2, 2), M(4, 1)])) == 1
 
     def test_str(self):
         assert str(ModuleSet.of([M(2, 1), M(1, 1)])) == "M(1,1) M(2,1)"

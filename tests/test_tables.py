@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nakayama import homology as H
-from nakayama.algebra import Algebra, AlgebraError, IndecModule, ModuleSet, iter_algebras
-from nakayama.tables import cliques
+from nakayama.algebra import (
+    Algebra,
+    AlgebraError,
+    IndecModule,
+    ModuleSet,
+    iter_algebras,
+    make_rsz_nakayama,
+)
+from nakayama.auslander import auslander_algebra
+from nakayama.tables import cliques, mask
 from nakayama.tilting import is_tilting
 
 M = IndecModule
@@ -141,3 +149,60 @@ class TestCliques:
         assert cliques(self.ADJ, 0b1111, 3) == [(0, 1, 2), (0, 2, 3)]
         assert cliques(self.ADJ, 0b1110, 2) == [(1, 2), (2, 3)]
         assert cliques(self.ADJ, 0b1111, 4) == []
+
+    def test_more_forced_vertices_than_size_raise(self):
+        # Every vertex of a triangle is adjacent to the two others, so a
+        # 2-clique bound is broken; the self bits of ext1_perp do not count.
+        with pytest.raises(RuntimeError, match="3 vertices are adjacent to all others"):
+            cliques([0b110, 0b101, 0b011], 0b111, 2)
+        with pytest.raises(RuntimeError, match="bounded by 2 vertices"):
+            cliques([0b111, 0b111, 0b111], 0b111, 2)
+
+
+def unpruned_cliques(adj, allowed, size):
+    """The fixed-size search without forced vertices: the reference for `cliques`."""
+    found, chosen = [], []
+
+    def extend(allowed):
+        if len(chosen) == size:
+            found.append(tuple(chosen))
+            return
+        while allowed:
+            if allowed.bit_count() < size - len(chosen):
+                return
+            low = allowed & -allowed
+            allowed ^= low
+            i = low.bit_length() - 1
+            chosen.append(i)
+            extend(allowed & adj[i])
+            chosen.pop()
+
+    extend(allowed)
+    return found
+
+
+@pytest.fixture(scope="module")
+def clique_universe():
+    """iter_algebras(6, 4), then the Auslander algebras for n <= 8 of both kinds."""
+    gammas = [
+        auslander_algebra(make_rsz_nakayama(n, kind)).gamma
+        for n in range(1, 9)
+        for kind in ("linear", "cyclic")
+    ]
+    return list(iter_algebras(6, 4)) + gammas
+
+
+@pytest.mark.parametrize("graph", ["ext1", "tau"])
+def test_forced_vertices_keep_the_n_cliques_and_their_order(clique_universe, graph):
+    """The fixed-size searches of both enumerators, Ext^1 on the pd <= 1
+    candidates and tau on the rigid ones, give the unpruned n-cliques in
+    the same order."""
+    for A in clique_universe:
+        tab = A.tables
+        if graph == "ext1":
+            adj = tab.ext1_perp
+            allowed = mask(i for i in range(tab.size) if tab.pd[i] <= 1 and adj[i] >> i & 1)
+        else:
+            adj = tab.tau_perp
+            allowed = mask(i for i in range(tab.size) if adj[i] >> i & 1)
+        assert cliques(adj, allowed, A.n) == unpruned_cliques(adj, allowed, A.n), A

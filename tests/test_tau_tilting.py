@@ -172,6 +172,18 @@ class TestClosedFormCounts:
         got = [len(enumerate_sttilt(make_rsz_nakayama(n, "cyclic"))) for n in range(1, 13)]
         assert got == expected
 
+    def test_linear_path_algebra_catalan(self):
+        # (1, 2, ..., n) is the path algebra of linearly oriented A_n: C_n tilting
+        # modules, and C_{n+1} support tau-tilting pairs, one per cluster-tilting
+        # object of type A_n (Adachi-Iyama-Reiten, Compos. Math. 150 (2014);
+        # Buan-Marsh-Reineke-Reiten-Todorov, Adv. Math. 204 (2006)).
+        catalan = [comb(2 * k, k) // (k + 1) for k in range(11)]
+        assert catalan[10] == 16796
+        for n in range(1, 10):
+            A = Algebra("linear", tuple(range(1, n + 1)))
+            assert len(enumerate_tilting(A)) == catalan[n]
+            assert len(enumerate_sttilt(A)) == catalan[n + 1]
+
     def test_selfinjective_cyclic_central_binomial(self):
         # Adachi, J. Algebra 452 (2016): (c,)*n with c >= n has C(2n, n).
         for n in range(1, 6):

@@ -321,7 +321,7 @@ def _reference_graph(A):
         (i, j)
         for i in range(k)
         for j in range(i + 1, k)
-        if records[i].modules.intersection_size(records[j].modules) == A.n - 1
+        if len(set(records[i].modules) & set(records[j].modules)) == A.n - 1
     ]
     less = [
         [i != j and leq_gen(A, records[i].modules, records[j].modules) for j in range(k)]
