@@ -295,9 +295,6 @@ class ModuleSet:
     def minus(self, m: IndecModule) -> "ModuleSet":
         return ModuleSet.of(x for x in self.modules if x != m)
 
-    def union(self, other: Iterable[IndecModule]) -> "ModuleSet":
-        return ModuleSet.of(list(self.modules) + list(other))
-
     def literals(self) -> list[str]:
         return [str(m) for m in self.modules]
 
@@ -323,40 +320,6 @@ class QuotientAlgebra:
     components: tuple[Algebra, ...]
     embeds: tuple[tuple[int, ...], ...]
     killed: frozenset[int]
-
-    def surviving(self) -> list[int]:
-        return sorted(v for emb in self.embeds for v in emb)
-
-    def locate(self, parent_vertex: int) -> tuple[int, int]:
-        """(component index, local vertex) carrying a surviving parent vertex."""
-        for k, emb in enumerate(self.embeds):
-            for t, v in enumerate(emb, start=1):
-                if v == parent_vertex:
-                    return k, t
-        raise AlgebraError(f"vertex {parent_vertex} does not survive the quotient")
-
-    def to_parent(self, k: int, m: IndecModule) -> IndecModule:
-        """Relabel a component module in parent coordinates."""
-        comp = self.components[k]
-        comp.check_module(m)
-        return IndecModule(self.embeds[k][m.top - 1], m.length)
-
-    def to_component(self, m: IndecModule) -> tuple[int, IndecModule] | None:
-        """Locate a parent module inside a component; None if any layer is killed."""
-        if not self.components:
-            return None
-        if len(self.components) == 1 and self.components[0].kind == CYCLIC:
-            return 0, m
-        try:
-            k, t = self.locate(m.top)
-        except AlgebraError:
-            return None
-        if m.length > t:
-            return None
-        local = IndecModule(t, m.length)
-        if not self.components[k].valid_module(local):
-            return None
-        return k, local
 
 
 def quotient_algebra(A: Algebra, killed: Iterable[int]) -> QuotientAlgebra:

@@ -182,19 +182,16 @@ class CountReport:
     records: tuple[TiltingRecord, ...]
 
 
-def verify_counts(n: int, kind: str, bound: int = 10) -> CountReport:
+def verify_counts(n: int, kind: str) -> CountReport:
     """Count tilting modules over the Auslander algebra of the rsz algebra.
 
     Expected counts: 2^(n-1) for linear, 2^n for cyclic.  Also re-checks
     the summand shapes, from the record flags, and that the minimal
     tilting module is the unique Gen-minimum of the same records, so the
-    algebra is enumerated once.  `bound` caps n (the enumeration is
-    exponential).
+    algebra is enumerated once.
     """
     if n < 1:
         raise AlgebraError(f"need n >= 1, got {n}")
-    if n > bound:
-        raise AlgebraError(f"n = {n} exceeds the configured bound {bound}")
     lam = make_rsz_nakayama(n, kind)
     res = auslander_algebra(lam)
     records = enumerate_tilting(res.gamma)

@@ -47,10 +47,10 @@ USAGE_ERROR = 2
 
 # Size limits of the exponential verbs, refused up front with USAGE_ERROR.
 # Single runs at the limit on a 2-CPU Xeon VM: tilt enumerate --n 14
-# --kind cyclic 4.7 s; tilt graph --n 10 --kind cyclic 12 s; sttilt
-# enumerate --n 14 --kind cyclic (2^14 kill sets, 228,486 pairs) 7.0 s,
-# 2.9 s of it enumeration and the rest JSON output; verify paper --max-n
-# 12 8.1 s.
+# --kind cyclic 0.96 s; tilt graph --n 10 --kind cyclic 8.5 s; sttilt
+# enumerate --n 14 --kind cyclic (2^14 kill sets, 228,486 pairs) 9.2 s,
+# 3.1 s of it enumeration and the rest JSON output; verify paper --max-n
+# 12 0.75 s.
 MAX_TILT_ENUMERATE_N = 14
 MAX_TILT_GRAPH_N = 10
 MAX_STTILT_SIMPLES = 14

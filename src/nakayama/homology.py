@@ -155,11 +155,6 @@ def ext_dim(A: Algebra, M: IndecModule, N: IndecModule, i: int = 1) -> int:
     return _ext1(A, M, N)
 
 
-def ext1_total(A: Algebra, S: ModuleSet, T: ModuleSet) -> int:
-    """Sum of dim Ext^1(X, Y) over summands X of S and Y of T."""
-    return sum(ext1_dim(A, X, Y) for X in S for Y in T)
-
-
 def global_dimension(A: Algebra) -> int | float:
     dims = [proj_dim(A, A.simple(i)) for i in A.vertices]
     return max(dims)

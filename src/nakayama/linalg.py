@@ -116,12 +116,6 @@ def _rref_inplace(m: list[list[Fraction]]) -> tuple[int, list[int]]:
     return rank_, pivots
 
 
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    m = [[Fraction(x) for x in row] for row in rows]
-    _, pivots = _rref_inplace(m)
-    return m, pivots
-
-
 def nullspace(rows: Matrix, ncols: int | None = None) -> list[Vector]:
     """Basis of the right kernel {x : A x = 0}, as vectors of Fractions."""
     if ncols is None:

@@ -529,10 +529,6 @@ class EndTable:
     total_dim: int
     top_scalars: dict[int, Fraction]
 
-    def block_of(self, g: int) -> tuple[int, int]:
-        a, b, _ = self.basis_index[g]
-        return (a, b)
-
 
 def _flatten_maps(mats: list[Matrix]) -> list:
     flat = []

@@ -14,11 +14,12 @@ tau translate vanishes both ways), and tau-rigid sets are the cliques of
 that graph found by the shared search `tables.cliques`.  A tau-rigid
 module has at most n summands (Adachi-Iyama-Reiten), so the search for
 tau-tilting modules takes the candidates compatible with every candidate
-as given.  The pair-side road calls the validated public functions
-`hom_dim` and `tau`, so the two roads share no table and no clique
-search.  Both rest on the one copy of the Hom and tau closed forms, the
-kernels in `homology`; the tests hold those to an independent reference
-and to the matrix oracle.
+as given.  The pair-side road validates each summand once, in
+`is_tau_rigid`, which then calls the kernels `_tau` and `_hom`; the
+Hom(P(v), M) = 0 test calls `hom_dim`.  The two roads share no table and
+no clique search.  Both rest on the one copy of the Hom and tau closed
+forms, the kernels in `homology`; the tests hold those to an independent
+reference and to the matrix oracle.
 
 The same component series recur across the 2^n kill sets, so
 `enumerate_sttilt_over` keeps a memo local to each call, keyed by the
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, product
 
 from .algebra import Algebra, AlgebraError, ModuleSet, quotient_algebra
-from .homology import hom_dim, tau
+from .homology import _hom, _tau, hom_dim
 from .tables import cliques, mask
 
 
@@ -55,14 +56,14 @@ class SupportPair:
 
 
 def is_tau_rigid(A: Algebra, ms: ModuleSet) -> bool:
-    """Hom(X, tau Y) = 0 for all ordered pairs of summands."""
-    mods = list(ms)
-    taus = [tau(A, y) for y in mods]
-    for x in mods:
-        for ty in taus:
-            if ty is not None and hom_dim(A, x, ty):
-                return False
-    return True
+    """Hom(X, tau Y) = 0 for all ordered pairs of summands.
+
+    Each summand is validated once; the Hom and tau kernels trust them.
+    """
+    for m in ms:
+        A.check_module(m)
+    taus = [ty for ty in (_tau(A, y) for y in ms) if ty is not None]
+    return not any(_hom(A, x, ty) for x in ms for ty in taus)
 
 
 def _rigid_candidates(A: Algebra) -> int:
@@ -143,21 +144,17 @@ def enumerate_sttilt(A: Algebra) -> list[SupportPair]:
 def is_sttilt_pair(A: Algebra, ms: ModuleSet, killed) -> bool:
     """Pair-side support tau-tilting test over the parent algebra.
 
-    Conditions: tau-rigid, no composition factor at a killed vertex
-    (equivalently Hom(P(v), X) = 0 for killed v), and the summand count
-    plus the kill count equals the number of simples.
+    Conditions: tau-rigid, Hom(P(v), X) = 0 for killed v (no composition
+    factor of X at a killed vertex), and the summand count plus the kill
+    count equals the number of simples.  The tau-rigidity test comes
+    first, so every summand is validated whatever the kill set.
     """
     killed_set = frozenset(killed)
     for v in killed_set:
         A.check_vertex(v)
-    for m in ms:
-        A.check_module(m)
-        if set(A.layers(m)) & killed_set:
-            return False
-    for v in killed_set:
-        for m in ms:
-            if hom_dim(A, A.projective(v), m):
-                return False
     if not is_tau_rigid(A, ms):
+        return False
+    projectives = [A.projective(v) for v in killed_set]
+    if any(hom_dim(A, P, m) for P in projectives for m in ms):
         return False
     return len(ms) + len(killed_set) == A.n

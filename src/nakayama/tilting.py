@@ -94,11 +94,13 @@ def _flags(tab: Tables, i: int) -> SummandFlags:
     )
 
 
-def _record(A: Algebra, tab: Tables, ms: ModuleSet, idx: Sequence[int], flags) -> TiltingRecord:
-    """Re-verify ms from the tables; `flags[i]` are the flags of index i."""
+def _record(
+    A: Algebra, tab: Tables, ms: ModuleSet, idx: Sequence[int], flags, fails: str = "not a tilting module"
+) -> TiltingRecord:
+    """Re-verify ms from the tables (errors read `fails: <violation>`); `flags[i]` flags index i."""
     why = _violation(A, tab, idx)
     if why is not None:
-        raise TiltingError(f"not a tilting module: {why}")
+        raise TiltingError(f"{fails}: {why}")
     return TiltingRecord(ms, tuple(flags[i] for i in idx))
 
 
@@ -244,10 +246,10 @@ def minimal_tilting(A: Algebra, check: bool = True) -> TiltingRecord:
         if cos is not None:
             parts.append(cos)
     ms = ModuleSet.of(parts)
-    ok, why = is_tilting(A, ms)
-    if not ok:
-        raise TiltingError(f"minimal tilting candidate fails: {why}")
-    record = tilting_record(A, ms)
+    tab = A.tables
+    idx = indices(A, ms)
+    flags = {i: _flags(tab, i) for i in idx}
+    record = _record(A, tab, ms, idx, flags, "minimal tilting candidate fails")
     if check:
         check_gen_minimum(A, ms, enumerate_tilting(A))
     return record
@@ -364,10 +366,10 @@ def mutation_closure(A: Algebra) -> list[TiltingRecord]:
     mutates at every summand until closure.
     """
     start_ms = regular_module(A)
-    ok, why = is_tilting(A, start_ms)
-    if not ok:
-        raise TiltingError(f"the regular module is not tilting: {why}")
-    start = tilting_record(A, start_ms)
+    tab = A.tables
+    idx = indices(A, start_ms)
+    flags = {i: _flags(tab, i) for i in idx}
+    start = _record(A, tab, start_ms, idx, flags, "the regular module is not tilting")
     seen = {start.modules: start}
     stack = [start]
     while stack:

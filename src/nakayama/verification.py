@@ -100,7 +100,7 @@ def count_assertions(max_n: int) -> list[dict]:
     out = []
     for kind in ("linear", "cyclic"):
         for n in range(1, max_n + 1):
-            rep = verify_counts(n, kind, bound=max(10, max_n))
+            rep = verify_counts(n, kind)
             out.append(
                 _assertion(
                     f"tilting_count_{kind}_n{n}",

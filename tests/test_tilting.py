@@ -12,6 +12,7 @@ from nakayama.algebra import (
     make_rsz_nakayama,
 )
 from nakayama.auslander import auslander_algebra
+from nakayama.homology import regular_i0
 from nakayama.tilting import (
     TiltingError,
     TiltingRecord,
@@ -215,6 +216,13 @@ class TestMutation:
             enumerated = [r.modules for r in enumerate_tilting(A)]
             assert closure == enumerated
 
+    def test_closure_names_a_non_tilting_start(self, gamma_lin3, monkeypatch):
+        start = ModuleSet.of([M(3, 1)])
+        monkeypatch.setattr(nakayama.tilting, "regular_module", lambda A: start)
+        with pytest.raises(TiltingError) as err:
+            mutation_closure(gamma_lin3)
+        assert str(err.value) == f"the regular module is not tilting: {is_tilting(gamma_lin3, start)[1]}"
+
     def test_closure_equals_enumeration_universe(self, small_universe):
         for A in small_universe:
             if A.dimension() > 7:
@@ -264,6 +272,27 @@ class TestMinimalTilting:
         assert str(err.value) == (
             f"Gen-minimum mismatch: formula gave {formula}, enumeration gave {minima}"
         )
+
+    def test_non_tilting_candidate_names_the_violation(self, gamma_lin3, monkeypatch):
+        # Without the cosyzygies the candidate is I0 alone, which is not tilting.
+        monkeypatch.setattr(nakayama.tilting, "cosyzygy", lambda A, P: None)
+        ok, why = is_tilting(gamma_lin3, regular_i0(gamma_lin3))
+        assert not ok
+        with pytest.raises(TiltingError) as err:
+            minimal_tilting(gamma_lin3, check=False)
+        assert str(err.value) == f"minimal tilting candidate fails: {why}"
+
+    def test_candidate_is_verified_once(self, gamma_cyc3, monkeypatch):
+        calls = []
+        violation = nakayama.tilting._violation
+
+        def counting(A, tab, idx):
+            calls.append(idx)
+            return violation(A, tab, idx)
+
+        monkeypatch.setattr(nakayama.tilting, "_violation", counting)
+        minimal_tilting(gamma_cyc3, check=False)
+        assert len(calls) == 1
 
     def test_works_beyond_auslander_algebras(self):
         # Serial algebras are QF-3, so the formula applies to any of them;
