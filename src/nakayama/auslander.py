@@ -99,15 +99,19 @@ def thm25_map(res: AuslanderResult, ms: ModuleSet) -> SupportPair:
     complement of the surviving tops, i.e. the projective-injective
     vertices together with the unused surviving vertices.
     """
-    gamma = res.gamma
-    ok, why = is_tilting(gamma, ms)
+    ok, why = is_tilting(res.gamma, ms)
     if not ok:
         raise AlgebraError(f"not a tilting module: {why}")
+    return _thm25_image(res, ms)
+
+
+def _thm25_image(res: AuslanderResult, ms: ModuleSet) -> SupportPair:
+    """`thm25_map` of a module already known to be tilting, unvalidated."""
+    gamma = res.gamma
     images = []
     for m in ms:
-        layers = gamma.layers(m)
         k = 0
-        while k < len(layers) and layers[k] not in res.projinj:
+        while k < m.length and gamma.down(m.top, k) not in res.projinj:
             k += 1
         if k:
             images.append(IndecModule(m.top, k))
@@ -146,7 +150,8 @@ def verify_bijection(res: AuslanderResult) -> BijectionReport:
     matching = []
     images = []
     for rec in records:
-        pair = thm25_map(res, rec.modules)
+        # enumerate_tilting has verified every record, so no re-check here.
+        pair = _thm25_image(res, rec.modules)
         relative = SupportPair(pair.modules, frozenset(pair.killed - res.projinj))
         matching.append((rec.modules, relative))
         images.append(relative)

@@ -50,9 +50,14 @@ USAGE_ERROR = 2
 # --kind cyclic 0.96 s; tilt graph --n 10 --kind cyclic 8.5 s; sttilt
 # enumerate --n 14 --kind cyclic (2^14 kill sets, 228,486 pairs) 9.2 s,
 # 3.1 s of it enumeration and the rest JSON output; verify paper --max-n
-# 12 0.75 s.
+# 12 0.75 s.  An --algebra file is limited by its number of simples; the
+# worst case measured is the path algebra linear (1, 2, ..., N), with
+# Catalan(N) tilting modules: tilt enumerate N=12 (208,012 modules) 9.3 s,
+# tilt graph N=8 (1,430 modules) 8.8 s.
 MAX_TILT_ENUMERATE_N = 14
 MAX_TILT_GRAPH_N = 10
+MAX_TILT_ENUMERATE_SIMPLES = 12
+MAX_TILT_GRAPH_SIMPLES = 8
 MAX_STTILT_SIMPLES = 14
 MAX_VERIFY_N = 12
 
@@ -173,6 +178,8 @@ def cmd_profile(args) -> int:
 def cmd_tilt_enumerate(args) -> int:
     _check_limit("tilt enumerate", "--n", args.n, MAX_TILT_ENUMERATE_N)
     A = _resolve_algebra(args, auslander=True)
+    if args.algebra:
+        _check_limit("tilt enumerate", "number of simples", A.n, MAX_TILT_ENUMERATE_SIMPLES)
     records = enumerate_tilting(A)
     if args.format == "json":
         _dump(
@@ -193,6 +200,8 @@ def cmd_tilt_enumerate(args) -> int:
 def cmd_tilt_graph(args) -> int:
     _check_limit("tilt graph", "--n", args.n, MAX_TILT_GRAPH_N)
     A = _resolve_algebra(args, auslander=True)
+    if args.algebra:
+        _check_limit("tilt graph", "number of simples", A.n, MAX_TILT_GRAPH_SIMPLES)
     graph = exchange_graph(A)
     _emit(args, exchange_graph_dot(graph))
     return 0

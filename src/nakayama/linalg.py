@@ -46,10 +46,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def is_zero_matrix(m: Matrix) -> bool:
     return all(not x for row in m for x in row)
 
@@ -168,55 +164,10 @@ def coords_in_span(vectors: list[Vector], target: Vector) -> Vector | None:
 
 
 def extend_basis_indices(vectors: list[Vector], dim: int) -> list[int]:
-    """Indices of standard basis vectors completing span(vectors) to K^dim."""
-    rows: list = [list(v) for v in vectors]
-    current = rank(rows)
-    chosen = []
-    for i in range(dim):
-        if current == dim:
-            break
-        e = [0] * dim
-        e[i] = 1
-        r = rank(rows + [e])
-        if r > current:
-            rows.append(e)
-            chosen.append(i)
-            current = r
-    return chosen
+    """Indices of standard basis vectors completing span(vectors) to K^dim.
 
-
-class QuotientSpace:
-    """K^dim modulo span(vectors), with an explicit complement basis.
-
-    The chosen complement consists of standard basis vectors; classes are
-    reported in the complement's coordinates.
+    They are the non-pivot columns of the reduced row echelon form.
     """
-
-    def __init__(self, vectors: list[Vector], dim: int):
-        self.dim = dim
-        self.span = [list(v) for v in vectors]
-        self.complement = extend_basis_indices(vectors, dim)
-        cols = [list(v) for v in self.span] + [
-            [1 if i == j else 0 for i in range(dim)] for j in self.complement
-        ]
-        self._solve_cols = transpose(cols) if cols else []
-        self._nspan = len(self.span)
-
-    @property
-    def quotient_dim(self) -> int:
-        return len(self.complement)
-
-    def project(self, v: Vector) -> Vector:
-        """Class of v in complement coordinates."""
-        if not self.complement:
-            return []
-        coeffs = solve(self._solve_cols, list(v))
-        if coeffs is None:
-            raise ValueError("vector outside the ambient space decomposition")
-        return coeffs[self._nspan:]
-
-    def lift(self, k: int) -> Vector:
-        """Representative of the k-th complement basis class."""
-        v = [0] * self.dim
-        v[self.complement[k]] = 1
-        return v
+    m = [[Fraction(x) for x in v] for v in vectors]
+    _, pivots = _rref_inplace(m)
+    return [i for i in range(dim) if i not in pivots]

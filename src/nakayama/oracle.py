@@ -4,7 +4,8 @@ Modules are realized as quiver representations over the rationals
 (vertex-indexed coordinate spaces plus one matrix per arrow, all exact
 ``Fraction`` arithmetic).  Hom spaces are intertwiner nullspaces,
 Ext^1 comes from the syzygy sequence, and the Auslander-Reiten translate
-is computed as D Tr from a minimal projective presentation.  Nothing here
+D Tr M is the kernel of nu P1 -> nu P0 for a minimal projective
+presentation; one kernel routine serves the syzygy and tau.  Nothing here
 reuses the closed forms from `homology`; agreement between the two is a
 test target, not an assumption.
 
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 from .algebra import Algebra, IndecModule
 from . import linalg
-from .linalg import Matrix, QuotientSpace, mat_mul, mat_vec
+from .linalg import Matrix, mat_mul
 
 # Workspaces alive at once: a sweep works on one algebra at a time, so a
 # few entries keep its hits while bounding memory.
@@ -41,10 +42,12 @@ class OracleError(RuntimeError):
 
 
 class Representation:
-    """Right-module representation: dims[v-1] per vertex, one matrix per arrow.
+    """Quiver representation: dims[v-1] per vertex, one matrix per arrow.
 
-    The arrow at source v points to A.down(v); its matrix has shape
-    dims[down(v)] x dims[v] and acts on column vectors.
+    For a right module the arrow at source v points to A.down(v) and its
+    matrix, of shape dims[down(v)] x dims[v], acts on column vectors.  For
+    a left module (`left_projective`) the matrix at v maps V_{down(v)} into
+    V_v; transposing every matrix (the vertex-wise dual D) swaps the two.
     """
 
     __slots__ = ("dims", "maps")
@@ -55,16 +58,6 @@ class Representation:
 
     def total_dim(self) -> int:
         return sum(self.dims)
-
-
-class LeftRep:
-    """Left-module representation: the arrow at v maps V_{down(v)} into V_v."""
-
-    __slots__ = ("dims", "maps")
-
-    def __init__(self, dims: list[int], maps: dict[int, Matrix]):
-        self.dims = list(dims)
-        self.maps = maps
 
 
 def arrow_sources(A: Algebra) -> list[int]:
@@ -203,7 +196,6 @@ class CoverData:
     """
 
     cover_module: IndecModule
-    cover_rep: Representation
     kernel_rep: Representation
     incl: list[Matrix]
 
@@ -212,10 +204,36 @@ def cover_data(A: Algebra, M: IndecModule) -> CoverData:
     return _workspace(A).cover(M)
 
 
+def _kernel(ws: "_Workspace", X: Representation, f: list[Matrix]) -> tuple[Representation, list[Matrix]]:
+    """Kernel of the morphism out of X given by per-vertex matrices f.
+
+    Returns the kernel representation and its per-vertex inclusion
+    matrices into X (columns form a kernel basis).
+    """
+    incl = []
+    kdims = []
+    for v in range(ws.n):
+        basis = linalg.nullspace(f[v], X.dims[v])
+        incl.append(linalg.transpose(basis) if basis else [[] for _ in range(X.dims[v])])
+        kdims.append(len(basis))
+    kmaps: dict[int, Matrix] = {}
+    for src, tgt in ws.arrows:
+        image = mat_mul(X.maps[src], incl[src - 1])
+        tgt_cols = linalg.transpose(incl[tgt - 1])
+        mat = linalg.zero_matrix(kdims[tgt - 1], kdims[src - 1])
+        for j, col in enumerate(linalg.transpose(image)):
+            coords = linalg.coords_in_span(tgt_cols, col)
+            if coords is None:
+                raise OracleError("kernel is not arrow-stable")
+            for i, x in enumerate(coords):
+                mat[i][j] = x
+        kmaps[src] = mat
+    return Representation(kdims, kmaps), incl
+
+
 def _build_cover(ws: "_Workspace", M: IndecModule) -> CoverData:
     A = ws.A
     P0 = A.projective(M.top)
-    Prep = ws.rep(P0)
     # Cover map: layer k of P0 goes to layer k of M for k < len(M), else to 0.
     p_positions: dict[int, list[int]] = {v: [] for v in A.vertices}
     for k, v in enumerate(A.layers(P0)):
@@ -231,29 +249,8 @@ def _build_cover(ws: "_Workspace", M: IndecModule) -> CoverData:
                 mat[row][col] = 1
                 row += 1
         g.append(mat)
-    incl = []
-    kdims = []
-    for v in A.vertices:
-        cols = len(g[v - 1][0]) if g[v - 1] else Prep.dims[v - 1]
-        if not g[v - 1]:
-            basis = [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
-        else:
-            basis = linalg.nullspace(g[v - 1], cols)
-        incl.append(linalg.transpose(basis) if basis else [[] for _ in range(cols)])
-        kdims.append(len(basis))
-    kmaps: dict[int, Matrix] = {}
-    for src, tgt in ws.arrows:
-        image = mat_mul(Prep.maps[src], incl[src - 1])
-        tgt_cols = linalg.transpose(incl[tgt - 1])
-        mat = linalg.zero_matrix(kdims[tgt - 1], kdims[src - 1])
-        for j, col in enumerate(linalg.transpose(image)):
-            coords = linalg.coords_in_span(tgt_cols, col)
-            if coords is None:
-                raise OracleError("cover kernel is not arrow-stable")
-            for i, x in enumerate(coords):
-                mat[i][j] = x
-        kmaps[src] = mat
-    return CoverData(P0, Prep, Representation(kdims, kmaps), incl)
+    kernel_rep, incl = _kernel(ws, ws.rep(P0), g)
+    return CoverData(P0, kernel_rep, incl)
 
 
 # -- the per-algebra workspace ------------------------------------------------
@@ -362,14 +359,7 @@ def ext1_space_dim(A: Algebra, M: IndecModule, N: IndecModule) -> int:
     if hom_k == 0:
         return 0
     basis = ws.hom_space(data.cover_module, N).basis
-    restricted = []
-    for h in basis:
-        flat = []
-        for v in range(ws.n):
-            prod = mat_mul(h[v], data.incl[v])
-            for row in prod:
-                flat.extend(row)
-        restricted.append(flat)
+    restricted = [_flatten_maps([mat_mul(h[v], data.incl[v]) for v in range(ws.n)]) for h in basis]
     rk = linalg.rank(restricted) if restricted and restricted[0] else 0
     return hom_k - rk
 
@@ -377,7 +367,7 @@ def ext1_space_dim(A: Algebra, M: IndecModule, N: IndecModule) -> int:
 # -- the Auslander-Reiten translate as D Tr -----------------------------------
 
 
-def left_projective(A: Algebra, j: int) -> tuple[LeftRep, dict[int, dict[int, int]]]:
+def left_projective(A: Algebra, j: int) -> tuple[Representation, dict[int, dict[int, int]]]:
     """The left module A e_j, with per-vertex positions of its path basis.
 
     The basis consists of the nonzero paths ending at j; the path of
@@ -404,10 +394,10 @@ def left_projective(A: Algebra, j: int) -> tuple[LeftRep, dict[int, dict[int, in
             if dest is not None:
                 mat[dest][col] = 1
         maps[src] = mat
-    return LeftRep(dims, maps), positions
+    return Representation(dims, maps), positions
 
 
-def _direct_sum_left(A: Algebra, parts: list[tuple[LeftRep, dict]]) -> tuple[LeftRep, list[list[int]]]:
+def _direct_sum_left(A: Algebra, parts: list[tuple[Representation, dict]]) -> tuple[Representation, list[list[int]]]:
     """Direct sum of left modules; returns the sum and per-part vertex offsets."""
     n = A.n
     offsets = []
@@ -427,21 +417,24 @@ def _direct_sum_left(A: Algebra, parts: list[tuple[LeftRep, dict]]) -> tuple[Lef
                     if x:
                         mat[ro + i][co + j] = x
         maps[src] = mat
-    return LeftRep(dims, maps), offsets
+    return Representation(dims, maps), offsets
 
 
 def tau_via_dtr(A: Algebra, M: IndecModule) -> IndecModule | None:
     """Auslander-Reiten translate computed as D Tr.
 
-    Takes the minimal projective presentation P1 -> P0 -> M -> 0, applies
-    Hom(-, A) (turning right projectives into left projectives and the map
-    into right multiplication by the presentation matrix), takes the
-    cokernel, and dualizes vertex-wise back to a right module.
+    Takes the minimal projective presentation P1 -> P0 -> M -> 0 and applies
+    Hom(-, A), turning right projectives into left projectives and the map
+    into right multiplication f: F -> G by the presentation matrix.  Then
+    Tr M = coker f, and dualizing vertex-wise gives the exact sequence
+    0 -> tau M -> nu P1 -> nu P0 (Assem-Simson-Skowronski, Elements I,
+    IV.2.4), so tau M is the kernel of D f.
     """
     A.check_module(M)
     if A.is_projective(M):
         return None
-    data = cover_data(A, M)
+    ws = _workspace(A)
+    data = ws.cover(M)
     K, incl = data.kernel_rep, data.incl
 
     # Generators of K: per vertex, kernel basis columns spanning the top.
@@ -484,23 +477,9 @@ def tau_via_dtr(A: Algebra, M: IndecModule) -> IndecModule | None:
                         mat[offsets[b][s - 1] + dest][col] += coeff
         f_mats.append(mat)
 
-    # Tr M = cokernel of the transposed presentation, still a left module.
-    quotients = [QuotientSpace(linalg.transpose(f_mats[s - 1]), G.dims[s - 1]) for s in A.vertices]
-    coker_dims = [q.quotient_dim for q in quotients]
-    coker_maps: dict[int, Matrix] = {}
-    for src in arrow_sources(A):
-        tgt = A.down(src)
-        q_src, q_tgt = quotients[src - 1], quotients[tgt - 1]
-        mat = linalg.zero_matrix(coker_dims[src - 1], coker_dims[tgt - 1])
-        for k in range(q_tgt.quotient_dim):
-            image = mat_vec(G.maps[src], q_tgt.lift(k))
-            for r, x in enumerate(q_src.project(image)):
-                mat[r][k] = x
-        coker_maps[src] = mat
-
-    # D: vertex-wise dual turns the left module into a right module.
-    dual_maps = {src: linalg.transpose(coker_maps[src]) for src in arrow_sources(A)}
-    dual = Representation(coker_dims, dual_maps)
+    # Tr M = coker f, so D Tr M = ker(D f) with D f: D G = nu P1 -> D F = nu P0.
+    dual_G = Representation(G.dims, {src: linalg.transpose(mat) for src, mat in G.maps.items()})
+    dual, _ = _kernel(ws, dual_G, [linalg.transpose(mat) for mat in f_mats])
     result = identify_module(A, dual)
     if result is None:
         raise OracleError("D Tr of a non-projective module vanished")
@@ -524,7 +503,7 @@ class EndTable:
     block_dims: dict[tuple[int, int], int]
     block_offsets: dict[tuple[int, int], int]
     basis_index: tuple[tuple[int, int, int], ...]
-    bases: dict[tuple[int, int], list]
+    bases: dict[tuple[int, int], tuple]
     mult: dict[tuple[int, int], list]
     total_dim: int
     top_scalars: dict[int, Fraction]
@@ -546,13 +525,13 @@ def end_algebra(A: Algebra, modules) -> EndTable:
     ws = _workspace(A)
     reps = [ws.rep(m) for m in objects]
     r = len(objects)
-    bases: dict[tuple[int, int], list] = {}
+    bases: dict[tuple[int, int], tuple] = {}
     block_dims: dict[tuple[int, int], int] = {}
     for a in range(r):
         for b in range(r):
-            basis = _rep_hom_basis(ws, reps[a], reps[b])
-            bases[(a, b)] = basis
-            block_dims[(a, b)] = len(basis)
+            space = ws.hom_space(objects[a], objects[b])
+            bases[(a, b)] = space.basis
+            block_dims[(a, b)] = space.dim
     basis_index: list[tuple[int, int, int]] = []
     block_offsets: dict[tuple[int, int], int] = {}
     for a in range(r):

@@ -8,7 +8,8 @@ from nakayama.auslander import (
     verify_counts,
 )
 from nakayama.homology import gorenstein_profile, hom_dim
-from nakayama.tilting import TiltingError, enumerate_tilting
+from nakayama import auslander, tilting
+from nakayama.tilting import TiltingError, enumerate_tilting, is_tilting
 
 M = IndecModule
 
@@ -151,6 +152,19 @@ class TestBijection:
         assert report.injective and report.surjective
         assert report.tilting_count == report.sttilt_count
         assert report.missing == () and report.extra == ()
+
+    def test_bijection_does_not_recheck_tilting(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return is_tilting(*args)
+
+        for module in (auslander, tilting):
+            monkeypatch.setattr(module, "is_tilting", counting)
+        for kind in ("linear", "cyclic"):
+            assert verify_bijection(auslander_algebra(make_rsz_nakayama(3, kind))).passed
+        assert calls == []
 
     def test_bijection_counts_n3(self):
         lin = verify_bijection(auslander_algebra(make_rsz_nakayama(3, "linear")))

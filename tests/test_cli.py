@@ -174,6 +174,21 @@ class TestSizeLimits:
         assert out == ""
         assert f"exceeds the limit {limit}" in err
 
+    @pytest.mark.parametrize(
+        "verb, limit",
+        [("enumerate", cli.MAX_TILT_ENUMERATE_SIMPLES), ("graph", cli.MAX_TILT_GRAPH_SIMPLES)],
+    )
+    def test_tilt_limit_applies_to_algebra_files(self, capsys, tmp_path, verb, limit):
+        # The path algebra has Catalan(N) tilting modules, the most measured.
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"kind": "linear", "kupisch": list(range(1, limit + 2))}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "tilt", verb, "--algebra", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert f"number of simples {limit + 1} exceeds the limit {limit}" in err
+
     def test_sttilt_limit_applies_to_algebra_files(self, capsys, tmp_path):
         path = tmp_path / "a.json"
         path.write_text(json.dumps({"kind": "linear", "kupisch": [1] * (cli.MAX_STTILT_SIMPLES + 1)}))

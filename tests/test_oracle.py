@@ -1,13 +1,15 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from nakayama.algebra import Algebra, AlgebraError, IndecModule, make_rsz_nakayama
 from nakayama.homology import ext1_dim, hom_dim, syzygy, tau
-from nakayama import linalg
+from nakayama import linalg, oracle
 from nakayama.oracle import (
     WORKSPACES,
     OracleError,
@@ -54,12 +56,41 @@ class TestLinalg:
         assert sol == [Fraction(3), Fraction(-1)]
         assert linalg.solve([[1, 2], [2, 4]], [1, 3]) is None
 
-    def test_quotient_space(self):
-        q = linalg.QuotientSpace([[1, 1, 0]], 3)
-        assert q.quotient_dim == 2
-        assert q.project([1, 1, 0]) == [Fraction(0)] * 2
-        lifted = q.lift(0)
-        assert q.project(lifted) == [Fraction(1), Fraction(0)]
+
+@st.composite
+def spanning_sets(draw):
+    dim = draw(st.integers(1, 5))
+    vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), max_size=5))
+    return vectors, dim
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(spanning_sets())
+def test_extend_basis_completes_the_span(case):
+    vectors, dim = case
+    chosen = linalg.extend_basis_indices(vectors, dim)
+    assert len(chosen) == dim - linalg.rank(vectors)
+    units = [[int(i == j) for j in range(dim)] for i in chosen]
+    assert linalg.rank(vectors + units) == dim
+
+
+def test_oracle_is_independent_of_the_closed_forms():
+    """The oracle road imports no closed-form module and calls no closed form."""
+    closed_modules = {"homology", "tables", "tilting", "tau_tilting", "auslander"}
+    closed_forms = {"injective_env_vertex", "is_injective", "socle_vertex"}
+    src = Path(oracle.__file__).parent
+    for name in ("oracle.py", "linalg.py"):
+        tree = ast.parse((src / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported = {node.module or ""} | {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported = {alias.name for alias in node.names}
+            else:
+                imported = set()
+            assert not {part for mod in imported for part in mod.split(".")} & closed_modules, (name, ast.dump(node))
+            called = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            assert called not in closed_forms, (name, node.lineno)
 
 
 class TestRepresentations:
