@@ -403,7 +403,7 @@ def load_algebra(path: str) -> Algebra:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise AlgebraError(f"invalid JSON in {path}: {exc}") from exc
     return algebra_from_json(obj)
 

@@ -169,32 +169,32 @@ def mutation_at(A: Algebra, T: ModuleSet, X: IndecModule) -> TiltingRecord | Non
     """Exchange X for the second complement of T/X, if one exists.
 
     Returns the mutated tilting module, or None when X has no exchange
-    partner.  More than one partner would contradict the tilting exchange
-    theory, so that raises TiltingError.
+    partner.  A T that is not tilting raises AlgebraError.  More than one
+    partner would contradict the tilting exchange theory, so that raises
+    TiltingError.
     """
     if X not in T:
         raise AlgebraError(f"{X} is not a summand of the given tilting module")
     tab = A.tables
     idx = indices(A, T)
+    why = _violation(A, tab, idx)
+    if why is not None:
+        raise AlgebraError(f"not a tilting module: {why}")
     x = idx[T.modules.index(X)]
-    rest = T.minus(X)
-    rest_idx = [i for i in idx if i != x]
-    rest_mask = mask(rest_idx)
+    rest_mask = mask(i for i in idx if i != x)
     pd, perp = tab.pd, tab.ext1_perp
-    partners = []
-    # rest + Y is tilting iff rest is a partial tilting module with n - 1
-    # summands and Y has pd <= 1 and no Ext^1 with itself or with rest.
-    if len(rest_idx) + 1 == A.n and all(pd[i] <= 1 and not rest_mask & ~perp[i] for i in rest_idx):
-        partners = [
-            tab.modules[y]
-            for y in range(tab.size)
-            if y != x and not rest_mask >> y & 1 and pd[y] <= 1 and not (rest_mask | 1 << y) & ~perp[y]
-        ]
+    # T is tilting, so T/X is partial tilting with n - 1 summands, and
+    # T/X + Y is tilting iff pd Y <= 1 and Y has no Ext^1 with itself or T/X.
+    partners = [
+        tab.modules[y]
+        for y in range(tab.size)
+        if y != x and not rest_mask >> y & 1 and pd[y] <= 1 and not (rest_mask | 1 << y) & ~perp[y]
+    ]
     if not partners:
         return None
     if len(partners) > 1:
         raise TiltingError(f"multiple exchange partners for {X}: {partners}")
-    return tilting_record(A, rest.plus(partners[0]))
+    return tilting_record(A, T.minus(X).plus(partners[0]))
 
 
 @dataclass(frozen=True)

@@ -341,6 +341,8 @@ def paper_report(max_n: int = 4, with_oracle: bool = False) -> list[dict]:
     the tilting counts with the published n=3 lists and the base case,
     Gorenstein profiles, and optionally the exhaustive oracle sweep.
     """
+    if max_n < 1:
+        raise AlgebraError(f"need max_n >= 1, got {max_n}")
     out = []
     out += construction_assertions(min(max_n, 6))
     out += shape_assertions(min(max_n, 6))

@@ -49,6 +49,14 @@ class TestAlgebraVerbs:
         )
         assert code == 2
 
+    def test_algebra_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_bytes(b'\xff\xfe{"kind": "linear", "kupisch": [1]}')
+        code, out, err = run_cli(capsys, "algebra", "info", "--algebra", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_missing_algebra_file(self, capsys):
         code, _, err = run_cli(capsys, "hom", "--algebra", "/no/such/file.json", "M(1,1)", "M(1,1)")
         assert code == 2
@@ -162,7 +170,7 @@ class TestSizeLimits:
         [
             (("tilt", "enumerate", "--n", "40", "--kind", "cyclic"), cli.MAX_TILT_ENUMERATE_N),
             (("tilt", "graph", "--n", "40", "--kind", "cyclic"), cli.MAX_TILT_GRAPH_N),
-            (("sttilt", "enumerate", "--n", "40", "--kind", "cyclic"), cli.MAX_STTILT_SIMPLES),
+            (("sttilt", "enumerate", "--n", "40", "--kind", "cyclic"), cli.MAX_STTILT_N),
             (("verify", "paper", "--max-n", "40"), cli.MAX_VERIFY_N),
         ],
     )
@@ -190,11 +198,28 @@ class TestSizeLimits:
         assert f"number of simples {limit + 1} exceeds the limit {limit}" in err
 
     def test_sttilt_limit_applies_to_algebra_files(self, capsys, tmp_path):
+        # The self-injective cyclic (N, ..., N) has C(2N, N) support pairs,
+        # the most measured.
+        limit = cli.MAX_STTILT_SIMPLES
         path = tmp_path / "a.json"
-        path.write_text(json.dumps({"kind": "linear", "kupisch": [1] * (cli.MAX_STTILT_SIMPLES + 1)}))
-        code, _, err = run_cli(capsys, "sttilt", "enumerate", "--algebra", str(path))
+        path.write_text(json.dumps({"kind": "cyclic", "kupisch": [limit + 1] * (limit + 1)}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sttilt", "enumerate", "--algebra", str(path))
+        assert time.perf_counter() - start < 1.0
         assert code == 2
-        assert f"exceeds the limit {cli.MAX_STTILT_SIMPLES}" in err
+        assert out == ""
+        assert f"number of simples {limit + 1} exceeds the limit {limit}" in err
+
+    def test_sttilt_n_refused_before_the_algebra_is_built(self, capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("built an algebra past the --n limit")
+
+        monkeypatch.setattr(cli, "make_rsz_nakayama", build)
+        n = cli.MAX_STTILT_N + 1
+        code, out, err = run_cli(capsys, "sttilt", "enumerate", "--n", str(n), "--kind", "cyclic")
+        assert code == 2
+        assert out == ""
+        assert f"--n {n} exceeds the limit {cli.MAX_STTILT_N}" in err
 
 
 class TestAuslanderVerbs:
@@ -225,6 +250,46 @@ class TestVerifyPaper:
         assert "auslander_construction_linear_n2" in names
         assert "golden_tilting_list_linear_n3" in names
         assert "dual_numbers_two_tilting" in names
+
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_max_n_below_one_refused(self, capsys, max_n):
+        code, out, err = run_cli(capsys, "verify", "paper", "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        assert f"got {max_n}" in err
+
+
+# A cheap invocation of each command in the table.
+CHEAP_ARGS = {
+    ("algebra", "info"): ("--n", "2", "--kind", "cyclic"),
+    ("indec", "list"): ("--n", "2", "--kind", "linear"),
+    ("hom",): ("--n", "3", "--kind", "linear", "M(1,1)", "M(2,2)"),
+    ("ext",): ("--n", "3", "--kind", "cyclic", "S(1)", "S(3)"),
+    ("tau",): ("--n", "3", "--kind", "cyclic", "S(2)"),
+    ("pd",): ("--n", "3", "--kind", "cyclic", "S(1)"),
+    ("profile",): ("--n", "2", "--kind", "cyclic"),
+    ("tilt", "enumerate"): ("--n", "2", "--kind", "cyclic", "--format", "text"),
+    ("tilt", "graph"): ("--n", "1", "--kind", "cyclic"),
+    ("sttilt", "enumerate"): ("--n", "2", "--kind", "linear"),
+    ("auslander", "build"): ("--n", "2", "--kind", "cyclic"),
+    ("verify", "paper"): ("--max-n", "1"),
+}
+
+
+@pytest.mark.parametrize("row", cli.COMMANDS, ids=lambda row: " ".join(row[0]))
+def test_every_command_helps_and_writes_output_once(capsys, tmp_path, row):
+    words = row[0]
+    assert " ".join(words) in cli.__doc__
+    code, out, _ = run_cli(capsys, *words, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: nakayama {' '.join(words)} ")
+    argv = words + CHEAP_ARGS[words]
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert printed
+    dest = tmp_path / "out"
+    assert run_cli(capsys, *argv, "--output", str(dest)) == (0, "", "")
+    assert dest.read_bytes() == printed.encode("utf-8")
 
 
 class TestPlumbing:

@@ -193,6 +193,14 @@ class TestMutation:
         with pytest.raises(AlgebraError):
             mutation_at(gamma_lin3, T1, M(4, 1))
 
+    def test_mutation_requires_tilting(self):
+        # Ext^1(M(2,1), M(1,1)) != 0; unchecked, the "mutation" at M(1,1)
+        # would be the tilting module M(2,1) M(2,2) M(3,2).
+        A = Algebra("linear", (1, 2, 2))
+        T = ModuleSet.of([M(1, 1), M(2, 1), M(2, 2)])
+        with pytest.raises(AlgebraError, match="^not a tilting module: ext1_dim"):
+            mutation_at(A, T, M(1, 1))
+
     def test_proj_mutation_sequence(self, gamma_lin3):
         T1 = ModuleSet.of([M(1, 1), M(2, 2), M(3, 2), M(4, 3), M(5, 2)])
         seq = proj_mutation_sequence(gamma_lin3, T1, M(3, 2))
