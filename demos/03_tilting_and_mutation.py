@@ -26,11 +26,11 @@ from nakayama import (
 M = IndecModule
 gamma = Algebra("linear", (1, 2, 2, 3, 2))
 
-records = enumerate_tilting(gamma)
-print(f"{len(records)} tilting modules over {gamma}:")
-for rec in records:
-    shapes = ["P" if f.projective else "S" for f in rec.flags]
-    print("  ", rec.modules, "  summand shapes:", "".join(shapes))
+tilting = enumerate_tilting(gamma)
+print(f"{len(tilting)} tilting modules over {gamma}:")
+for T in tilting:
+    shapes = ["P" if gamma.is_projective(m) else "S" for m in T]
+    print("  ", T, "  summand shapes:", "".join(shapes))
 
 # A failed candidate comes with a one-line certificate.
 bad = ModuleSet.of([M(5, 2), M(4, 3), M(4, 1), M(3, 2), M(1, 1)])
@@ -42,23 +42,20 @@ T1 = regular_module(gamma)
 print("\nmutating the regular module", T1)
 for x in T1:
     res = mutation_at(gamma, T1, x)
-    print(f"  at {x}: {'no partner' if res is None else res.modules}")
+    print(f"  at {x}: {'no partner' if res is None else res}")
 
 # At a projective non-injective summand the exchange is forced by the
 # injective envelope sequence 0 -> P -> I(soc P) -> S -> 0.
 seq = proj_mutation_sequence(gamma, T1, M(3, 2))
 print(f"\n0 -> {seq.removed} -> {seq.envelope} -> {seq.cokernel} -> 0"
-      f"  mutated: {seq.mutated.modules}")
+      f"  mutated: {seq.mutated}")
 
 # The Gen order has a unique minimum: I0 plus the cosyzygies of the
 # projectives.  The closure under mutation recovers the full list.
 mini = minimal_tilting(gamma)
-print("\nminimal tilting module:", mini.modules)
-print("below all others:",
-      all(leq_gen(gamma, mini.modules, r.modules) for r in records))
-closure = mutation_closure(gamma)
-print("mutation closure matches enumeration:",
-      [r.modules for r in closure] == [r.modules for r in records])
+print("\nminimal tilting module:", mini)
+print("below all others:", all(leq_gen(gamma, mini, T) for T in tilting))
+print("mutation closure matches enumeration:", mutation_closure(gamma) == tilting)
 
 # The exchange graph in DOT: solid edges are exchanges, dashed arrows
 # point from Gen-larger to the tilting module they cover.

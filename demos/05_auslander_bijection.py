@@ -30,10 +30,10 @@ for kind in ("linear", "cyclic"):
 # the projective-injective vertices, paired with the complementary kill set.
 res = auslander_algebra(make_rsz_nakayama(3, "linear"))
 print(f"\ntilting modules over {res.gamma} and their support-pair images:")
-for rec in enumerate_tilting(res.gamma):
-    pair = thm25_map(res, rec.modules)
+for T in enumerate_tilting(res.gamma):
+    pair = thm25_map(res, T)
     killed = ",".join(str(v) for v in sorted(pair.killed))
-    print(f"  {rec.modules}  ->  ({pair.modules} | killed {killed})")
+    print(f"  {T}  ->  ({pair.modules} | killed {killed})")
 
 # verify_bijection checks injectivity and surjectivity onto the
 # independently enumerated support pairs of gamma/(projective-injectives).

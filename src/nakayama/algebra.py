@@ -61,9 +61,13 @@ class Algebra:
         if n == 0:
             raise AlgebraError("Kupisch series is empty")
         if self.kind == LINEAR:
-            if c[0] != 1:
-                raise AlgebraError(f"linear series must start with c[1] = 1, got c[1] = {c[0]}")
-            for i in range(1, n):
+            for i in range(n):
+                if not isinstance(c[i], int) or isinstance(c[i], bool):
+                    raise AlgebraError(f"c[{i + 1}] = {c[i]!r} is not an integer")
+                if i == 0:
+                    if c[0] != 1:
+                        raise AlgebraError(f"linear series must start with c[1] = 1, got c[1] = {c[0]}")
+                    continue
                 if c[i] < 1:
                     raise AlgebraError(f"c[{i + 1}] = {c[i]} < 1")
                 if c[i - 1] < c[i] - 1:
@@ -74,6 +78,8 @@ class Algebra:
                     raise AlgebraError(f"c[{i + 1}] = {c[i]} exceeds vertex index {i + 1}")
         else:
             for i, ci in enumerate(c):
+                if not isinstance(ci, int) or isinstance(ci, bool):
+                    raise AlgebraError(f"c[{i + 1}] = {ci!r} is not an integer")
                 if ci < 2:
                     raise AlgebraError(f"cyclic series needs c[{i + 1}] >= 2, got {ci}")
             for i in range(n):
@@ -394,8 +400,6 @@ def algebra_from_json(obj: object) -> Algebra:
     kupisch = obj.get("kupisch")
     if not isinstance(kind, str) or not isinstance(kupisch, list):
         raise AlgebraError('algebra JSON needs "kind" (string) and "kupisch" (list)')
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in kupisch):
-        raise AlgebraError("kupisch entries must be integers")
     return validate_kupisch(kind, kupisch)
 
 

@@ -33,11 +33,11 @@ from .homology import gorenstein_profile
 from .tau_tilting import SupportPair, enumerate_sttilt_over
 from .tilting import (
     TiltingError,
-    TiltingRecord,
     check_gen_minimum,
     enumerate_tilting,
     is_tilting,
     minimal_tilting,
+    summand_shape_check,
 )
 
 
@@ -130,7 +130,6 @@ class BijectionReport:
     injective: bool
     surjective: bool
     passed: bool
-    matching: tuple[tuple[ModuleSet, SupportPair], ...]
     missing: tuple[SupportPair, ...]
     extra: tuple[SupportPair, ...]
 
@@ -145,16 +144,13 @@ def verify_bijection(res: AuslanderResult) -> BijectionReport:
     profile = gorenstein_profile(gamma)
     if not (profile.is_auslander and profile.is_1_gorenstein):
         raise AlgebraError("the bijection needs an Auslander 1-Gorenstein algebra")
-    records = enumerate_tilting(gamma)
+    tilting = enumerate_tilting(gamma)
     targets = enumerate_sttilt_over(gamma, res.projinj)
-    matching = []
     images = []
-    for rec in records:
-        # enumerate_tilting has verified every record, so no re-check here.
-        pair = _thm25_image(res, rec.modules)
-        relative = SupportPair(pair.modules, frozenset(pair.killed - res.projinj))
-        matching.append((rec.modules, relative))
-        images.append(relative)
+    for T in tilting:
+        # enumerate_tilting has verified every module, so no re-check here.
+        pair = _thm25_image(res, T)
+        images.append(SupportPair(pair.modules, frozenset(pair.killed - res.projinj)))
     image_set = set(images)
     target_set = set(targets)
     injective = len(image_set) == len(images)
@@ -162,12 +158,11 @@ def verify_bijection(res: AuslanderResult) -> BijectionReport:
     missing = tuple(sorted(target_set - image_set, key=SupportPair.sort_key))
     extra = tuple(sorted(image_set - target_set, key=SupportPair.sort_key))
     return BijectionReport(
-        tilting_count=len(records),
+        tilting_count=len(tilting),
         sttilt_count=len(targets),
         injective=injective,
         surjective=surjective,
-        passed=injective and surjective and len(records) == len(targets),
-        matching=tuple(matching),
+        passed=injective and surjective and len(tilting) == len(targets),
         missing=missing,
         extra=extra,
     )
@@ -184,39 +179,33 @@ class CountReport:
     shape_ok: bool
     minimal_ok: bool
     passed: bool
-    records: tuple[TiltingRecord, ...]
 
 
 def verify_counts(n: int, kind: str) -> CountReport:
     """Count tilting modules over the Auslander algebra of the rsz algebra.
 
-    Expected counts: 2^(n-1) for linear, 2^n for cyclic.  Also re-checks
-    the summand shapes, from the record flags, and that the minimal
-    tilting module is the unique Gen-minimum of the same records, so the
-    algebra is enumerated once.
+    Expected counts: 2^(n-1) for linear, 2^n for cyclic.  Also checks
+    every summand's shape with `summand_shape_check`, and that the
+    minimal tilting module is the unique Gen-minimum of the same
+    enumeration, so the algebra is enumerated once.
     """
     if n < 1:
         raise AlgebraError(f"need n >= 1, got {n}")
-    lam = make_rsz_nakayama(n, kind)
-    res = auslander_algebra(lam)
-    records = enumerate_tilting(res.gamma)
+    gamma = auslander_algebra(make_rsz_nakayama(n, kind)).gamma
+    tilting = enumerate_tilting(gamma)
     expected = 2 ** (n - 1) if kind == "linear" else 2 ** n
-    # The record flags are the ones summand_shape_check reads.
-    shape_ok = all(f.projective or f.simple_socle_of_projinj for rec in records for f in rec.flags)
+    shape_ok = not any(summand_shape_check(gamma, T) for T in tilting)
     try:
-        # One enumeration: the minimum is checked against these records.
-        minimum = minimal_tilting(res.gamma, check=False)
-        check_gen_minimum(res.gamma, minimum.modules, records)
+        check_gen_minimum(gamma, minimal_tilting(gamma), tilting)
         minimal_ok = True
     except (AlgebraError, TiltingError):
         minimal_ok = False
     return CountReport(
         n=n,
         kind=kind,
-        count=len(records),
+        count=len(tilting),
         expected=expected,
         shape_ok=shape_ok,
         minimal_ok=minimal_ok,
-        passed=(len(records) == expected) and shape_ok and minimal_ok,
-        records=tuple(records),
+        passed=(len(tilting) == expected) and shape_ok and minimal_ok,
     )

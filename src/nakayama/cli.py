@@ -26,6 +26,7 @@ Exit codes: 0 success, 1 failed verification, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -146,15 +147,15 @@ def cmd_profile(A: Algebra, args) -> object:
 
 
 def cmd_tilt_enumerate(A: Algebra, args) -> object:
-    records = enumerate_tilting(A)
+    tilting = enumerate_tilting(A)
     if args.format == "json":
         return {
             "algebra": algebra_to_json(A),
-            "count": len(records),
-            "tilting": [rec.modules.literals() for rec in records],
+            "count": len(tilting),
+            "tilting": [T.literals() for T in tilting],
         }
-    lines = [f"# {len(records)} tilting modules over {A}"]
-    lines += [str(rec.modules) for rec in records]
+    lines = [f"# {len(tilting)} tilting modules over {A}"]
+    lines += [str(T) for T in tilting]
     return "\n".join(lines) + "\n"
 
 
@@ -231,7 +232,9 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every command, built once: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="nakayama",
         description="Tilting combinatorics of Nakayama algebras given by Kupisch series.",
@@ -257,9 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors and 0 on --help
         return int(exc.code or 0)

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 
-from .algebra import Algebra, AlgebraError, ModuleSet, quotient_algebra
+from .algebra import Algebra, ModuleSet, quotient_algebra
 from .homology import _hom, _tau, hom_dim
 from .tables import cliques, mask
 
@@ -129,7 +129,8 @@ def enumerate_sttilt_over(A: Algebra, base_killed=frozenset()) -> list[SupportPa
             for choice in product(*per_component):
                 idx = tuple(sorted(chain.from_iterable(choice)))
                 if idx in kill_of:
-                    raise AlgebraError(f"kill sets {sorted(kill_of[idx])} and {sorted(extra)} share a module part")
+                    # The module part of a support pair fixes its kill set, so this is a bug.
+                    raise RuntimeError(f"kill sets {sorted(kill_of[idx])} and {sorted(extra)} share a module part")
                 kill_of[idx] = extra
     # Table indices follow the (top, length) order of the modules, so this
     # is the order of SupportPair.sort_key.

@@ -7,19 +7,19 @@ modules).  Enumeration is exact: candidates are the indecomposables of
 projective dimension <= 1 without self-extensions, compatibility is
 Ext^1-vanishing in both directions, and tilting modules are the
 n-cliques of the compatibility graph, found by the shared clique search
-`tables.cliques` and re-verified one by one.  A partial tilting module
-has at most n summands (Bongartz), so a candidate with no Ext^1 against
-any candidate is a summand of every tilting module, and the search takes
-it as given.  `check_gen_minimum` tests the minimal tilting module
-against records already enumerated, so a caller holding them enumerates
-once.
+`tables.cliques` and re-verified one by one; each result is the verified
+`ModuleSet` itself.  A partial tilting module has at most n summands
+(Bongartz), so a candidate with no Ext^1 against any candidate is a
+summand of every tilting module, and the search takes it as given.
+`check_gen_minimum` tests the minimal tilting module against tilting
+modules already enumerated, so a caller holding them enumerates once.
 
-The tilting conditions, mutation and the summand flags read the algebra's
-`Tables` (projective dimensions, Ext^1 dimensions and Ext^1-orthogonality
-masks, projective flags, socles of the projective-injectives).  Those are
-filled from the single copy of each closed form, the kernels in
-`homology`, which the tests hold to an independent reference and to the
-matrix oracle.
+The tilting conditions, mutation and the summand shape check read the
+algebra's `Tables` (projective dimensions, Ext^1 dimensions and
+Ext^1-orthogonality masks, projective flags, socles of the
+projective-injectives).  Those are filled from the single copy of each
+closed form, the kernels in `homology`, which the tests hold to an
+independent reference and to the matrix oracle.
 Modules are validated once, where they enter a public function; the
 enumerators, the re-verification of their results and mutation work on
 table indices behind that line.
@@ -27,9 +27,9 @@ table indices behind that line.
 The Gen order needs no table: Gen(T) holds a uniserial X iff X is a
 quotient of a summand, so Gen(T1) lies in Gen(T2) iff at every top the
 longest summand of T1 is no longer than that of T2, an O(n) test on two
-per-vertex lists.  The exchange graph pairs the records that share a
-summand tuple with one summand left out, and its Hasse diagram is read
-off per-record bitmasks of the Gen order (see `exchange_graph`).
+per-vertex lists.  The exchange graph pairs the tilting modules that
+share a summand tuple with one summand left out, and its Hasse diagram
+is read off per-module bitmasks of the Gen order (see `exchange_graph`).
 """
 
 from __future__ import annotations
@@ -44,22 +44,6 @@ from .tables import Tables, cliques, indices, mask
 
 class TiltingError(RuntimeError):
     """A structural fact about tilting modules failed to hold."""
-
-
-@dataclass(frozen=True)
-class SummandFlags:
-    """Shape classification of one tilting summand."""
-
-    projective: bool
-    simple_socle_of_projinj: bool
-
-
-@dataclass(frozen=True)
-class TiltingRecord:
-    """A tilting module with per-summand shape flags (aligned with modules)."""
-
-    modules: ModuleSet
-    flags: tuple[SummandFlags, ...]
 
 
 def _violation(A: Algebra, tab: Tables, idx: Sequence[int]) -> str | None:
@@ -86,45 +70,40 @@ def is_tilting(A: Algebra, ms: ModuleSet) -> tuple[bool, str | None]:
     return why is None, why
 
 
-def _flags(tab: Tables, i: int) -> SummandFlags:
-    m = tab.modules[i]
-    return SummandFlags(
-        projective=tab.projective[i],
-        simple_socle_of_projinj=(m.length == 1 and m.top in tab.projinj_socles),
-    )
-
-
 def _record(
-    A: Algebra, tab: Tables, ms: ModuleSet, idx: Sequence[int], flags, fails: str = "not a tilting module"
-) -> TiltingRecord:
-    """Re-verify ms from the tables (errors read `fails: <violation>`); `flags[i]` flags index i."""
+    A: Algebra, tab: Tables, ms: ModuleSet, idx: Sequence[int], fails: str = "not a tilting module"
+) -> ModuleSet:
+    """Re-verify ms from the tables and return it; errors read `fails: <violation>`."""
     why = _violation(A, tab, idx)
     if why is not None:
         raise TiltingError(f"{fails}: {why}")
-    return TiltingRecord(ms, tuple(flags[i] for i in idx))
+    return ms
 
 
-def tilting_record(A: Algebra, ms: ModuleSet) -> TiltingRecord:
-    tab = A.tables
-    idx = indices(A, ms)
-    return _record(A, tab, ms, idx, {i: _flags(tab, i) for i in idx})
+def tilting_record(A: Algebra, ms: ModuleSet) -> ModuleSet:
+    """ms itself once verified as tilting; TiltingError names the violation."""
+    return _record(A, A.tables, ms, indices(A, ms))
 
 
 def summand_shape_check(A: Algebra, ms: ModuleSet) -> list[IndecModule]:
     """Summands that are neither projective nor the simple socle of a
     projective-injective; empty means the shape claim holds."""
-    flags = (_flags(A.tables, i) for i in indices(A, ms))
-    return [m for m, f in zip(ms, flags) if not (f.projective or f.simple_socle_of_projinj)]
+    tab = A.tables
+    projective, socles = tab.projective, tab.projinj_socles
+    return [
+        m
+        for m, i in zip(ms, indices(A, ms))
+        if not (projective[i] or (m.length == 1 and m.top in socles))
+    ]
 
 
-def enumerate_tilting(A: Algebra) -> list[TiltingRecord]:
+def enumerate_tilting(A: Algebra) -> list[ModuleSet]:
     """All basic tilting modules, sorted by their canonical summand tuples."""
     tab = A.tables
     perp = tab.ext1_perp
     cands = mask(i for i in range(tab.size) if tab.pd[i] <= 1 and perp[i] >> i & 1)
-    flags = [_flags(tab, i) for i in range(tab.size)]
     return [
-        _record(A, tab, tab.module_set(idx), idx, flags)  # re-verifies every clique
+        _record(A, tab, tab.module_set(idx), idx)  # re-verifies every clique
         for idx in cliques(perp, cands, A.n)
     ]
 
@@ -165,7 +144,7 @@ def leq_gen(A: Algebra, T1: ModuleSet, T2: ModuleSet) -> bool:
 # -- mutation ------------------------------------------------------------------
 
 
-def mutation_at(A: Algebra, T: ModuleSet, X: IndecModule) -> TiltingRecord | None:
+def mutation_at(A: Algebra, T: ModuleSet, X: IndecModule) -> ModuleSet | None:
     """Exchange X for the second complement of T/X, if one exists.
 
     Returns the mutated tilting module, or None when X has no exchange
@@ -209,7 +188,7 @@ class ProjMutation:
     removed: IndecModule
     envelope: IndecModule
     cokernel: IndecModule
-    mutated: TiltingRecord | None
+    mutated: ModuleSet | None
 
 
 def proj_mutation_sequence(A: Algebra, T: ModuleSet, P: IndecModule) -> ProjMutation:
@@ -223,7 +202,7 @@ def proj_mutation_sequence(A: Algebra, T: ModuleSet, P: IndecModule) -> ProjMuta
     coker = cosyzygy(A, P)
     mutated = mutation_at(A, T, P)
     if mutated is not None:
-        added = next(m for m in mutated.modules if m not in T)
+        added = next(m for m in mutated if m not in T)
         if added != coker:
             raise TiltingError(
                 f"mutation at {P} produced {added}, not the envelope cokernel {coker}"
@@ -231,11 +210,11 @@ def proj_mutation_sequence(A: Algebra, T: ModuleSet, P: IndecModule) -> ProjMuta
     return ProjMutation(removed=P, envelope=envelope, cokernel=coker, mutated=mutated)
 
 
-def minimal_tilting(A: Algebra, check: bool = True) -> TiltingRecord:
+def minimal_tilting(A: Algebra) -> ModuleSet:
     """The Gen-minimal tilting module I0 + cosyzygy(A) of a 1-Gorenstein algebra.
 
-    With check=True the full enumeration is compared: the result must be
-    the unique Gen-minimum (`check_gen_minimum`).
+    It is verified as tilting here; `check_gen_minimum` checks that it is
+    the unique Gen-minimum of an enumeration.
     """
     profile = gorenstein_profile(A)
     if not profile.is_1_gorenstein:
@@ -246,36 +225,26 @@ def minimal_tilting(A: Algebra, check: bool = True) -> TiltingRecord:
         if cos is not None:
             parts.append(cos)
     ms = ModuleSet.of(parts)
-    tab = A.tables
-    idx = indices(A, ms)
-    flags = {i: _flags(tab, i) for i in idx}
-    record = _record(A, tab, ms, idx, flags, "minimal tilting candidate fails")
-    if check:
-        check_gen_minimum(A, ms, enumerate_tilting(A))
-    return record
+    return _record(A, A.tables, ms, indices(A, ms), "minimal tilting candidate fails")
 
 
-def check_gen_minimum(A: Algebra, ms: ModuleSet, records: Sequence[TiltingRecord]) -> None:
-    """Raise TiltingError unless ms is the unique Gen-minimum of the records.
+def check_gen_minimum(A: Algebra, ms: ModuleSet, tilting: Sequence[ModuleSet]) -> None:
+    """Raise TiltingError unless ms is the unique Gen-minimum of `tilting`.
 
-    ms is the unique minimum iff it is a record below every record and no
-    other record lies below it (Gen inclusion is transitive): fewer than
-    2k `leq_gen` calls for k records.
+    ms is the unique minimum iff it is listed, lies below every listed
+    module and no other listed module lies below it (Gen inclusion is
+    transitive): fewer than 2k `leq_gen` calls for k modules.
     """
     unique_minimum = (
-        any(r.modules == ms for r in records)
-        and all(leq_gen(A, ms, r.modules) for r in records)
-        and not any(r.modules != ms and leq_gen(A, r.modules, ms) for r in records)
+        ms in tilting
+        and all(leq_gen(A, ms, T) for T in tilting)
+        and not any(T != ms and leq_gen(A, T, ms) for T in tilting)
     )
     if not unique_minimum:
-        minima = [
-            r
-            for r in records
-            if all(leq_gen(A, r.modules, other.modules) for other in records)
-        ]
+        minima = [T for T in tilting if all(leq_gen(A, T, other) for other in tilting)]
         raise TiltingError(
             f"Gen-minimum mismatch: formula gave {ms}, enumeration gave "
-            f"{[str(r.modules) for r in minima]}"
+            f"{[str(T) for T in minima]}"
         )
 
 
@@ -290,7 +259,7 @@ class ExchangeGraph:
     `hasse[(i, j)]` means nodes[j] covers nodes[i] in the Gen order.
     """
 
-    nodes: tuple[TiltingRecord, ...]
+    nodes: tuple[ModuleSet, ...]
     edges: tuple[tuple[int, int], ...]
     hasse: tuple[tuple[int, int], ...]
 
@@ -298,12 +267,12 @@ class ExchangeGraph:
 def exchange_graph(A: Algebra) -> ExchangeGraph:
     """Exchange graph and Gen-order Hasse diagram of the tilting modules.
 
-    Edges: each record is keyed by its n summand tuples with one summand
-    left out; two records holding the same key share n - 1 summands.  An
-    almost complete tilting module has at most two complements, so a key
-    held by three records raises TiltingError.
+    Edges: each tilting module is keyed by its n summand tuples with one
+    summand left out; two modules holding the same key share n - 1
+    summands.  An almost complete tilting module has at most two
+    complements, so a key held by three modules raises TiltingError.
 
-    Order: `below[j]` is the bitmask of the records i != j with
+    Order: `below[j]` is the bitmask of the nodes i != j with
     Gen(i) in Gen(j), from one `leq_gen` call per ordered pair, k(k-1) in
     all.  (The Hasse diagram is the exchange graph oriented by Gen, so one
     call per edge would do; the benchmark pins the k(k-1) count.)
@@ -311,11 +280,11 @@ def exchange_graph(A: Algebra) -> ExchangeGraph:
     Covers: i is covered by j when i is in `below[j]` but not in `below[m]`
     for any m in `below[j]`.
     """
-    records = enumerate_tilting(A)
-    k = len(records)
+    nodes = enumerate_tilting(A)
+    k = len(nodes)
     holders: dict[tuple[IndecModule, ...], list[int]] = {}
-    for i, rec in enumerate(records):
-        mods = rec.modules.modules
+    for i, T in enumerate(nodes):
+        mods = T.modules
         for p in range(len(mods)):
             holders.setdefault(mods[:p] + mods[p + 1 :], []).append(i)
     edges = []
@@ -331,7 +300,7 @@ def exchange_graph(A: Algebra) -> ExchangeGraph:
     lower: list[list[int]] = [[] for _ in range(k)]
     for j in range(k):
         for i in range(k):
-            if i != j and leq_gen(A, records[i].modules, records[j].modules):
+            if i != j and leq_gen(A, nodes[i], nodes[j]):
                 below[j] |= 1 << i
                 lower[j].append(i)
     hasse = []
@@ -340,7 +309,7 @@ def exchange_graph(A: Algebra) -> ExchangeGraph:
         for m in lower[j]:
             between |= below[m]
         hasse.extend((i, j) for i in lower[j] if not between >> i & 1)
-    return ExchangeGraph(tuple(records), tuple(sorted(edges)), tuple(sorted(hasse)))
+    return ExchangeGraph(tuple(nodes), tuple(sorted(edges)), tuple(sorted(hasse)))
 
 
 def exchange_graph_dot(graph: ExchangeGraph) -> str:
@@ -349,8 +318,8 @@ def exchange_graph_dot(graph: ExchangeGraph) -> str:
     Hasse arrows point from the Gen-larger module to the one it covers.
     """
     lines = ["digraph exchange {", "  rankdir=BT;"]
-    for i, rec in enumerate(graph.nodes):
-        lines.append(f'  t{i} [label="{rec.modules}"];')
+    for i, T in enumerate(graph.nodes):
+        lines.append(f'  t{i} [label="{T}"];')
     for i, j in graph.edges:
         lines.append(f"  t{i} -> t{j} [dir=none];")
     for i, j in graph.hasse:
@@ -359,24 +328,21 @@ def exchange_graph_dot(graph: ExchangeGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def mutation_closure(A: Algebra) -> list[TiltingRecord]:
+def mutation_closure(A: Algebra) -> list[ModuleSet]:
     """All tilting modules reachable from the regular module by mutation.
 
     Independent cross-check for enumerate_tilting: starts at A itself and
     mutates at every summand until closure.
     """
-    start_ms = regular_module(A)
-    tab = A.tables
-    idx = indices(A, start_ms)
-    flags = {i: _flags(tab, i) for i in idx}
-    start = _record(A, tab, start_ms, idx, flags, "the regular module is not tilting")
-    seen = {start.modules: start}
+    start = regular_module(A)
+    _record(A, A.tables, start, indices(A, start), "the regular module is not tilting")
+    seen = {start}
     stack = [start]
     while stack:
-        rec = stack.pop()
-        for x in rec.modules:
-            nxt = mutation_at(A, rec.modules, x)
-            if nxt is not None and nxt.modules not in seen:
-                seen[nxt.modules] = nxt
+        T = stack.pop()
+        for x in T:
+            nxt = mutation_at(A, T, x)
+            if nxt is not None and nxt not in seen:
+                seen.add(nxt)
                 stack.append(nxt)
-    return [seen[key] for key in sorted(seen, key=lambda s: s.modules)]
+    return sorted(seen, key=lambda s: s.modules)

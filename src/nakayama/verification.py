@@ -25,6 +25,7 @@ from .auslander import auslander_algebra, verify_bijection, verify_counts
 from .tau_tilting import enumerate_sttilt
 from .tilting import (
     TiltingError,
+    check_gen_minimum,
     enumerate_tilting,
     minimal_tilting,
     proj_mutation_sequence,
@@ -79,11 +80,11 @@ def shape_assertions(max_n: int) -> list[dict]:
             gamma = auslander_algebra(make_rsz_nakayama(n, kind)).gamma
             offenders = []
             checked = 0
-            for rec in enumerate_tilting(gamma):
+            for T in enumerate_tilting(gamma):
                 checked += 1
-                bad = summand_shape_check(gamma, rec.modules)
+                bad = summand_shape_check(gamma, T)
                 if bad:
-                    offenders.append(f"{rec.modules}: {bad[0]}")
+                    offenders.append(f"{T}: {bad[0]}")
             out.append(
                 _assertion(
                     f"tilting_summand_shape_{kind}_n{n}",
@@ -137,7 +138,7 @@ def golden_list_assertions() -> list[dict]:
     out = []
     for kind, expected in golden.items():
         res = auslander_algebra(make_rsz_nakayama(3, kind))
-        got = [set(rec.modules) for rec in enumerate_tilting(res.gamma)]
+        got = [set(T) for T in enumerate_tilting(res.gamma)]
         ok = len(got) == len(expected) and all(e in got for e in expected)
         out.append(
             _assertion(
@@ -148,15 +149,15 @@ def golden_list_assertions() -> list[dict]:
         )
     # The Auslander algebra of K[x]/(x^2) has exactly two tilting modules.
     res1 = auslander_algebra(make_rsz_nakayama(1, "cyclic"))
-    recs = enumerate_tilting(res1.gamma)
-    sets = [set(rec.modules) for rec in recs]
+    tilting = enumerate_tilting(res1.gamma)
+    sets = [set(T) for T in tilting]
     ok = (
         res1.gamma == Algebra("cyclic", (3, 2))
-        and len(recs) == 2
+        and len(tilting) == 2
         and {M(1, 1), M(1, 3)} in sets
         and {M(1, 3), M(2, 2)} in sets
     )
-    out.append(_assertion("dual_numbers_two_tilting", ok, f"count={len(recs)} over {res1.gamma}"))
+    out.append(_assertion("dual_numbers_two_tilting", ok, f"count={len(tilting)} over {res1.gamma}"))
     return out
 
 
@@ -168,18 +169,18 @@ def mutation_shape_assertions(max_n: int) -> list[dict]:
             gamma = auslander_algebra(make_rsz_nakayama(n, kind)).gamma
             violations = []
             checked = 0
-            for rec in enumerate_tilting(gamma):
-                for p in rec.modules:
+            for T in enumerate_tilting(gamma):
+                for p in T:
                     if not gamma.is_projective(p) or gamma.is_injective(p):
                         continue
                     checked += 1
                     try:
-                        seq = proj_mutation_sequence(gamma, rec.modules, p)
+                        seq = proj_mutation_sequence(gamma, T, p)
                     except (AlgebraError, TiltingError) as exc:  # structural failure
-                        violations.append(f"{rec.modules} at {p}: {exc}")
+                        violations.append(f"{T} at {p}: {exc}")
                         continue
                     if not gamma.is_simple(seq.cokernel):
-                        violations.append(f"{rec.modules} at {p}: cokernel {seq.cokernel} not simple")
+                        violations.append(f"{T} at {p}: cokernel {seq.cokernel} not simple")
             out.append(
                 _assertion(
                     f"proj_mutation_shape_{kind}_n{n}",
@@ -198,12 +199,9 @@ def minimal_tilting_assertions(max_n: int) -> list[dict]:
         for n in range(1, max_n + 1):
             gamma = auslander_algebra(make_rsz_nakayama(n, kind)).gamma
             try:
-                rec = minimal_tilting(gamma, check=True)
-                out.append(
-                    _assertion(
-                        f"minimal_tilting_{kind}_n{n}", True, f"minimum is {rec.modules}"
-                    )
-                )
+                ms = minimal_tilting(gamma)
+                check_gen_minimum(gamma, ms, enumerate_tilting(gamma))
+                out.append(_assertion(f"minimal_tilting_{kind}_n{n}", True, f"minimum is {ms}"))
             except (AlgebraError, TiltingError) as exc:
                 out.append(_assertion(f"minimal_tilting_{kind}_n{n}", False, str(exc)))
     return out

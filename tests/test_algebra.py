@@ -63,6 +63,19 @@ class TestKupischValidation:
         with pytest.raises(AlgebraError):
             validate_kupisch("mixed", (1, 2))
 
+    @pytest.mark.parametrize(
+        "kind, c, message",
+        [
+            ("cyclic", (2.5, 2), r"c\[1\] = 2\.5"),
+            ("linear", (True, True), r"c\[1\] = True"),
+            ("cyclic", ("2", "2"), r"c\[1\] = '2'"),
+            ("linear", (1, 2.0), r"c\[2\] = 2\.0"),
+        ],
+    )
+    def test_entries_must_be_integers(self, kind, c, message):
+        with pytest.raises(AlgebraError, match=f"^{message} is not an integer$"):
+            Algebra(kind, c)
+
 
 class TestModules:
     def test_projective_and_simple(self, gamma_lin3):

@@ -134,10 +134,7 @@ class TestTheoremMap:
     def test_distinct_images(self):
         for kind in ("linear", "cyclic"):
             res = auslander_algebra(make_rsz_nakayama(3, kind))
-            images = [
-                thm25_map(res, rec.modules)
-                for rec in enumerate_tilting(res.gamma)
-            ]
+            images = [thm25_map(res, T) for T in enumerate_tilting(res.gamma)]
             keys = {(p.modules.modules, p.killed) for p in images}
             assert len(keys) == len(images)
 

@@ -3,8 +3,8 @@ import time
 
 import pytest
 
-from nakayama import cli
-from nakayama.algebra import algebra_to_json, make_rsz_nakayama
+from nakayama import cli, tau_tilting
+from nakayama.algebra import IndecModule, ModuleSet, algebra_to_json, make_rsz_nakayama
 
 
 def run_cli(capsys, *argv):
@@ -305,6 +305,14 @@ class TestPlumbing:
         assert code == 0
         assert out == ""
         assert json.loads(dest.read_text())["kind"] == "cyclic"
+
+    def test_internal_invariant_is_not_a_usage_error(self, capsys, monkeypatch):
+        # Every component claims M(1,1) alone, so two kill sets share a
+        # module part: a library bug, which must not read as exit code 2.
+        fixed = [ModuleSet.of([IndecModule(1, 1)])]
+        monkeypatch.setattr(tau_tilting, "enumerate_tau_tilting", lambda B: fixed)
+        with pytest.raises(RuntimeError, match="share a module part"):
+            cli.main(["sttilt", "enumerate", "--n", "2", "--kind", "cyclic"])
 
     def test_deterministic_output(self, capsys):
         args = ("tilt", "enumerate", "--n", "3", "--kind", "cyclic", "--format", "json")

@@ -15,7 +15,7 @@ from nakayama.auslander import auslander_algebra
 from nakayama.homology import regular_i0
 from nakayama.tilting import (
     TiltingError,
-    TiltingRecord,
+    check_gen_minimum,
     enumerate_tilting,
     exchange_graph,
     exchange_graph_dot,
@@ -55,8 +55,10 @@ class TestIsTilting:
     def test_regular_module_is_tilting(self, gamma_lin3):
         from nakayama.homology import regular_module
 
-        ok, why = is_tilting(gamma_lin3, regular_module(gamma_lin3))
+        reg = regular_module(gamma_lin3)
+        ok, why = is_tilting(gamma_lin3, reg)
         assert ok and why is None
+        assert tilting_record(gamma_lin3, reg) is reg
 
     def test_certificate_for_ext_violation(self, gamma_lin3):
         bad = ModuleSet.of([M(5, 2), M(4, 3), M(4, 1), M(3, 2), M(1, 1)])
@@ -81,19 +83,19 @@ class TestIsTilting:
 
 class TestEnumeration:
     def test_golden_linear_n3(self, gamma_lin3):
-        got = [set(r.modules) for r in enumerate_tilting(gamma_lin3)]
+        got = [set(T) for T in enumerate_tilting(gamma_lin3)]
         assert len(got) == 4
         for expected in GOLDEN_LINEAR_N3:
             assert expected in got
 
     def test_golden_cyclic_n3(self, gamma_cyc3):
-        got = [set(r.modules) for r in enumerate_tilting(gamma_cyc3)]
+        got = [set(T) for T in enumerate_tilting(gamma_cyc3)]
         assert len(got) == 8
         for expected in GOLDEN_CYCLIC_N3:
             assert expected in got
 
     def test_dual_numbers_exactly_two(self, dual_numbers_gamma):
-        got = [set(r.modules) for r in enumerate_tilting(dual_numbers_gamma)]
+        got = [set(T) for T in enumerate_tilting(dual_numbers_gamma)]
         assert got == [{M(1, 1), M(1, 3)}, {M(1, 3), M(2, 2)}]
 
     def test_brute_force_cross_check(self, small_universe):
@@ -107,7 +109,7 @@ class TestEnumeration:
                 for sub in combinations(indecs, A.n)
                 if is_tilting(A, ModuleSet.of(sub))[0]
             ]
-            fast = [set(r.modules) for r in enumerate_tilting(A)]
+            fast = [set(T) for T in enumerate_tilting(A)]
             assert len(brute) == len(fast)
             for t in brute:
                 assert t in fast
@@ -116,14 +118,15 @@ class TestEnumeration:
         A = make_rsz_nakayama(3, "cyclic")
         got = enumerate_tilting(A)
         assert len(got) == 1
-        assert set(got[0].modules) == {M(1, 2), M(2, 2), M(3, 2)}
+        assert set(got[0]) == {M(1, 2), M(2, 2), M(3, 2)}
 
     def test_shape_flags(self, gamma_lin3):
-        recs = enumerate_tilting(gamma_lin3)
-        for rec in recs:
-            for m, flag in zip(rec.modules, rec.flags):
-                assert flag.projective == gamma_lin3.is_projective(m)
-            assert summand_shape_check(gamma_lin3, rec.modules) == []
+        A = gamma_lin3
+        socles = {A.socle_vertex(A.projective(v)) for v in A.projective_injective_vertices()}
+        for T in enumerate_tilting(A):
+            for m in T:
+                assert A.is_projective(m) or (A.is_simple(m) and m.top in socles)
+            assert summand_shape_check(A, T) == []
 
     def test_shape_check_flags_offenders(self, gamma_lin3):
         # M(3,1) is neither projective nor a socle simple of a proj-inj.
@@ -143,8 +146,8 @@ class TestGenOrder:
         from nakayama.homology import regular_module
 
         reg = regular_module(gamma_lin3)
-        for rec in enumerate_tilting(gamma_lin3):
-            assert leq_gen(gamma_lin3, rec.modules, reg)
+        for T in enumerate_tilting(gamma_lin3):
+            assert leq_gen(gamma_lin3, T, reg)
 
     BAD_LENGTH = "length 9 invalid at vertex 2: need 1..2"
     BAD_TOP = "vertex 4 out of range 1..3"
@@ -175,9 +178,9 @@ class TestMutation:
     def test_mutations_from_regular(self, gamma_lin3):
         T1 = ModuleSet.of([M(1, 1), M(2, 2), M(3, 2), M(4, 3), M(5, 2)])
         t2 = mutation_at(gamma_lin3, T1, M(3, 2))
-        assert set(t2.modules) == {M(1, 1), M(2, 2), M(4, 1), M(4, 3), M(5, 2)}
+        assert set(t2) == {M(1, 1), M(2, 2), M(4, 1), M(4, 3), M(5, 2)}
         t3 = mutation_at(gamma_lin3, T1, M(1, 1))
-        assert set(t3.modules) == {M(2, 1), M(2, 2), M(3, 2), M(4, 3), M(5, 2)}
+        assert set(t3) == {M(2, 1), M(2, 2), M(3, 2), M(4, 3), M(5, 2)}
         assert mutation_at(gamma_lin3, T1, M(2, 2)) is None
         assert mutation_at(gamma_lin3, T1, M(4, 3)) is None
         assert mutation_at(gamma_lin3, T1, M(5, 2)) is None
@@ -185,8 +188,8 @@ class TestMutation:
     def test_mutation_is_involutive(self, gamma_lin3):
         T1 = ModuleSet.of([M(1, 1), M(2, 2), M(3, 2), M(4, 3), M(5, 2)])
         t2 = mutation_at(gamma_lin3, T1, M(3, 2))
-        back = mutation_at(gamma_lin3, t2.modules, M(4, 1))
-        assert back.modules == T1
+        back = mutation_at(gamma_lin3, t2, M(4, 1))
+        assert back == T1
 
     def test_mutation_requires_summand(self, gamma_lin3):
         T1 = ModuleSet.of([M(1, 1), M(2, 2), M(3, 2), M(4, 3), M(5, 2)])
@@ -208,7 +211,7 @@ class TestMutation:
         assert seq.envelope == M(4, 3)
         assert seq.cokernel == M(4, 1)
         assert seq.cokernel.length == 1
-        assert set(seq.mutated.modules) == {M(1, 1), M(2, 2), M(4, 1), M(4, 3), M(5, 2)}
+        assert set(seq.mutated) == {M(1, 1), M(2, 2), M(4, 1), M(4, 3), M(5, 2)}
 
     def test_proj_mutation_sequence_validation(self, gamma_lin3):
         T1 = ModuleSet.of([M(1, 1), M(2, 2), M(3, 2), M(4, 3), M(5, 2)])
@@ -220,9 +223,7 @@ class TestMutation:
 
     def test_closure_equals_enumeration(self, gamma_lin3, gamma_cyc3, dual_numbers_gamma):
         for A in (gamma_lin3, gamma_cyc3, dual_numbers_gamma):
-            closure = [r.modules for r in mutation_closure(A)]
-            enumerated = [r.modules for r in enumerate_tilting(A)]
-            assert closure == enumerated
+            assert mutation_closure(A) == enumerate_tilting(A)
 
     def test_closure_names_a_non_tilting_start(self, gamma_lin3, monkeypatch):
         start = ModuleSet.of([M(3, 1)])
@@ -235,26 +236,24 @@ class TestMutation:
         for A in small_universe:
             if A.dimension() > 7:
                 continue
-            closure = [r.modules for r in mutation_closure(A)]
-            enumerated = [r.modules for r in enumerate_tilting(A)]
-            assert closure == enumerated
+            assert mutation_closure(A) == enumerate_tilting(A)
 
 
 class TestMinimalTilting:
     def test_linear_n3_minimum(self, gamma_lin3):
-        rec = minimal_tilting(gamma_lin3)
-        assert set(rec.modules) == {M(2, 1), M(2, 2), M(4, 1), M(4, 3), M(5, 2)}
+        assert set(minimal_tilting(gamma_lin3)) == {M(2, 1), M(2, 2), M(4, 1), M(4, 3), M(5, 2)}
 
     def test_dual_numbers_minimum(self, dual_numbers_gamma):
-        rec = minimal_tilting(dual_numbers_gamma)
-        assert set(rec.modules) == {M(1, 1), M(1, 3)}
+        assert set(minimal_tilting(dual_numbers_gamma)) == {M(1, 1), M(1, 3)}
 
     def test_cyclic_n3_minimum(self, gamma_cyc3):
-        rec = minimal_tilting(gamma_cyc3)
-        assert set(rec.modules) == {M(1, 1), M(1, 3), M(3, 1), M(3, 3), M(5, 1), M(5, 3)}
+        mini = minimal_tilting(gamma_cyc3)
+        assert set(mini) == {M(1, 1), M(1, 3), M(3, 1), M(3, 3), M(5, 1), M(5, 3)}
         # Every other tilting module generates it.
-        for other in enumerate_tilting(gamma_cyc3):
-            assert leq_gen(gamma_cyc3, rec.modules, other.modules)
+        tilting = enumerate_tilting(gamma_cyc3)
+        for other in tilting:
+            assert leq_gen(gamma_cyc3, mini, other)
+        check_gen_minimum(gamma_cyc3, mini, tilting)
 
     def test_minimum_check_makes_at_most_2k_calls(self, gamma_cyc3, monkeypatch):
         calls = []
@@ -263,20 +262,17 @@ class TestMinimalTilting:
             calls.append((T1, T2))
             return leq_gen(A, T1, T2)
 
+        tilting = enumerate_tilting(gamma_cyc3)
         monkeypatch.setattr(nakayama.tilting, "leq_gen", counting)
-        minimal_tilting(gamma_cyc3)
-        assert len(calls) <= 2 * len(enumerate_tilting(gamma_cyc3))
+        check_gen_minimum(gamma_cyc3, minimal_tilting(gamma_cyc3), tilting)
+        assert len(calls) <= 2 * len(tilting)
 
-    def test_minimum_mismatch_names_the_enumerated_minima(self, gamma_lin3, monkeypatch):
-        records = enumerate_tilting(gamma_lin3)
-        formula = minimal_tilting(gamma_lin3).modules
-        others = [r for r in records if r.modules != formula]
-        monkeypatch.setattr(nakayama.tilting, "enumerate_tilting", lambda A: others)
-        minima = [
-            str(r.modules) for r in others if all(leq_gen(gamma_lin3, r.modules, o.modules) for o in others)
-        ]
+    def test_minimum_mismatch_names_the_enumerated_minima(self, gamma_lin3):
+        formula = minimal_tilting(gamma_lin3)
+        others = [T for T in enumerate_tilting(gamma_lin3) if T != formula]
+        minima = [str(T) for T in others if all(leq_gen(gamma_lin3, T, o) for o in others)]
         with pytest.raises(TiltingError) as err:
-            minimal_tilting(gamma_lin3)
+            check_gen_minimum(gamma_lin3, formula, others)
         assert str(err.value) == (
             f"Gen-minimum mismatch: formula gave {formula}, enumeration gave {minima}"
         )
@@ -287,7 +283,7 @@ class TestMinimalTilting:
         ok, why = is_tilting(gamma_lin3, regular_i0(gamma_lin3))
         assert not ok
         with pytest.raises(TiltingError) as err:
-            minimal_tilting(gamma_lin3, check=False)
+            minimal_tilting(gamma_lin3)
         assert str(err.value) == f"minimal tilting candidate fails: {why}"
 
     def test_candidate_is_verified_once(self, gamma_cyc3, monkeypatch):
@@ -299,14 +295,13 @@ class TestMinimalTilting:
             return violation(A, tab, idx)
 
         monkeypatch.setattr(nakayama.tilting, "_violation", counting)
-        minimal_tilting(gamma_cyc3, check=False)
+        minimal_tilting(gamma_cyc3)
         assert len(calls) == 1
 
     def test_works_beyond_auslander_algebras(self):
         # Serial algebras are QF-3, so the formula applies to any of them;
         # over the linear radical-square-zero series it still checks out.
-        rec = minimal_tilting(make_rsz_nakayama(3, "linear"))
-        assert set(rec.modules) == {M(2, 1), M(2, 2), M(3, 2)}
+        assert set(minimal_tilting(make_rsz_nakayama(3, "linear"))) == {M(2, 1), M(2, 2), M(3, 2)}
 
 
 class TestExchangeGraph:
@@ -345,23 +340,23 @@ class TestExchangeGraph:
     def test_hasse_is_subrelation_of_gen(self, gamma_lin3):
         g = exchange_graph(gamma_lin3)
         for i, j in g.hasse:
-            assert leq_gen(gamma_lin3, g.nodes[i].modules, g.nodes[j].modules)
-            assert not leq_gen(gamma_lin3, g.nodes[j].modules, g.nodes[i].modules)
+            assert leq_gen(gamma_lin3, g.nodes[i], g.nodes[j])
+            assert not leq_gen(gamma_lin3, g.nodes[j], g.nodes[i])
 
 
 def _reference_graph(A):
     """The exchange graph by brute force: pairwise intersections, the full
     Gen-order matrix and the cubic Hasse loop."""
-    records = enumerate_tilting(A)
-    k = len(records)
+    nodes = enumerate_tilting(A)
+    k = len(nodes)
     edges = [
         (i, j)
         for i in range(k)
         for j in range(i + 1, k)
-        if len(set(records[i].modules) & set(records[j].modules)) == A.n - 1
+        if len(set(nodes[i]) & set(nodes[j])) == A.n - 1
     ]
     less = [
-        [i != j and leq_gen(A, records[i].modules, records[j].modules) for j in range(k)]
+        [i != j and leq_gen(A, nodes[i], nodes[j]) for j in range(k)]
         for i in range(k)
     ]
     hasse = [
@@ -370,7 +365,7 @@ def _reference_graph(A):
         for j in range(k)
         if less[i][j] and not any(less[i][m] and less[m][j] for m in range(k))
     ]
-    return tuple(records), tuple(edges), tuple(hasse)
+    return tuple(nodes), tuple(edges), tuple(hasse)
 
 
 @pytest.fixture(scope="module")
@@ -393,7 +388,7 @@ class TestExchangeGraphReference:
         # Happel-Unger: the covers of the Gen order are exactly the mutations.
         for A, g in graph_universe:
             oriented = sorted(
-                (i, j) if leq_gen(A, g.nodes[i].modules, g.nodes[j].modules) else (j, i)
+                (i, j) if leq_gen(A, g.nodes[i], g.nodes[j]) else (j, i)
                 for i, j in g.edges
             )
             assert list(g.hasse) == oriented, A
@@ -401,10 +396,7 @@ class TestExchangeGraphReference:
     def test_three_complements_raise(self, monkeypatch):
         A = Algebra("linear", (1, 2, 2))
         shared = [M(1, 1), M(2, 2)]
-        stub = [
-            TiltingRecord(ModuleSet.of(shared + [extra]), ())
-            for extra in (M(2, 1), M(3, 1), M(3, 2))
-        ]
+        stub = [ModuleSet.of(shared + [extra]) for extra in (M(2, 1), M(3, 1), M(3, 2))]
         monkeypatch.setattr(nakayama.tilting, "enumerate_tilting", lambda A: stub)
         with pytest.raises(TiltingError, match="3 complements"):
             exchange_graph(A)

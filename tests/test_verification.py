@@ -60,3 +60,29 @@ def test_wrong_gamma_for_the_dual_numbers_fails(monkeypatch):
         "golden_tilting_list_cyclic_n3": True,
         "dual_numbers_two_tilting": False,
     }
+
+
+def test_missing_formula_module_fails_only_the_minimum(monkeypatch):
+    real = V.enumerate_tilting
+    monkeypatch.setattr(V, "enumerate_tilting", lambda A: [T for T in real(A) if T != V.minimal_tilting(A)])
+    records = V.shape_assertions(2) + V.mutation_shape_assertions(2) + V.minimal_tilting_assertions(2)
+    failed = {r["name"]: r["detail"] for r in records if not r["passed"]}
+    assert sorted(failed) == [
+        "minimal_tilting_cyclic_n1",
+        "minimal_tilting_cyclic_n2",
+        "minimal_tilting_linear_n1",
+        "minimal_tilting_linear_n2",
+    ]
+    assert all(detail.startswith("Gen-minimum mismatch") for detail in failed.values())
+
+
+def test_flagged_summand_fails_the_counts(monkeypatch):
+    monkeypatch.setattr("nakayama.auslander.summand_shape_check", lambda A, ms: list(ms)[:1])
+    records = V.count_assertions(2)
+    assert verdicts(records) == {
+        "tilting_count_linear_n1": False,
+        "tilting_count_linear_n2": False,
+        "tilting_count_cyclic_n1": False,
+        "tilting_count_cyclic_n2": False,
+    }
+    assert all("shapes=bad" in r["detail"] for r in records)
