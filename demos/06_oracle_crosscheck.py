@@ -7,7 +7,7 @@ recomputed from honest quiver representations over exact rationals:
 intertwiner nullspaces for Hom, projective covers for Ext and syzygies,
 and the transpose-then-dualize construction for tau.  This demo sweeps
 a small exhaustive universe and rebuilds one Auslander Kupisch model
-from raw endomorphism structure constants.
+from the Hom bases between its indecomposables.
 """
 
 import itertools
@@ -45,7 +45,8 @@ print(f"closed forms match the oracle on {algebras} algebras"
       f" / {pairs} ordered pairs")
 
 # The Kupisch model of an Auslander algebra, recovered from matrices:
-# multiply out End(sum of all indecomposables) and read off the quiver.
+# compose the radical maps of End(sum of all indecomposables) and read
+# off the quiver from rad/rad^2.
 lam = make_rsz_nakayama(2, "cyclic")
 res = auslander_algebra(lam)
 objects = [res.dictionary[v] for v in res.gamma.vertices]

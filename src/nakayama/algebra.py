@@ -74,8 +74,6 @@ class Algebra:
                     raise AlgebraError(
                         f"Kupisch condition fails at i={i + 1}: c[{i}] = {c[i - 1]} < c[{i + 1}] - 1 = {c[i] - 1}"
                     )
-                if c[i] > i + 1:
-                    raise AlgebraError(f"c[{i + 1}] = {c[i]} exceeds vertex index {i + 1}")
         else:
             for i, ci in enumerate(c):
                 if not isinstance(ci, int) or isinstance(ci, bool):
@@ -424,9 +422,7 @@ def iter_kupisch_series(kind: str, n: int, max_entry: int) -> Iterator[tuple[int
             if len(prefix) == n:
                 yield tuple(prefix)
                 return
-            i = len(prefix) + 1  # 1-based index of the next entry
-            hi = min(prefix[-1] + 1, i, max_entry)
-            for ci in range(1, hi + 1):
+            for ci in range(1, min(prefix[-1] + 1, max_entry) + 1):
                 yield from rec(prefix + [ci])
 
         if max_entry >= 1:

@@ -143,15 +143,25 @@ def ext1_dim(A: Algebra, M: IndecModule, N: IndecModule) -> int:
 
 
 def ext_dim(A: Algebra, M: IndecModule, N: IndecModule, i: int = 1) -> int:
-    """dim Ext^i for i >= 1, by dimension shift along the syzygy chain."""
+    """dim Ext^i for i >= 1, by dimension shift along the syzygy chain.
+
+    The chain reaches zero or repeats a module within dim A steps; at the
+    first repeat the remaining steps are reduced modulo the cycle length.
+    """
     if i < 1:
         raise AlgebraError(f"ext_dim needs i >= 1, got {i}")
     A.check_module(M)
     A.check_module(N)
-    for _ in range(i - 1):
+    orbit = {M: 0}  # module -> k with module = Omega^k M
+    for k in range(1, i):
         M = _syzygy(A, M)
         if M is None:
             return 0
+        if M in orbit:
+            start = orbit[M]
+            M = list(orbit)[start + (i - 1 - start) % (k - start)]
+            break
+        orbit[M] = k
     return _ext1(A, M, N)
 
 

@@ -112,12 +112,8 @@ def _rref_inplace(m: list[list[Fraction]]) -> tuple[int, list[int]]:
     return rank_, pivots
 
 
-def nullspace(rows: Matrix, ncols: int | None = None) -> list[Vector]:
+def nullspace(rows: Matrix, ncols: int) -> list[Vector]:
     """Basis of the right kernel {x : A x = 0}, as vectors of Fractions."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("nullspace needs ncols when the matrix has no rows")
-        ncols = len(rows[0])
     if not rows:
         return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
     m = [[Fraction(x) for x in row] for row in rows]

@@ -397,35 +397,14 @@ def left_projective(A: Algebra, j: int) -> tuple[Representation, dict[int, dict[
     return Representation(dims, maps), positions
 
 
-def _direct_sum_left(A: Algebra, parts: list[tuple[Representation, dict]]) -> tuple[Representation, list[list[int]]]:
-    """Direct sum of left modules; returns the sum and per-part vertex offsets."""
-    n = A.n
-    offsets = []
-    dims = [0] * n
-    for rep, _ in parts:
-        offsets.append(dims[:])
-        dims = [a + b for a, b in zip(dims, rep.dims)]
-    maps: dict[int, Matrix] = {}
-    for src in arrow_sources(A):
-        tgt = A.down(src)
-        mat = linalg.zero_matrix(dims[src - 1], dims[tgt - 1])
-        for p, (rep, _) in enumerate(parts):
-            block = rep.maps[src]
-            ro, co = offsets[p][src - 1], offsets[p][tgt - 1]
-            for i, row in enumerate(block):
-                for j, x in enumerate(row):
-                    if x:
-                        mat[ro + i][co + j] = x
-        maps[src] = mat
-    return Representation(dims, maps), offsets
-
-
 def tau_via_dtr(A: Algebra, M: IndecModule) -> IndecModule | None:
     """Auslander-Reiten translate computed as D Tr.
 
-    Takes the minimal projective presentation P1 -> P0 -> M -> 0 and applies
-    Hom(-, A), turning right projectives into left projectives and the map
-    into right multiplication f: F -> G by the presentation matrix.  Then
+    Takes the minimal projective presentation P1 -> P0 -> M -> 0.  Its
+    syzygy K sits in the uniserial P0, so K has one generator, at some
+    vertex v, and P1 = P(v).  Hom(-, A) turns the right projectives into
+    the left projectives F = A e_{top M} and G = A e_v and the map into
+    right multiplication f: F -> G by the generator's path.  Then
     Tr M = coker f, and dualizing vertex-wise gives the exact sequence
     0 -> tau M -> nu P1 -> nu P0 (Assem-Simson-Skowronski, Elements I,
     IV.2.4), so tau M is the kernel of D f.
@@ -447,34 +426,23 @@ def tau_via_dtr(A: Algebra, M: IndecModule) -> IndecModule | None:
         rad_vectors = linalg.transpose(K.maps[u]) if u is not None else []
         for idx in linalg.extend_basis_indices(rad_vectors, kd):
             gens.append((v, [row[idx] for row in incl[v - 1]]))
-    if not gens:
-        raise OracleError("non-projective module with trivial syzygy top")
+    if len(gens) != 1:
+        raise OracleError(f"syzygy of a non-projective module has {len(gens)} generators, expected 1")
+    [(v, coeffs)] = gens
 
-    # Hom(-, A): P(i) becomes A e_i; the presentation becomes right
-    # multiplication A e_i -> sum of A e_{v_b} by the generator paths.
-    i = M.top
-    F, F_pos = left_projective(A, i)
-    parts = [left_projective(A, v) for v, _ in gens]
-    G, offsets = _direct_sum_left(A, parts)
-
-    # P0 layer positions at each vertex give the path-length coordinates.
-    p_layers: dict[int, list[int]] = {v: [] for v in A.vertices}
-    for k, v in enumerate(A.layers(data.cover_module)):
-        p_layers[v].append(k)
+    F, F_pos = left_projective(A, M.top)
+    G, G_pos = left_projective(A, v)
+    # P0 layer positions at v give the path-length coordinates.
+    p_layers = [k for k, w in enumerate(A.layers(data.cover_module)) if w == v]
 
     f_mats: list[Matrix] = []
     for s in A.vertices:
         mat = linalg.zero_matrix(G.dims[s - 1], F.dims[s - 1])
         for t_val, col in F_pos[s].items():
-            for b, (v_b, coeffs) in enumerate(gens):
-                _, b_pos = parts[b]
-                for pos, k in enumerate(p_layers[v_b]):
-                    coeff = coeffs[pos]
-                    if not coeff:
-                        continue
-                    dest = b_pos[s].get(t_val + k)
-                    if dest is not None:
-                        mat[offsets[b][s - 1] + dest][col] += coeff
+            for coeff, k in zip(coeffs, p_layers):
+                dest = G_pos[s].get(t_val + k)
+                if coeff and dest is not None:
+                    mat[dest][col] += coeff
         f_mats.append(mat)
 
     # Tr M = coker f, so D Tr M = ker(D f) with D f: D G = nu P1 -> D F = nu P0.
@@ -491,22 +459,18 @@ def tau_via_dtr(A: Algebra, M: IndecModule) -> IndecModule | None:
 
 @dataclass
 class EndTable:
-    """Endomorphism algebra of a direct sum, with its multiplication table.
+    """Hom blocks of the endomorphism algebra of a direct sum.
 
-    `basis_index[g] = (a, b, k)`: global basis element g is the k-th basis
-    vector of Hom(M_a, M_b) (objects 0-indexed).  `mult[(f, g)]` holds the
-    coordinates of "f then g" over the basis of the target block; it is
-    present exactly for composable pairs.
+    `bases[(a, b)]` is a basis of Hom(M_a, M_b) (objects 0-indexed), each
+    element a list of per-vertex matrices; `fibre_dims[a]` is the dimension
+    vector of M_a, which gives every block its per-vertex shapes.
     """
 
     objects: tuple[IndecModule, ...]
-    block_dims: dict[tuple[int, int], int]
-    block_offsets: dict[tuple[int, int], int]
-    basis_index: tuple[tuple[int, int, int], ...]
     bases: dict[tuple[int, int], tuple]
-    mult: dict[tuple[int, int], list]
+    block_dims: dict[tuple[int, int], int]
     total_dim: int
-    top_scalars: dict[int, Fraction]
+    fibre_dims: tuple[tuple[int, ...], ...]
 
 
 def _flatten_maps(mats: list[Matrix]) -> list:
@@ -518,86 +482,15 @@ def _flatten_maps(mats: list[Matrix]) -> list:
 
 
 def end_algebra(A: Algebra, modules) -> EndTable:
-    """Multiplication table of End(M_1 + ... + M_r) for pairwise distinct M_i."""
+    """Hom blocks of End(M_1 + ... + M_r) for pairwise distinct M_i."""
     objects = tuple(modules)
     if len(set(objects)) != len(objects):
         raise OracleError("end_algebra needs pairwise non-isomorphic summands")
     ws = _workspace(A)
-    reps = [ws.rep(m) for m in objects]
-    r = len(objects)
-    bases: dict[tuple[int, int], tuple] = {}
-    block_dims: dict[tuple[int, int], int] = {}
-    for a in range(r):
-        for b in range(r):
-            space = ws.hom_space(objects[a], objects[b])
-            bases[(a, b)] = space.basis
-            block_dims[(a, b)] = space.dim
-    basis_index: list[tuple[int, int, int]] = []
-    block_offsets: dict[tuple[int, int], int] = {}
-    for a in range(r):
-        for b in range(r):
-            block_offsets[(a, b)] = len(basis_index)
-            for k in range(block_dims[(a, b)]):
-                basis_index.append((a, b, k))
-    total = len(basis_index)
-
-    flat_bases = {key: [_flatten_maps(h) for h in val] for key, val in bases.items()}
-
-    mult: dict[tuple[int, int], list] = {}
-    for f_g, (a, b, i) in enumerate(basis_index):
-        f = bases[(a, b)][i]
-        for g_g, (b2, c, j) in enumerate(basis_index):
-            if b2 != b:
-                continue
-            g = bases[(b, c)][j]
-            # Composition through a zero-dimensional fiber loses the shape
-            # under plain list multiplication, so force it explicitly.
-            comp = []
-            for v in range(ws.n):
-                if reps[a].dims[v] and reps[b].dims[v] and reps[c].dims[v]:
-                    comp.append(mat_mul(g[v], f[v]))
-                else:
-                    comp.append(linalg.zero_matrix(reps[c].dims[v], reps[a].dims[v]))
-            flat = _flatten_maps(comp)
-            if not any(flat):
-                mult[(f_g, g_g)] = [Fraction(0)] * block_dims[(a, c)]
-                continue
-            coords = linalg.coords_in_span(flat_bases[(a, c)], flat)
-            if coords is None:
-                raise OracleError("composite outside the hom space span")
-            mult[(f_g, g_g)] = list(coords)
-
-    top_scalars: dict[int, Fraction] = {}
-    for g, (a, b, k) in enumerate(basis_index):
-        if a != b:
-            continue
-        # The induced scalar on the top: entry at the (layer 0, layer 0)
-        # position of the top vertex; layer 0 is the first basis vector there.
-        topv = objects[a].top
-        mat = bases[(a, b)][k][topv - 1]
-        top_scalars[g] = Fraction(mat[0][0])
-
-    return EndTable(
-        objects=objects,
-        block_dims=block_dims,
-        block_offsets=block_offsets,
-        basis_index=tuple(basis_index),
-        bases=bases,
-        mult=mult,
-        total_dim=total,
-        top_scalars=top_scalars,
-    )
-
-
-def identity_coords(table: EndTable, a: int) -> list:
-    """Coordinates of id_{M_a} over the basis of End(M_a)."""
-    block = table.bases[(a, a)]
-    dims = [len(mat) for mat in block[0]] if block else []
-    ident = [linalg.identity(d) for d in dims]
-    coords = linalg.coords_in_span([_flatten_maps(h) for h in block], _flatten_maps(ident))
-    if coords is None:
-        raise OracleError("identity not in the span of its own hom basis")
-    return list(coords)
+    fibre_dims = tuple(tuple(ws.rep(m).dims) for m in objects)
+    bases = {(a, b): ws.hom_space(x, y).basis for a, x in enumerate(objects) for b, y in enumerate(objects)}
+    block_dims = {key: len(basis) for key, basis in bases.items()}
+    return EndTable(objects, bases, block_dims, sum(block_dims.values()), fibre_dims)
 
 
 @dataclass
@@ -612,66 +505,59 @@ class QuiverData:
     arrow_counts: dict[tuple[int, int], int]
     total_dim: int
     block_dims: dict[tuple[int, int], int]
-    rad_dims: dict[tuple[int, int], int]
-    rad_square_dims: dict[tuple[int, int], int]
 
 
-def _multiply_block_vectors(table: EndTable, a: int, b: int, c: int, alpha: list, beta: list) -> list:
-    """Coordinates of (alpha in Hom(a,b)) followed by (beta in Hom(b,c))."""
-    out = [Fraction(0)] * table.block_dims[(a, c)]
-    for i, x in enumerate(alpha):
-        if not x:
-            continue
-        f_g = table.block_offsets[(a, b)] + i
-        for j, y in enumerate(beta):
-            if not y:
-                continue
-            g_g = table.block_offsets[(b, c)] + j
-            for k, z in enumerate(table.mult[(f_g, g_g)]):
-                if z:
-                    out[k] += x * y * z
-    return out
+def _composite(g: list[Matrix], f: list[Matrix], dims_a, dims_b, dims_c) -> list:
+    """g after f for f: M_a -> M_b and g: M_b -> M_c, flattened.
+
+    Through a zero fibre of M_b the composite is the zero matrix of shape
+    dims_c[v] x dims_a[v], a shape `mat_mul` cannot see in empty factors.
+    """
+    flat = []
+    for v, (gv, fv) in enumerate(zip(g, f)):
+        flat.extend(_flatten_maps([mat_mul(gv, fv)]) if dims_b[v] else [0] * (dims_c[v] * dims_a[v]))
+    return flat
+
+
+def _minus_multiple(h: list[Matrix], x: Fraction, p: list[Matrix]) -> list[Matrix]:
+    """The per-vertex matrices of h - x p."""
+    return [[[y - x * z for y, z in zip(hrow, prow)] for hrow, prow in zip(hv, pv)] for hv, pv in zip(h, p)]
 
 
 def quiver_of(table: EndTable) -> QuiverData:
-    """Arrow counts dim(rad/rad^2) between the objects of an EndTable."""
+    """Arrow counts dim(rad/rad^2) between the objects of an EndTable.
+
+    rad(M_a, M_b) is all of Hom for a != b.  For a = b it is spanned by
+    each basis element minus the multiple of a pivot that cancels its top
+    scalar: entry (0, 0) at the top vertex, the scalar by which it acts on
+    the top.  dim rad^2(M_a, M_c) is the rank of the composites g f over
+    every b, f in rad(M_a, M_b) and g in rad(M_b, M_c).
+    """
     r = len(table.objects)
     rad: dict[tuple[int, int], list] = {}
-    for a in range(r):
-        for b in range(r):
-            d = table.block_dims[(a, b)]
-            if a != b:
-                rad[(a, b)] = [
-                    [Fraction(int(i == j)) for j in range(d)] for i in range(d)
-                ]
-                continue
-            scalars = [table.top_scalars[table.block_offsets[(a, a)] + k] for k in range(d)]
-            pivot = next((k for k, s in enumerate(scalars) if s), None)
-            if pivot is None:
-                raise OracleError("endomorphism block without identity component")
-            vecs = []
-            for k in range(d):
-                if k == pivot:
-                    continue
-                v = [Fraction(0)] * d
-                v[k] = Fraction(1)
-                v[pivot] = -scalars[k] / scalars[pivot]
-                vecs.append(v)
-            rad[(a, b)] = vecs
+    for (a, b), basis in table.bases.items():
+        if a != b:
+            rad[(a, b)] = list(basis)
+            continue
+        top = table.objects[a].top - 1
+        scalars = [Fraction(h[top][0][0]) for h in basis]
+        pivot = next((k for k, s in enumerate(scalars) if s), None)
+        if pivot is None:
+            raise OracleError("endomorphism block without identity component")
+        p, x = basis[pivot], scalars[pivot]
+        rad[(a, b)] = [_minus_multiple(h, s / x, p) for k, (h, s) in enumerate(zip(basis, scalars)) if k != pivot]
 
-    rad_dims = {key: len(vecs) for key, vecs in rad.items()}
-    rad_square_dims: dict[tuple[int, int], int] = {}
+    dims = table.fibre_dims
     arrow_counts: dict[tuple[int, int], int] = {}
     for a in range(r):
         for c in range(r):
-            products = []
-            for b in range(r):
-                for alpha in rad[(a, b)]:
-                    for beta in rad[(b, c)]:
-                        products.append(_multiply_block_vectors(table, a, b, c, alpha, beta))
-            rk = linalg.rank(products) if products and products[0] else 0
-            rad_square_dims[(a, c)] = rk
-            count = rad_dims[(a, c)] - rk
+            composites = [
+                _composite(g, f, dims[a], dims[b], dims[c])
+                for b in range(r)
+                for f in rad[(a, b)]
+                for g in rad[(b, c)]
+            ]
+            count = len(rad[(a, c)]) - linalg.rank(composites)
             if count:
                 # Irreducible maps M_a -> M_c are arrows (c+1) -> (a+1).
                 arrow_counts[(c + 1, a + 1)] = count
@@ -680,6 +566,4 @@ def quiver_of(table: EndTable) -> QuiverData:
         arrow_counts=arrow_counts,
         total_dim=table.total_dim,
         block_dims={(a + 1, b + 1): d for (a, b), d in table.block_dims.items()},
-        rad_dims={(a + 1, b + 1): d for (a, b), d in rad_dims.items()},
-        rad_square_dims={(a + 1, b + 1): d for (a, b), d in rad_square_dims.items()},
     )

@@ -207,7 +207,7 @@ def minimal_tilting_assertions(max_n: int) -> list[dict]:
     return out
 
 
-def semisimple_sttilt_assertions(max_n: int = 10) -> list[dict]:
+def semisimple_sttilt_assertions(max_n: int) -> list[dict]:
     """A semisimple algebra with n simples has exactly 2^n support pairs."""
     out = []
     for n in range(1, max_n + 1):

@@ -78,6 +78,16 @@ class TestHomologicalVerbs:
         assert code == 0
         assert json.loads(out) == {"dim": 1}
 
+    def test_ext_huge_degree_is_fast(self, capsys):
+        # The syzygies of S(1) cycle with period 3 and 10**7 = 1 (mod 3).
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "ext", "--degree", "10000000", "--n", "3", "--kind", "cyclic", "S(1)", "S(3)"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out) == {"dim": 1}
+
     def test_ext_rejects_degree_zero(self, capsys):
         code, _, err = run_cli(
             capsys, "ext", "--degree", "0", "--n", "3", "--kind", "cyclic", "S(1)", "S(3)"

@@ -179,6 +179,26 @@ class TestExt:
                     expected = 0 if om is None else ext1_dim(A, om, nmod)
                     assert ext_dim(A, m, nmod, 2) == expected
 
+    def test_huge_degree_matches_the_congruent_small_degree(self, small_universe):
+        huge = 10**18
+        for A in small_universe:
+            for m in A.indecomposables():
+                # Walk the syzygy chain to zero or to its first repeat.
+                chain = [m]
+                while chain[-1] is not None and chain[-1] not in chain[:-1]:
+                    chain.append(syzygy(A, chain[-1]))
+                if chain[-1] is None:
+                    small = len(chain)
+                else:
+                    start = chain.index(chain[-1])
+                    small = 1 + start + (huge - 1 - start) % (len(chain) - 1 - start)
+                om = m
+                for _ in range(small - 1):
+                    om = syzygy(A, om)
+                for nmod in A.indecomposables():
+                    expected = 0 if om is None else ext1_dim(A, om, nmod)
+                    assert ext_dim(A, m, nmod, huge) == expected, (A, m, nmod)
+
     def test_ext2_vanishes_below_pd2(self, gamma_lin3):
         for m in gamma_lin3.indecomposables():
             if proj_dim(gamma_lin3, m) <= 1:
