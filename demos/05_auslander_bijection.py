@@ -11,7 +11,7 @@ counted by 2^(n-1) (linear) and 2^n (cyclic).
 
 from nakayama import (
     auslander_algebra,
-    enumerate_tilting,
+    auslander_family,
     make_rsz_nakayama,
     thm25_map,
     verify_bijection,
@@ -30,23 +30,26 @@ for kind in ("linear", "cyclic"):
 # the projective-injective vertices, paired with the complementary kill set.
 res = auslander_algebra(make_rsz_nakayama(3, "linear"))
 print(f"\ntilting modules over {res.gamma} and their support-pair images:")
-for T in enumerate_tilting(res.gamma):
+for T in res.tilting:
     pair = thm25_map(res, T)
     killed = ",".join(str(v) for v in sorted(pair.killed))
     print(f"  {T}  ->  ({pair.modules} | killed {killed})")
 
+# One family, linear n = 1..6 then cyclic, feeds both sweeps below; each
+# result enumerates its tilting modules once, on first use.
+family = auslander_family(6)
+
 # verify_bijection checks injectivity and surjectivity onto the
 # independently enumerated support pairs of gamma/(projective-injectives).
-for kind in ("linear", "cyclic"):
-    for n in (1, 2, 3, 4):
-        rep = verify_bijection(auslander_algebra(make_rsz_nakayama(n, kind)))
-        print(f"bijection {kind} n={n}: tilt={rep.tilting_count}"
+for res in family:
+    if res.lam.n <= 4:
+        rep = verify_bijection(res)
+        print(f"bijection {res.lam.kind} n={res.lam.n}: tilt={rep.tilting_count}"
               f" sttilt={rep.sttilt_count} passed={rep.passed}")
 
 # The count sweep doubles with n and carries the shape and minimality checks.
 print()
-for kind in ("linear", "cyclic"):
-    for n in range(1, 7):
-        rep = verify_counts(n, kind)
-        print(f"counts {kind} n={n}: {rep.count} (expected {rep.expected})"
-              f" shapes={rep.shape_ok} minimal={rep.minimal_ok}")
+for res in family:
+    rep = verify_counts(res)
+    print(f"counts {rep.kind} n={rep.n}: {rep.count} (expected {rep.expected})"
+          f" shapes={rep.shape_ok} minimal={rep.minimal_ok}")

@@ -15,20 +15,17 @@ The closed form is asserted against the matrix oracle (`end_algebra` /
 `quiver_of`) in the test suite, not trusted blindly.  Everything
 downstream (the bijection onto support tau-tilting pairs of the quotient
 by the projective-injectives, and the tilting counts) is computed from
-the Kupisch model.
+the Kupisch model.  `auslander_family` builds the results for both kinds
+and n = 1..max_n; each enumerates its tilting modules once, on first use
+(`AuslanderResult.tilting`), for every report and check that reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .algebra import (
-    Algebra,
-    AlgebraError,
-    IndecModule,
-    ModuleSet,
-    make_rsz_nakayama,
-)
+from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet, make_rsz_nakayama
 from .homology import gorenstein_profile
 from .tau_tilting import SupportPair, enumerate_sttilt_over
 from .tilting import (
@@ -48,12 +45,17 @@ class AuslanderResult:
     `dictionary[v]` is the L-module whose Hom-functor is the projective of
     gamma at vertex v; `projinj` are the gamma-vertices whose projective
     is also injective (computed intrinsically from the Kupisch model).
+    `tilting` enumerates the tilting modules of gamma on first use.
     """
 
     lam: Algebra
     gamma: Algebra
     dictionary: dict[int, IndecModule]
     projinj: frozenset[int]
+
+    @cached_property
+    def tilting(self) -> list[ModuleSet]:
+        return enumerate_tilting(self.gamma)
 
 
 def auslander_algebra(lam: Algebra) -> AuslanderResult:
@@ -89,6 +91,15 @@ def auslander_algebra(lam: Algebra) -> AuslanderResult:
         raise AlgebraError(f"unknown kind {lam.kind!r}")
     projinj = gamma.projective_injective_vertices()
     return AuslanderResult(lam=lam, gamma=gamma, dictionary=dictionary, projinj=projinj)
+
+
+def auslander_family(max_n: int) -> list[AuslanderResult]:
+    """Auslander results for linear n = 1..max_n, then cyclic n = 1..max_n."""
+    return [
+        auslander_algebra(make_rsz_nakayama(n, kind))
+        for kind in ("linear", "cyclic")
+        for n in range(1, max_n + 1)
+    ]
 
 
 def thm25_map(res: AuslanderResult, ms: ModuleSet) -> SupportPair:
@@ -144,7 +155,7 @@ def verify_bijection(res: AuslanderResult) -> BijectionReport:
     profile = gorenstein_profile(gamma)
     if not (profile.is_auslander and profile.is_1_gorenstein):
         raise AlgebraError("the bijection needs an Auslander 1-Gorenstein algebra")
-    tilting = enumerate_tilting(gamma)
+    tilting = res.tilting
     targets = enumerate_sttilt_over(gamma, res.projinj)
     images = []
     for T in tilting:
@@ -181,18 +192,15 @@ class CountReport:
     passed: bool
 
 
-def verify_counts(n: int, kind: str) -> CountReport:
-    """Count tilting modules over the Auslander algebra of the rsz algebra.
+def verify_counts(res: AuslanderResult) -> CountReport:
+    """Count the tilting modules of the Auslander algebra of L = res.lam.
 
     Expected counts: 2^(n-1) for linear, 2^n for cyclic.  Also checks
     every summand's shape with `summand_shape_check`, and that the
     minimal tilting module is the unique Gen-minimum of the same
-    enumeration, so the algebra is enumerated once.
+    enumeration, `res.tilting`.
     """
-    if n < 1:
-        raise AlgebraError(f"need n >= 1, got {n}")
-    gamma = auslander_algebra(make_rsz_nakayama(n, kind)).gamma
-    tilting = enumerate_tilting(gamma)
+    n, kind, gamma, tilting = res.lam.n, res.lam.kind, res.gamma, res.tilting
     expected = 2 ** (n - 1) if kind == "linear" else 2 ** n
     shape_ok = not any(summand_shape_check(gamma, T) for T in tilting)
     try:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet
-from .homology import cosyzygy, gorenstein_profile, regular_i0, regular_module
+from .homology import cosyzygy, regular_i0, regular_module
 from .tables import Tables, cliques, indices, mask
 
 
@@ -211,14 +211,13 @@ def proj_mutation_sequence(A: Algebra, T: ModuleSet, P: IndecModule) -> ProjMuta
 
 
 def minimal_tilting(A: Algebra) -> ModuleSet:
-    """The Gen-minimal tilting module I0 + cosyzygy(A) of a 1-Gorenstein algebra.
+    """The Gen-minimal tilting module I0 + cosyzygy(A), verified as tilting.
 
-    It is verified as tilting here; `check_gen_minimum` checks that it is
-    the unique Gen-minimum of an enumeration.
+    Every Nakayama algebra is 1-Gorenstein: the injective envelope of P(i)
+    is some M(j, c(i) + j - i), and c(i+1) <= c(i) + 1 forces c(j) to be
+    c(i) + j - i, so I0 is projective.  `check_gen_minimum` checks that the
+    result is the unique Gen-minimum of an enumeration.
     """
-    profile = gorenstein_profile(A)
-    if not profile.is_1_gorenstein:
-        raise AlgebraError("minimal tilting formula needs a 1-Gorenstein algebra")
     parts = list(regular_i0(A))
     for i in A.vertices:
         cos = cosyzygy(A, A.projective(i))

@@ -5,6 +5,10 @@ Each function returns a list of dicts with keys "name", "passed" and
 only copy of the checks: `paper_report` caps the sweeps for interactive
 use, and the acceptance tests run the same functions at the acceptance
 bounds and assert that every record passed.
+
+The checks on Auslander algebras take a list of `AuslanderResult`s, an
+`auslander_family` or part of one; `paper_report` builds one family, so
+each Gamma is built, and its tilting modules enumerated, once.
 """
 
 from __future__ import annotations
@@ -21,12 +25,17 @@ from .algebra import (
 )
 from . import homology as H
 from . import oracle as O
-from .auslander import auslander_algebra, verify_bijection, verify_counts
+from .auslander import (
+    AuslanderResult,
+    auslander_algebra,
+    auslander_family,
+    verify_bijection,
+    verify_counts,
+)
 from .tau_tilting import enumerate_sttilt
 from .tilting import (
     TiltingError,
     check_gen_minimum,
-    enumerate_tilting,
     minimal_tilting,
     proj_mutation_sequence,
     summand_shape_check,
@@ -37,80 +46,71 @@ def _assertion(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def construction_assertions(max_n: int) -> list[dict]:
+def _label(res: AuslanderResult) -> str:
+    return f"{res.lam.kind}_n{res.lam.n}"
+
+
+def construction_assertions(family: list[AuslanderResult]) -> list[dict]:
     """Auslander algebra construction: dictionary, projective-injectives, quotient."""
     out = []
-    for kind in ("linear", "cyclic"):
-        for n in range(1, max_n + 1):
-            lam = make_rsz_nakayama(n, kind)
-            res = auslander_algebra(lam)
-            gamma = res.gamma
-            problems = []
-            if sorted(res.dictionary) != list(gamma.vertices):
-                problems.append("dictionary does not cover the vertices")
-            images = list(res.dictionary.values())
-            if sorted(set(images)) != sorted(lam.indecomposables()):
-                problems.append("dictionary is not a bijection onto ind(Lambda)")
-            for v in gamma.vertices:
-                if (v in res.projinj) != lam.is_injective(res.dictionary[v]):
-                    problems.append(f"projective-injective flag wrong at vertex {v}")
-                    break
-            q = quotient_algebra(gamma, res.projinj)
-            simples = sum(comp.n for comp in q.components)
-            expected_simples = n if kind == "cyclic" else n - 1
-            if simples != expected_simples:
-                problems.append(f"quotient has {simples} simples, expected {expected_simples}")
-            if any(comp.c != (1,) * comp.n for comp in q.components):
-                problems.append("quotient by the projective-injectives is not semisimple")
-            out.append(
-                _assertion(
-                    f"auslander_construction_{kind}_n{n}",
-                    not problems,
-                    problems[0] if problems else f"gamma={gamma} projinj={sorted(res.projinj)}",
-                )
+    for res in family:
+        lam, gamma = res.lam, res.gamma
+        problems = []
+        if sorted(res.dictionary) != list(gamma.vertices):
+            problems.append("dictionary does not cover the vertices")
+        if sorted(set(res.dictionary.values())) != sorted(lam.indecomposables()):
+            problems.append("dictionary is not a bijection onto ind(Lambda)")
+        for v in gamma.vertices:
+            if (v in res.projinj) != lam.is_injective(res.dictionary[v]):
+                problems.append(f"projective-injective flag wrong at vertex {v}")
+                break
+        q = quotient_algebra(gamma, res.projinj)
+        simples = sum(comp.n for comp in q.components)
+        expected_simples = lam.n if lam.kind == "cyclic" else lam.n - 1
+        if simples != expected_simples:
+            problems.append(f"quotient has {simples} simples, expected {expected_simples}")
+        if any(comp.c != (1,) * comp.n for comp in q.components):
+            problems.append("quotient by the projective-injectives is not semisimple")
+        out.append(
+            _assertion(
+                f"auslander_construction_{_label(res)}",
+                not problems,
+                problems[0] if problems else f"gamma={gamma} projinj={sorted(res.projinj)}",
             )
+        )
     return out
 
 
-def shape_assertions(max_n: int) -> list[dict]:
+def shape_assertions(family: list[AuslanderResult]) -> list[dict]:
     """Every tilting summand is projective or the simple socle of a projective-injective."""
     out = []
-    for kind in ("linear", "cyclic"):
-        for n in range(1, max_n + 1):
-            gamma = auslander_algebra(make_rsz_nakayama(n, kind)).gamma
-            offenders = []
-            checked = 0
-            for T in enumerate_tilting(gamma):
-                checked += 1
-                bad = summand_shape_check(gamma, T)
-                if bad:
-                    offenders.append(f"{T}: {bad[0]}")
-            out.append(
-                _assertion(
-                    f"tilting_summand_shape_{kind}_n{n}",
-                    not offenders,
-                    f"checked {checked} tilting modules"
-                    + (f"; first offender {offenders[0]}" if offenders else ""),
-                )
+    for res in family:
+        offenders = [f"{T}: {b[0]}" for T in res.tilting if (b := summand_shape_check(res.gamma, T))]
+        out.append(
+            _assertion(
+                f"tilting_summand_shape_{_label(res)}",
+                not offenders,
+                f"checked {len(res.tilting)} tilting modules"
+                + (f"; first offender {offenders[0]}" if offenders else ""),
             )
+        )
     return out
 
 
-def count_assertions(max_n: int) -> list[dict]:
+def count_assertions(family: list[AuslanderResult]) -> list[dict]:
     """Tilting counts over the Auslander algebras: 2^(n-1) linear, 2^n cyclic."""
     out = []
-    for kind in ("linear", "cyclic"):
-        for n in range(1, max_n + 1):
-            rep = verify_counts(n, kind)
-            out.append(
-                _assertion(
-                    f"tilting_count_{kind}_n{n}",
-                    rep.passed,
-                    f"count={rep.count} expected={rep.expected} "
-                    f"shapes={'ok' if rep.shape_ok else 'bad'} "
-                    f"minimal={'ok' if rep.minimal_ok else 'bad'}",
-                )
+    for res in family:
+        rep = verify_counts(res)
+        out.append(
+            _assertion(
+                f"tilting_count_{_label(res)}",
+                rep.passed,
+                f"count={rep.count} expected={rep.expected} "
+                f"shapes={'ok' if rep.shape_ok else 'bad'} "
+                f"minimal={'ok' if rep.minimal_ok else 'bad'}",
             )
+        )
     return out
 
 
@@ -138,7 +138,7 @@ def golden_list_assertions() -> list[dict]:
     out = []
     for kind, expected in golden.items():
         res = auslander_algebra(make_rsz_nakayama(3, kind))
-        got = [set(T) for T in enumerate_tilting(res.gamma)]
+        got = [set(T) for T in res.tilting]
         ok = len(got) == len(expected) and all(e in got for e in expected)
         out.append(
             _assertion(
@@ -149,61 +149,58 @@ def golden_list_assertions() -> list[dict]:
         )
     # The Auslander algebra of K[x]/(x^2) has exactly two tilting modules.
     res1 = auslander_algebra(make_rsz_nakayama(1, "cyclic"))
-    tilting = enumerate_tilting(res1.gamma)
-    sets = [set(T) for T in tilting]
+    sets = [set(T) for T in res1.tilting]
     ok = (
         res1.gamma == Algebra("cyclic", (3, 2))
-        and len(tilting) == 2
+        and len(sets) == 2
         and {M(1, 1), M(1, 3)} in sets
         and {M(1, 3), M(2, 2)} in sets
     )
-    out.append(_assertion("dual_numbers_two_tilting", ok, f"count={len(tilting)} over {res1.gamma}"))
+    out.append(_assertion("dual_numbers_two_tilting", ok, f"count={len(sets)} over {res1.gamma}"))
     return out
 
 
-def mutation_shape_assertions(max_n: int) -> list[dict]:
+def mutation_shape_assertions(family: list[AuslanderResult]) -> list[dict]:
     """Projective non-injective summands mutate to the envelope cokernel, a simple."""
     out = []
-    for kind in ("linear", "cyclic"):
-        for n in range(1, max_n + 1):
-            gamma = auslander_algebra(make_rsz_nakayama(n, kind)).gamma
-            violations = []
-            checked = 0
-            for T in enumerate_tilting(gamma):
-                for p in T:
-                    if not gamma.is_projective(p) or gamma.is_injective(p):
-                        continue
-                    checked += 1
-                    try:
-                        seq = proj_mutation_sequence(gamma, T, p)
-                    except (AlgebraError, TiltingError) as exc:  # structural failure
-                        violations.append(f"{T} at {p}: {exc}")
-                        continue
-                    if not gamma.is_simple(seq.cokernel):
-                        violations.append(f"{T} at {p}: cokernel {seq.cokernel} not simple")
-            out.append(
-                _assertion(
-                    f"proj_mutation_shape_{kind}_n{n}",
-                    not violations,
-                    f"checked {checked} projective summand mutations"
-                    + (f"; first violation: {violations[0]}" if violations else ""),
-                )
+    for res in family:
+        gamma = res.gamma
+        violations = []
+        checked = 0
+        for T in res.tilting:
+            for p in T:
+                if not gamma.is_projective(p) or gamma.is_injective(p):
+                    continue
+                checked += 1
+                try:
+                    seq = proj_mutation_sequence(gamma, T, p)
+                except (AlgebraError, TiltingError) as exc:  # structural failure
+                    violations.append(f"{T} at {p}: {exc}")
+                    continue
+                if not gamma.is_simple(seq.cokernel):
+                    violations.append(f"{T} at {p}: cokernel {seq.cokernel} not simple")
+        out.append(
+            _assertion(
+                f"proj_mutation_shape_{_label(res)}",
+                not violations,
+                f"checked {checked} projective summand mutations"
+                + (f"; first violation: {violations[0]}" if violations else ""),
             )
+        )
     return out
 
 
-def minimal_tilting_assertions(max_n: int) -> list[dict]:
+def minimal_tilting_assertions(family: list[AuslanderResult]) -> list[dict]:
     """The formula I0 + cosyzygy(A) is the unique Gen-minimal tilting module."""
     out = []
-    for kind in ("linear", "cyclic"):
-        for n in range(1, max_n + 1):
-            gamma = auslander_algebra(make_rsz_nakayama(n, kind)).gamma
-            try:
-                ms = minimal_tilting(gamma)
-                check_gen_minimum(gamma, ms, enumerate_tilting(gamma))
-                out.append(_assertion(f"minimal_tilting_{kind}_n{n}", True, f"minimum is {ms}"))
-            except (AlgebraError, TiltingError) as exc:
-                out.append(_assertion(f"minimal_tilting_{kind}_n{n}", False, str(exc)))
+    for res in family:
+        name = f"minimal_tilting_{_label(res)}"
+        try:
+            ms = minimal_tilting(res.gamma)
+            check_gen_minimum(res.gamma, ms, res.tilting)
+            out.append(_assertion(name, True, f"minimum is {ms}"))
+        except (AlgebraError, TiltingError) as exc:
+            out.append(_assertion(name, False, str(exc)))
     return out
 
 
@@ -226,45 +223,40 @@ def semisimple_sttilt_assertions(max_n: int) -> list[dict]:
     return out
 
 
-def bijection_assertions(max_n: int) -> list[dict]:
+def bijection_assertions(family: list[AuslanderResult]) -> list[dict]:
     """Tilting modules biject onto support pairs of the projective-injective quotient."""
     out = []
-    for kind in ("linear", "cyclic"):
-        for n in range(1, max_n + 1):
-            res = auslander_algebra(make_rsz_nakayama(n, kind))
-            rep = verify_bijection(res)
-            out.append(
-                _assertion(
-                    f"tilting_sttilt_bijection_{kind}_n{n}",
-                    rep.passed,
-                    f"tilting={rep.tilting_count} sttilt={rep.sttilt_count} "
-                    f"injective={rep.injective} surjective={rep.surjective}",
-                )
+    for res in family:
+        rep = verify_bijection(res)
+        out.append(
+            _assertion(
+                f"tilting_sttilt_bijection_{_label(res)}",
+                rep.passed,
+                f"tilting={rep.tilting_count} sttilt={rep.sttilt_count} "
+                f"injective={rep.injective} surjective={rep.surjective}",
             )
+        )
     return out
 
 
-def profile_assertions(max_n: int) -> list[dict]:
+def profile_assertions(family: list[AuslanderResult]) -> list[dict]:
     """Auslander algebras are Auslander 1-Gorenstein; cyclic rsz algebras are
     1-Gorenstein of infinite global dimension (n >= 1)."""
     out = []
-    for kind in ("linear", "cyclic"):
-        for n in range(1, max_n + 1):
-            gamma = auslander_algebra(make_rsz_nakayama(n, kind)).gamma
-            prof = H.gorenstein_profile(gamma)
-            out.append(
-                _assertion(
-                    f"gamma_profile_{kind}_n{n}",
-                    prof.is_auslander and prof.is_1_gorenstein and prof.gldim <= 2,
-                    f"gldim={prof.gldim} auslander={prof.is_auslander}",
-                )
+    for res in family:
+        prof = H.gorenstein_profile(res.gamma)
+        out.append(
+            _assertion(
+                f"gamma_profile_{_label(res)}",
+                prof.is_auslander and prof.is_1_gorenstein and prof.gldim <= 2,
+                f"gldim={prof.gldim} auslander={prof.is_auslander}",
             )
-    for n in range(1, max_n + 1):
-        lam = make_rsz_nakayama(n, "cyclic")
+        )
+    for lam in (res.lam for res in family if res.lam.kind == "cyclic"):
         prof = H.gorenstein_profile(lam)
         out.append(
             _assertion(
-                f"cyclic_rsz_profile_n{n}",
+                f"cyclic_rsz_profile_n{lam.n}",
                 prof.is_1_gorenstein and prof.gldim == H.INFINITE,
                 f"gldim={prof.gldim} 1-gorenstein={prof.is_1_gorenstein}",
             )
@@ -297,37 +289,27 @@ def oracle_sweep_assertions(max_n: int, max_entry: int = 4) -> list[dict]:
     return [_assertion(f"oracle_equivalence_N{max_n}_entries{max_entry}", first_fail is None, detail)]
 
 
-def end_algebra_assertions(max_n: int) -> list[dict]:
+def end_algebra_assertions(family: list[AuslanderResult]) -> list[dict]:
     """The Kupisch model of the Auslander algebra matches End-algebra matrices."""
     out = []
-    for kind in ("linear", "cyclic"):
-        for n in range(1, max_n + 1):
-            lam = make_rsz_nakayama(n, kind)
-            res = auslander_algebra(lam)
-            gamma = res.gamma
-            objects = [res.dictionary[v] for v in gamma.vertices]
-            table = O.end_algebra(lam, objects)
-            q = O.quiver_of(table)
-            model_arrows = {
-                (v, gamma.down(v)): 1 for v in gamma.vertices if gamma.kupisch(v) >= 2
-            }
-            blocks_ok = all(
-                q.block_dims[(a, b)] == gamma.path_count(b, a)
-                for a in gamma.vertices
-                for b in gamma.vertices
+    for res in family:
+        gamma = res.gamma
+        objects = [res.dictionary[v] for v in gamma.vertices]
+        q = O.quiver_of(O.end_algebra(res.lam, objects))
+        model_arrows = {(v, gamma.down(v)): 1 for v in gamma.vertices if gamma.kupisch(v) >= 2}
+        blocks_ok = all(
+            q.block_dims[(a, b)] == gamma.path_count(b, a)
+            for a in gamma.vertices
+            for b in gamma.vertices
+        )
+        ok = q.total_dim == gamma.dimension() and q.arrow_counts == model_arrows and blocks_ok
+        out.append(
+            _assertion(
+                f"auslander_end_algebra_{_label(res)}",
+                ok,
+                f"total_dim={q.total_dim} model_dim={gamma.dimension()} arrows={'ok' if q.arrow_counts == model_arrows else 'bad'}",
             )
-            ok = (
-                q.total_dim == gamma.dimension()
-                and q.arrow_counts == model_arrows
-                and blocks_ok
-            )
-            out.append(
-                _assertion(
-                    f"auslander_end_algebra_{kind}_n{n}",
-                    ok,
-                    f"total_dim={q.total_dim} model_dim={gamma.dimension()} arrows={'ok' if q.arrow_counts == model_arrows else 'bad'}",
-                )
-            )
+        )
     return out
 
 
@@ -341,17 +323,20 @@ def paper_report(max_n: int = 4, with_oracle: bool = False) -> list[dict]:
     """
     if max_n < 1:
         raise AlgebraError(f"need max_n >= 1, got {max_n}")
+    family = auslander_family(max_n)
+    upto6 = [res for res in family if res.lam.n <= 6]
+    upto5 = [res for res in upto6 if res.lam.n <= 5]
     out = []
-    out += construction_assertions(min(max_n, 6))
-    out += shape_assertions(min(max_n, 6))
-    out += mutation_shape_assertions(min(max_n, 6))
-    out += minimal_tilting_assertions(min(max_n, 5))
+    out += construction_assertions(upto6)
+    out += shape_assertions(upto6)
+    out += mutation_shape_assertions(upto6)
+    out += minimal_tilting_assertions(upto5)
     out += semisimple_sttilt_assertions(10)
-    out += bijection_assertions(min(max_n, 6))
-    out += count_assertions(max_n)
+    out += bijection_assertions(upto6)
+    out += count_assertions(family)
     out += golden_list_assertions()
-    out += profile_assertions(min(max_n, 6))
+    out += profile_assertions(upto6)
     if with_oracle:
         out += oracle_sweep_assertions(min(max_n, 6))
-        out += end_algebra_assertions(min(max_n, 5))
+        out += end_algebra_assertions(upto5)
     return out

@@ -1,7 +1,8 @@
 """Acceptance suite: ten end-to-end checks, one printed PASS/FAIL line each.
 
 Each test runs the `nakayama.verification` battery behind one claim at
-the acceptance bounds and asserts that every record passed and that the
+the acceptance bounds (an `auslander_family(max_n)` for the checks on
+Auslander algebras) and asserts that every record passed and that the
 battery covered the whole range.  The verdict is printed through
 capsys.disabled() so the line is visible in a plain `pytest -v` run.
 The two long-running checks carry explicit wall-clock budgets
@@ -11,6 +12,7 @@ The two long-running checks carry explicit wall-clock budgets
 import time
 
 from nakayama import verification as V
+from nakayama.auslander import auslander_family
 
 
 def report(capsys, num, name, records, expected, elapsed=None, budget_s=None):
@@ -31,7 +33,7 @@ def report(capsys, num, name, records, expected, elapsed=None, budget_s=None):
 
 def test_01_tilting_counts_with_time_budget(capsys):
     start = time.perf_counter()
-    records = V.count_assertions(14)
+    records = V.count_assertions(auslander_family(14))
     report(
         capsys, 1, "tilting counts 2^(n-1) linear, 2^n cyclic, shapes and minimum, n<=14",
         records, 28, time.perf_counter() - start, budget_s=60.0,
@@ -51,21 +53,21 @@ def test_03_dual_numbers_base_case(capsys):
 def test_04_summand_shapes(capsys):
     report(
         capsys, 4, "summands projective or simple socle of proj-injective, n<=6",
-        V.shape_assertions(6), 12,
+        V.shape_assertions(auslander_family(6)), 12,
     )
 
 
 def test_05_projective_mutation_shape(capsys):
     report(
         capsys, 5, "mutation at projective non-injective gives the simple cokernel, n<=6",
-        V.mutation_shape_assertions(6), 12,
+        V.mutation_shape_assertions(auslander_family(6)), 12,
     )
 
 
 def test_06_minimal_tilting_is_unique_gen_minimum(capsys):
     report(
         capsys, 6, "I0 + cosyzygy formula is the unique Gen-minimum, n<=5",
-        V.minimal_tilting_assertions(5), 10,
+        V.minimal_tilting_assertions(auslander_family(5)), 10,
     )
 
 
@@ -79,13 +81,13 @@ def test_07_semisimple_support_pairs(capsys):
 def test_08_bijection_onto_support_pairs(capsys):
     report(
         capsys, 8, "tilting modules biject with support pairs of the quotient, n<=6",
-        V.bijection_assertions(6), 12,
+        V.bijection_assertions(auslander_family(6)), 12,
     )
 
 
 def test_09_oracle_equivalence_with_time_budget(capsys):
     start = time.perf_counter()
-    records = V.oracle_sweep_assertions(6, 4) + V.end_algebra_assertions(5)
+    records = V.oracle_sweep_assertions(6, 4) + V.end_algebra_assertions(auslander_family(5))
     report(
         capsys, 9, "matrix oracle agrees on every series N<=6 entries<=4 and End quivers n<=5",
         records, 11, time.perf_counter() - start, budget_s=300.0,
@@ -95,5 +97,5 @@ def test_09_oracle_equivalence_with_time_budget(capsys):
 def test_10_gorenstein_profiles(capsys):
     report(
         capsys, 10, "Auslander profiles for Gamma; 1-Gorenstein infinite-gldim Lambda, n<=8",
-        V.profile_assertions(8), 24,
+        V.profile_assertions(auslander_family(8)), 24,
     )

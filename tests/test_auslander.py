@@ -195,21 +195,18 @@ class TestCountReports:
         ("cyclic", 4, 16),
     ])
     def test_counts(self, kind, n, expected):
-        report = verify_counts(n, kind)
+        report = verify_counts(auslander_algebra(make_rsz_nakayama(n, kind)))
         assert report.passed
+        assert (report.n, report.kind) == (n, kind)
         assert report.count == expected == report.expected
         assert report.shape_ok and report.minimal_ok
-
-    def test_bound_is_enforced(self):
-        with pytest.raises(AlgebraError):
-            verify_counts(0, "linear")
 
     def test_structural_failure_is_reported(self, monkeypatch):
         def fails(*args, **kwargs):
             raise TiltingError("Gen-minimum mismatch")
 
         monkeypatch.setattr("nakayama.auslander.minimal_tilting", fails)
-        report = verify_counts(2, "linear")
+        report = verify_counts(auslander_algebra(make_rsz_nakayama(2, "linear")))
         assert not report.minimal_ok and not report.passed
 
     def test_unexpected_errors_propagate(self, monkeypatch):
@@ -218,7 +215,7 @@ class TestCountReports:
 
         monkeypatch.setattr("nakayama.auslander.minimal_tilting", broken)
         with pytest.raises(KeyError):
-            verify_counts(2, "linear")
+            verify_counts(auslander_algebra(make_rsz_nakayama(2, "linear")))
 
 
 class TestProfiles:

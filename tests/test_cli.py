@@ -220,6 +220,18 @@ class TestSizeLimits:
         assert out == ""
         assert f"number of simples {limit + 1} exceeds the limit {limit}" in err
 
+    @pytest.mark.parametrize("verb", [("tilt", "enumerate"), ("tilt", "graph"), ("sttilt", "enumerate")])
+    def test_file_dimension_limit(self, capsys, tmp_path, verb):
+        # One simple, but d x d table entries for dimension d.
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"kind": "cyclic", "kupisch": [10**6]}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *verb, "--algebra", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert f"dimension {10**6} exceeds the limit {cli.MAX_FILE_DIMENSION}" in err
+
     def test_sttilt_n_refused_before_the_algebra_is_built(self, capsys, monkeypatch):
         def build(*args):
             raise AssertionError("built an algebra past the --n limit")

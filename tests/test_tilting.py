@@ -298,6 +298,11 @@ class TestMinimalTilting:
         minimal_tilting(gamma_cyc3)
         assert len(calls) == 1
 
+    def test_i0_is_projective_for_every_nakayama_algebra(self):
+        # Why minimal_tilting needs no 1-Gorenstein guard.
+        for A in iter_algebras(5, 4):
+            assert all(A.is_projective(m) for m in regular_i0(A)), A
+
     def test_works_beyond_auslander_algebras(self):
         # Serial algebras are QF-3, so the formula applies to any of them;
         # over the linear radical-square-zero series it still checks out.
