@@ -242,7 +242,7 @@ class Algebra:
 
     @cached_property
     def tables(self) -> Tables:
-        """Hom/Ext^1/tau tables over the indecomposables, built on first use."""
+        """Projective dimensions and candidate masks over the indecomposables, built on first use."""
         return Tables(self)
 
     def __str__(self) -> str:

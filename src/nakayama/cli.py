@@ -48,21 +48,28 @@ from .verification import paper_report
 
 USAGE_ERROR = 2
 
-# Size limits of the exponential verbs, refused up front with USAGE_ERROR:
-# an option limit (--n, --max-n) is checked before any algebra is built,
-# and an --algebra file is limited by its number of simples and its
-# dimension d (the sum of its Kupisch series).  Single runs at the limit
-# on a 2-CPU Xeon VM: tilt enumerate --n 14 --kind cyclic 0.96 s; tilt
-# graph --n 10 --kind cyclic 8.5 s; sttilt enumerate --n 14 --kind cyclic
-# (2^14 kill sets, 228,486 pairs) 9.2 s, 3.1 s of it enumeration and the
-# rest JSON output; verify paper --max-n 12 0.75 s.
+# Size limits, refused up front with USAGE_ERROR: an option limit (--n,
+# --max-n) of an exponential verb is checked before any algebra is built,
+# an --algebra file of such a verb is limited by its number of simples, and
+# every --algebra file by its dimension d (the sum of its Kupisch series).
+# Single runs at the limit on a 2-CPU Xeon VM: tilt enumerate --n 14
+# --kind cyclic 0.96 s; tilt graph --n 10 --kind cyclic 8.5 s; sttilt
+# enumerate --n 14 --kind cyclic (2^14 kill sets, 228,486 pairs) 9.2 s,
+# 3.1 s of it enumeration and the rest JSON output; verify paper --max-n
+# 12 0.75 s.
 # The worst files measured: for tilt, the path algebra linear (1, 2, ...,
 # N), with Catalan(N) tilting modules: tilt enumerate N=12 (208,012
 # modules) 9.3 s, tilt graph N=8 (1,430 modules) 8.8 s; for sttilt, the
 # self-injective cyclic (N, ..., N), with C(2N, N) pairs: N=10 (184,756
-# pairs, d = 100) 8.9 s and 501 MB peak RSS.  The d x d tables add time
-# growing with d^2: tilt enumerate on cyclic (2000,) 5.1 s, (3000,) 11.3 s;
-# sttilt enumerate on cyclic (100,)*10 12.7 s, on (10,)*10 10.9 s.
+# pairs, d = 100) 8.9 s and 501 MB peak RSS.  Every verb scans the d
+# modules, and tilt re-verifies each module on masks d bits long, so the
+# worst files grow slowly with d: cyclic (N, N+1, ..., N+k-1) has
+# Catalan(k) tilting modules too (found for every k <= 6 with N near 3k,
+# and for the two series below).  Paired single runs at d ~ 2000
+# against the small worst files above: tilt enumerate on cyclic (161, ...,
+# 172) 9.8 s (path 9.1 s); tilt graph on (246, ..., 253) 11.8 s (path
+# 11.4 s); sttilt enumerate on (200,)*10 10.4 s ((10,)*10 10.3 s).  At
+# d ~ 5000 tilt enumerate on (411, ..., 422) took 10.4 s.
 MAX_TILT_ENUMERATE_N = 14
 MAX_TILT_GRAPH_N = 10
 MAX_TILT_ENUMERATE_SIMPLES = 12
@@ -70,7 +77,7 @@ MAX_TILT_GRAPH_SIMPLES = 8
 MAX_STTILT_N = 14
 MAX_STTILT_SIMPLES = 10
 MAX_VERIFY_N = 12
-MAX_FILE_DIMENSION = 100
+MAX_FILE_DIMENSION = 2000
 
 
 def _json_dim(value) -> object:
@@ -278,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         A = None
         if not verify:
             A = _resolve_algebra(args, auslander=words[0] == "tilt")
-            if args.algebra and file_limit is not None:
+            if args.algebra:
                 _check_limit(verb, "number of simples", A.n, file_limit)
                 _check_limit(verb, "dimension", A.dimension(), MAX_FILE_DIMENSION)
         out = handler(A, args)

@@ -5,8 +5,8 @@ length) of the modules.  Each closed form is written once, as a private
 kernel that trusts its arguments: `_hom`, `_syzygy`, `_cosyzygy`, `_tau`,
 `_ext1` and the resolution orbit `_dim_along` behind `proj_dim` and
 `inj_dim`.  The public functions validate each module once, with
-`Algebra.check_module`, and then call the kernels; `tables.Tables` fills
-its tables by mapping the same kernels over its index.  The test suite
+`Algebra.check_module`, and then call the kernels; `tables.Tables` builds
+its candidate masks from the same kernels, pair by pair.  The test suite
 holds the kernels to an independent copy of the formulas kept in
 `tests/test_tables.py` and to the matrix oracle.
 

@@ -1,12 +1,16 @@
-"""Per-algebra tables of homological invariants, and the clique engine.
+"""Per-algebra candidate masks, and the clique engine.
 
 `Tables` indexes the indecomposables of one algebra once, in the order of
-`Algebra.indecomposables()` (by top, then length), and fills flat tables
-by mapping the unvalidated kernels of `homology` over that index, so each
-closed form has one copy.  Each table is built on first use and kept on
-the `Tables` object, which `Algebra.tables` caches on the algebra
-instance; nothing is kept at module level.  The test suite checks every
-entry against an independent copy of the formulas and the oracle checks
+`Algebra.indecomposables()` (by top, then length), and holds what the
+enumerators read: projective flags and dimensions, the socles of the
+projective-injectives, and the two compatibility masks `ext1_perp` and
+`tau_perp`.  Each mask is built over its candidates only, the modules that
+can be a summand at all, by calling the unvalidated kernels of `homology`
+once per candidate pair, so each closed form has one copy and a module of
+a large algebra costs a scan, not a row.  Each is built on first use and
+kept on the `Tables` object, which `Algebra.tables` caches on the
+algebra instance; nothing is kept at module level.  The test suite checks
+every bit against an independent copy of the formulas and the oracle checks
 the kernels through the public functions.
 
 Modules entering from outside are validated once, by `indices`; code
@@ -20,21 +24,22 @@ clique of more than n vertices.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet
-from .homology import _dim_along, _hom, _syzygy, _tau
+from .homology import _dim_along, _ext1, _hom, _syzygy, _tau
 
 
 class Tables:
-    """Hom/Ext^1/tau tables over the indecomposables of one algebra.
+    """Candidate masks over the indecomposables of one algebra.
 
-    `hom` and `ext1` are flat: entry `i * size + j` belongs to the pair
-    (modules[i], modules[j]).  `syzygy` and `tau` hold table indices, None
-    for zero.  `ext1_perp[i]` and `tau_perp[i]` are bitmasks over indices:
-    bit j is set when the two modules are orthogonal both ways
-    (Ext^1 in both directions vanishes; Hom(M_i, tau M_j) and
-    Hom(M_j, tau M_i) vanish).
+    `ext1_perp[i]` and `tau_perp[i]` are bitmasks over indices.  The
+    candidates of `ext1_perp` have projective dimension <= 1 and no
+    self-extension; those of `tau_perp` are tau-rigid.  For two candidates
+    i and j, bit j of mask i is set when the modules are orthogonal both
+    ways (Ext^1 in both directions vanishes; Hom(M_i, tau M_j) and
+    Hom(M_j, tau M_i) vanish), so a candidate has its own bit.  A module
+    that is not a candidate has mask 0.
     """
 
     def __init__(self, A: Algebra) -> None:
@@ -44,40 +49,15 @@ class Tables:
         self._offset = [0]
         for ci in A.c:
             self._offset.append(self._offset[-1] + ci)
-        # Both enumerators need these; the rest is built on first use.
         self.projective = [m.length == A.c[m.top - 1] for m in self.modules]
-        self.hom = [_hom(A, x, y) for x in self.modules for y in self.modules]
-        self.tau = self._indices(_tau(A, m) for m in self.modules)
 
     def at(self, top: int, length: int) -> int:
         """Table index of M(top, length); the caller vouches that it is valid."""
         return self._offset[top - 1] + length - 1
 
-    def _indices(self, mods: Iterable[IndecModule | None]) -> list[int | None]:
-        return [None if m is None else self.at(m.top, m.length) for m in mods]
-
     @cached_property
     def index(self) -> dict[IndecModule, int]:
         return {m: i for i, m in enumerate(self.modules)}
-
-    @cached_property
-    def syzygy(self) -> list[int | None]:
-        return self._indices(_syzygy(self.algebra, m) for m in self.modules)
-
-    @cached_property
-    def ext1(self) -> list[int]:
-        """dim Ext^1(M, N) = hom(Omega M, N) - hom(P(top M), N) + hom(M, N)."""
-        # Rows of the hom table, not homology._ext1 per pair: over iter_algebras(6, 4)
-        # that is 0.03 s against 0.5 s (Python 3.11, one Xeon core).
-        d, hom, c = self.size, self.hom, self.algebra.c
-        out = []
-        for i, (m, omega) in enumerate(zip(self.modules, self.syzygy)):
-            if omega is None:
-                out.extend([0] * d)
-                continue
-            o, p, row = omega * d, self.at(m.top, c[m.top - 1]) * d, i * d
-            out.extend(hom[o + j] - hom[p + j] + hom[row + j] for j in range(d))
-        return out
 
     @cached_property
     def pd(self) -> list[int | float]:
@@ -92,20 +72,28 @@ class Tables:
 
     @cached_property
     def ext1_perp(self) -> list[int]:
-        return self._perp(self.ext1)
+        A, mods = self.algebra, self.modules
+        cands = [i for i, m in enumerate(mods) if self.pd[i] <= 1 and not _ext1(A, m, m)]
+        return self._perp(cands, lambda i, j: not _ext1(A, mods[i], mods[j]))
 
     @cached_property
     def tau_perp(self) -> list[int]:
-        d, hom = self.size, self.hom
-        return self._perp([0 if t is None else hom[i * d + t] for i in range(d) for t in self.tau])
+        A, mods = self.algebra, self.modules
+        taus = [_tau(A, m) for m in mods]
+        cands = [i for i, (m, t) in enumerate(zip(mods, taus)) if t is None or not _hom(A, m, t)]
+        return self._perp(cands, lambda i, j: taus[j] is None or not _hom(A, mods[i], taus[j]))
 
-    def _perp(self, flat: list[int]) -> list[int]:
-        """Bitmasks of the j with flat[i, j] == 0 == flat[j, i]."""
-        d = self.size
-        return [
-            sum(1 << j for j in range(d) if not flat[i * d + j] and not flat[j * d + i])
-            for i in range(d)
-        ]
+    def _perp(self, cands: list[int], vanishes: Callable[[int, int], bool]) -> list[int]:
+        """Masks over the increasing candidate indices `cands`: bit j of
+        entry i is set when vanishes(i, j) and vanishes(j, i)."""
+        perp = [0] * self.size
+        for a, i in enumerate(cands):
+            perp[i] |= 1 << i
+            for j in cands[a + 1 :]:
+                if vanishes(i, j) and vanishes(j, i):
+                    perp[i] |= 1 << j
+                    perp[j] |= 1 << i
+        return perp
 
     def module_set(self, idx: Iterable[int]) -> ModuleSet:
         """The basic module with summands at increasing indices idx."""
@@ -156,14 +144,17 @@ def cliques(adj: Sequence[int], allowed: int, size: int | None = None) -> list[t
     The self bit `adj[i] >> i & 1` is ignored.  More forced vertices than
     `size` form a larger clique, so they raise RuntimeError.
     """
+    # The search runs on the allowed vertices renumbered 0, 1, ...: the
+    # candidates of a large algebra are few, but their indices run up to
+    # its dimension, and so would every mask.
+    verts = [i for i, bit in enumerate(bin(allowed)[:1:-1]) if bit == "1"]
+    local = [mask(a for a, j in enumerate(verts) if adj[i] >> j & 1) for i in verts]
+    allowed = (1 << len(verts)) - 1
     found: list[tuple[int, ...]] = []
     chosen: list[int] = []
     forced: list[int] = []
     if size is not None:
-        forced = [
-            i for i in range(allowed.bit_length())
-            if allowed >> i & 1 and not allowed & ~adj[i] & ~(1 << i)
-        ]
+        forced = [a for a in range(len(verts)) if not allowed & ~local[a] & ~(1 << a)]
         if len(forced) > size:
             raise RuntimeError(
                 f"{len(forced)} vertices are adjacent to all others, but cliques were "
@@ -171,6 +162,7 @@ def cliques(adj: Sequence[int], allowed: int, size: int | None = None) -> list[t
             )
         allowed &= ~mask(forced)
         need = size - len(forced)
+        forced = [verts[a] for a in forced]
 
     def extend(allowed: int) -> None:
         if size is None:
@@ -183,9 +175,9 @@ def cliques(adj: Sequence[int], allowed: int, size: int | None = None) -> list[t
                 return
             low = allowed & -allowed
             allowed ^= low
-            i = low.bit_length() - 1
-            chosen.append(i)
-            extend(allowed & adj[i])
+            a = low.bit_length() - 1
+            chosen.append(verts[a])
+            extend(allowed & local[a])
             chosen.pop()
 
     extend(allowed)

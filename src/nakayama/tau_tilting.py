@@ -9,12 +9,12 @@ definition (tau-rigidity over the parent plus Hom(P(v), M) = 0 plus the
 cardinality count); the test suite asserts the two roads agree.
 
 The kill-set road reads each component's `Tables`: tau-compatibility of
-two indecomposables is a bit of `Tables.tau_perp` (Hom into each other's
-tau translate vanishes both ways), and tau-rigid sets are the cliques of
-that graph found by the shared search `tables.cliques`.  A tau-rigid
-module has at most n summands (Adachi-Iyama-Reiten), so the search for
-tau-tilting modules takes the candidates compatible with every candidate
-as given.  The pair-side road validates each summand once, in
+two tau-rigid indecomposables is a bit of `Tables.tau_perp` (Hom into
+each other's tau translate vanishes both ways), and tau-rigid sets are
+the cliques of that graph found by the shared search `tables.cliques`.
+A tau-rigid module has at most n summands (Adachi-Iyama-Reiten), so the
+search for tau-tilting modules takes the candidates compatible with every
+candidate as given.  The pair-side road validates each summand once, in
 `is_tau_rigid`, which then calls the kernels `_tau` and `_hom`; the
 Hom(P(v), M) = 0 test calls `hom_dim`.  The two roads share no table and
 no clique search.  Both rest on the one copy of the Hom and tau closed
@@ -66,19 +66,16 @@ def is_tau_rigid(A: Algebra, ms: ModuleSet) -> bool:
     return not any(_hom(A, x, ty) for x in ms for ty in taus)
 
 
-def _rigid_candidates(A: Algebra) -> int:
-    """Mask of the tau-rigid indecomposables of A, by table index."""
-    perp = A.tables.tau_perp
-    return mask(i for i in range(len(perp)) if perp[i] >> i & 1)
-
-
 def enumerate_tau_tilting(B: Algebra) -> list[ModuleSet]:
     """tau-tilting modules of B: sincere tau-rigid cliques of size n(B)."""
     tab = B.tables
-    # Composition factors of each indecomposable; vertex v is bit v - 1.
-    support = [mask(B.down(m.top, k) - 1 for k in range(m.length)) for m in tab.modules]
+    perp = tab.tau_perp
+    # Composition factors of each tau-rigid candidate; vertex v is bit v - 1.
+    support = {
+        i: mask(B.down(m.top, k) - 1 for k in range(m.length)) for i, m in enumerate(tab.modules) if perp[i]
+    }
     found = []
-    for idx in cliques(tab.tau_perp, _rigid_candidates(B), B.n):
+    for idx in cliques(perp, mask(support), B.n):
         covered = 0
         for i in idx:
             covered |= support[i]
@@ -90,7 +87,8 @@ def enumerate_tau_tilting(B: Algebra) -> list[ModuleSet]:
 def enumerate_tau_rigid_sets(A: Algebra) -> list[ModuleSet]:
     """All basic tau-rigid modules (cliques of every size, including empty)."""
     tab = A.tables
-    return [tab.module_set(idx) for idx in cliques(tab.tau_perp, _rigid_candidates(A))]
+    rigid = mask(i for i, p in enumerate(tab.tau_perp) if p)
+    return [tab.module_set(idx) for idx in cliques(tab.tau_perp, rigid)]
 
 
 def enumerate_sttilt_over(A: Algebra, base_killed=frozenset()) -> list[SupportPair]:

@@ -15,11 +15,12 @@ summand of every tilting module, and the search takes it as given.
 modules already enumerated, so a caller holding them enumerates once.
 
 The tilting conditions, mutation and the summand shape check read the
-algebra's `Tables` (projective dimensions, Ext^1 dimensions and
-Ext^1-orthogonality masks, projective flags, socles of the
-projective-injectives).  Those are filled from the single copy of each
-closed form, the kernels in `homology`, which the tests hold to an
-independent reference and to the matrix oracle.
+algebra's `Tables` (projective dimensions, the Ext^1-orthogonality masks
+over the candidates, projective flags, socles of the
+projective-injectives); a violation names its Ext^1 dimension from the
+kernel `_ext1`.  Tables and certificate both come from the single copy
+of each closed form, the kernels in `homology`, which the tests hold to
+an independent reference and to the matrix oracle.
 Modules are validated once, where they enter a public function; the
 enumerators, the re-verification of their results and mutation work on
 table indices behind that line.
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet
-from .homology import cosyzygy, regular_i0, regular_module
+from .homology import _ext1, cosyzygy, regular_i0, regular_module
 from .tables import Tables, cliques, indices, mask
 
 
@@ -54,11 +55,12 @@ def _violation(A: Algebra, tab: Tables, idx: Sequence[int]) -> str | None:
             return f"pd({tab.modules[i]}) = {pd[i]} > 1"
     summands, perp = mask(idx), tab.ext1_perp
     if any(summands & ~perp[i] for i in idx):
-        d, ext1 = tab.size, tab.ext1
-        for i in idx:
-            for j in idx:
-                if ext1[i * d + j]:
-                    return f"ext1_dim({tab.modules[i]},{tab.modules[j]}) = {ext1[i * d + j]} != 0"
+        mods = [tab.modules[i] for i in idx]
+        for x in mods:
+            for y in mods:
+                e = _ext1(A, x, y)
+                if e:
+                    return f"ext1_dim({x},{y}) = {e} != 0"
     if len(idx) != A.n:
         return f"|T| = {len(idx)} != {A.n}"
     return None
@@ -101,7 +103,7 @@ def enumerate_tilting(A: Algebra) -> list[ModuleSet]:
     """All basic tilting modules, sorted by their canonical summand tuples."""
     tab = A.tables
     perp = tab.ext1_perp
-    cands = mask(i for i in range(tab.size) if tab.pd[i] <= 1 and perp[i] >> i & 1)
+    cands = mask(i for i, p in enumerate(perp) if p)
     return [
         _record(A, tab, tab.module_set(idx), idx)  # re-verifies every clique
         for idx in cliques(perp, cands, A.n)
@@ -161,13 +163,14 @@ def mutation_at(A: Algebra, T: ModuleSet, X: IndecModule) -> ModuleSet | None:
         raise AlgebraError(f"not a tilting module: {why}")
     x = idx[T.modules.index(X)]
     rest_mask = mask(i for i in idx if i != x)
-    pd, perp = tab.pd, tab.ext1_perp
+    perp = tab.ext1_perp
     # T is tilting, so T/X is partial tilting with n - 1 summands, and
-    # T/X + Y is tilting iff pd Y <= 1 and Y has no Ext^1 with itself or T/X.
+    # T/X + Y is tilting iff Y is a candidate (pd Y <= 1, no self-extension)
+    # with no Ext^1 against T/X.
     partners = [
         tab.modules[y]
-        for y in range(tab.size)
-        if y != x and not rest_mask >> y & 1 and pd[y] <= 1 and not (rest_mask | 1 << y) & ~perp[y]
+        for y, p in enumerate(perp)
+        if p and y != x and not rest_mask >> y & 1 and not (rest_mask | 1 << y) & ~p
     ]
     if not partners:
         return None

@@ -220,17 +220,20 @@ class TestSizeLimits:
         assert out == ""
         assert f"number of simples {limit + 1} exceeds the limit {limit}" in err
 
-    @pytest.mark.parametrize("verb", [("tilt", "enumerate"), ("tilt", "graph"), ("sttilt", "enumerate")])
+    @pytest.mark.parametrize("verb", [row for row in cli.COMMANDS if row[0] != ("verify", "paper")])
     def test_file_dimension_limit(self, capsys, tmp_path, verb):
-        # One simple, but d x d table entries for dimension d.
+        # One simple, and every verb that reads --algebra walks its dimension.
+        words, extra = verb[0], verb[3]
+        dim = cli.MAX_FILE_DIMENSION + 1
         path = tmp_path / "a.json"
-        path.write_text(json.dumps({"kind": "cyclic", "kupisch": [10**6]}))
+        path.write_text(json.dumps({"kind": "cyclic", "kupisch": [dim]}))
+        modules = ["S(1)" for name, _ in extra if not name.startswith("-")]
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, *verb, "--algebra", str(path))
+        code, out, err = run_cli(capsys, *words, "--algebra", str(path), *modules)
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
-        assert f"dimension {10**6} exceeds the limit {cli.MAX_FILE_DIMENSION}" in err
+        assert f"dimension {dim} exceeds the limit {cli.MAX_FILE_DIMENSION}" in err
 
     def test_sttilt_n_refused_before_the_algebra_is_built(self, capsys, monkeypatch):
         def build(*args):

@@ -1,12 +1,12 @@
-"""The per-algebra tables and the public closed forms against an independent
-reference, and the clique engine."""
+"""The per-algebra candidate masks and the public closed forms against an
+independent reference, and the clique engine."""
 
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nakayama import homology as H
+from nakayama import homology as H, tables
 from nakayama.algebra import (
     Algebra,
     AlgebraError,
@@ -17,7 +17,8 @@ from nakayama.algebra import (
 )
 from nakayama.auslander import auslander_algebra
 from nakayama.tables import cliques, mask
-from nakayama.tilting import is_tilting
+from nakayama.tau_tilting import enumerate_sttilt
+from nakayama.tilting import enumerate_tilting, is_tilting
 
 M = IndecModule
 
@@ -71,24 +72,36 @@ def ref_projinj_socles(A):
     return frozenset(A.socle_vertex(A.projective(v)) for v in A.projective_injective_vertices())
 
 
+def ref_tau_vanishes(A, x, y):
+    """Hom(x, tau y) = 0."""
+    t = ref_tau(A, y)
+    return t is None or not ref_hom(A, x, t)
+
+
 def assert_tables_match_closed_forms(A: Algebra) -> None:
     tab = A.tables
     mods = list(A.indecomposables())
     assert list(tab.modules) == mods
     d = tab.size
-
-    def module(i):
-        return None if i is None else mods[i]
+    ext1 = [[ref_ext1(A, x, y) for y in mods] for x in mods]
+    tau_zero = [[ref_tau_vanishes(A, x, y) for y in mods] for x in mods]
+    # The candidates: pd <= 1 without self-extension for ext1_perp, tau-rigid for tau_perp.
+    tilt = [ref_pd(A, x) <= 1 and not ext1[i][i] for i, x in enumerate(mods)]
+    rigid = [tau_zero[i][i] for i in range(d)]
 
     for i, x in enumerate(mods):
         assert tab.projective[i] == A.is_projective(x), (A, x)
         assert tab.pd[i] == H.proj_dim(A, x) == ref_pd(A, x), (A, x)
-        assert (tab.pd[i] <= 1) == (ref_pd(A, x) <= 1), (A, x)
-        assert module(tab.tau[i]) == H.tau(A, x) == ref_tau(A, x), (A, x)
-        assert module(tab.syzygy[i]) == H.syzygy(A, x) == ref_syzygy(A, x), (A, x)
+        assert H.tau(A, x) == ref_tau(A, x), (A, x)
+        assert H.syzygy(A, x) == ref_syzygy(A, x), (A, x)
+        assert tab.ext1_perp[i] >> d == 0 and tab.tau_perp[i] >> d == 0, (A, x)
         for j, y in enumerate(mods):
-            assert tab.hom[i * d + j] == H.hom_dim(A, x, y) == ref_hom(A, x, y), (A, x, y)
-            assert tab.ext1[i * d + j] == H.ext1_dim(A, x, y) == ref_ext1(A, x, y), (A, x, y)
+            assert H.hom_dim(A, x, y) == ref_hom(A, x, y), (A, x, y)
+            assert H.ext1_dim(A, x, y) == ext1[i][j], (A, x, y)
+            ext1_bit = tilt[i] and tilt[j] and not ext1[i][j] and not ext1[j][i]
+            assert tab.ext1_perp[i] >> j & 1 == ext1_bit, (A, x, y)
+            tau_bit = rigid[i] and rigid[j] and tau_zero[i][j] and tau_zero[j][i]
+            assert tab.tau_perp[i] >> j & 1 == tau_bit, (A, x, y)
     assert tab.projinj_socles == ref_projinj_socles(A)
 
 
@@ -194,15 +207,44 @@ def clique_universe():
 
 @pytest.mark.parametrize("graph", ["ext1", "tau"])
 def test_forced_vertices_keep_the_n_cliques_and_their_order(clique_universe, graph):
-    """The fixed-size searches of both enumerators, Ext^1 on the pd <= 1
+    """The fixed-size searches of both enumerators, Ext^1 on the tilting
     candidates and tau on the rigid ones, give the unpruned n-cliques in
     the same order."""
     for A in clique_universe:
-        tab = A.tables
-        if graph == "ext1":
-            adj = tab.ext1_perp
-            allowed = mask(i for i in range(tab.size) if tab.pd[i] <= 1 and adj[i] >> i & 1)
-        else:
-            adj = tab.tau_perp
-            allowed = mask(i for i in range(tab.size) if adj[i] >> i & 1)
+        adj = getattr(A.tables, f"{graph}_perp")
+        allowed = mask(i for i in range(len(adj)) if adj[i] >> i & 1)
         assert cliques(adj, allowed, A.n) == unpruned_cliques(adj, allowed, A.n), A
+
+
+def test_kernel_calls_grow_linearly_in_the_dimension(monkeypatch):
+    """The one simple of cyclic (d,) has d indecomposables but a single
+    tilting and a single tau-rigid candidate, the projective, so the masks
+    cost a scan of the modules, not a d x d table."""
+    calls = 0
+
+    def counted(kernel):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            # Fail at once, not after a quadratic build.
+            assert calls <= budget, f"more than {budget} kernel calls"
+            return kernel(*args)
+
+        return wrapper
+
+    kernels = {name: f for name, f in vars(tables).items() if getattr(f, "__module__", None) == H.__name__}
+    assert {"_ext1", "_hom", "_tau"} <= kernels.keys()
+    for name, kernel in kernels.items():
+        monkeypatch.setattr(tables, name, counted(kernel))
+    counts = {}
+    for d in (1000, 2000):
+        calls, budget = 0, 20 * d
+        A = Algebra("cyclic", (d,))
+        P = ModuleSet.of([M(1, d)])
+        assert enumerate_tilting(A) == [P]
+        assert [(p.modules, p.killed) for p in enumerate_sttilt(A)] == [
+            (ModuleSet.of([]), {1}),
+            (P, set()),
+        ]
+        counts[d] = calls
+    assert counts[2000] <= 2.2 * counts[1000], counts
