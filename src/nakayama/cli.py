@@ -62,14 +62,11 @@ USAGE_ERROR = 2
 # modules) 9.3 s, tilt graph N=8 (1,430 modules) 8.8 s; for sttilt, the
 # self-injective cyclic (N, ..., N), with C(2N, N) pairs: N=10 (184,756
 # pairs, d = 100) 8.9 s and 501 MB peak RSS.  Every verb scans the d
-# modules, and tilt re-verifies each module on masks d bits long, so the
-# worst files grow slowly with d: cyclic (N, N+1, ..., N+k-1) has
-# Catalan(k) tilting modules too (found for every k <= 6 with N near 3k,
-# and for the two series below).  Paired single runs at d ~ 2000
-# against the small worst files above: tilt enumerate on cyclic (161, ...,
-# 172) 9.8 s (path 9.1 s); tilt graph on (246, ..., 253) 11.8 s (path
-# 11.4 s); sttilt enumerate on (200,)*10 10.4 s ((10,)*10 10.3 s).  At
-# d ~ 5000 tilt enumerate on (411, ..., 422) took 10.4 s.
+# modules, and cyclic (N, N+1, ..., N+k-1) has Catalan(k) tilting modules
+# too, so the worst files grow slowly with d.  Paired single runs at
+# d ~ 10^4 against the small worst files: tilt enumerate on cyclic (827,
+# ..., 838) 9.6 s (path 8.9 s); tilt graph on (1247, ..., 1254) 11.4 s
+# (path 10.8 s); sttilt enumerate on (1000,)*10 9.4 s ((10,)*10 10.6 s).
 MAX_TILT_ENUMERATE_N = 14
 MAX_TILT_GRAPH_N = 10
 MAX_TILT_ENUMERATE_SIMPLES = 12
@@ -77,7 +74,7 @@ MAX_TILT_GRAPH_SIMPLES = 8
 MAX_STTILT_N = 14
 MAX_STTILT_SIMPLES = 10
 MAX_VERIFY_N = 12
-MAX_FILE_DIMENSION = 2000
+MAX_FILE_DIMENSION = 10_000
 
 
 def _json_dim(value) -> object:

@@ -3,15 +3,16 @@
 `Tables` indexes the indecomposables of one algebra once, in the order of
 `Algebra.indecomposables()` (by top, then length), and holds what the
 enumerators read: projective flags and dimensions, the socles of the
-projective-injectives, and the two compatibility masks `ext1_perp` and
-`tau_perp`.  Each mask is built over its candidates only, the modules that
-can be a summand at all, by calling the unvalidated kernels of `homology`
-once per candidate pair, so each closed form has one copy and a module of
-a large algebra costs a scan, not a row.  Each is built on first use and
-kept on the `Tables` object, which `Algebra.tables` caches on the
-algebra instance; nothing is kept at module level.  The test suite checks
-every bit against an independent copy of the formulas and the oracle checks
-the kernels through the public functions.
+projective-injectives, and the two compatibility graphs `ext1_perp` and
+`tau_perp`, whose vertices are only their candidates, the modules that can
+be a summand at all, numbered 0, 1, ... in index order.  Each is built by
+calling the unvalidated kernels of `homology` once per candidate pair, so
+each closed form has one copy and a module of a large algebra costs a scan,
+not a row, nor a bit in every mask.  Each is built on first use and kept
+on the `Tables` object, which `Algebra.tables` caches on the algebra
+instance; nothing is kept at module level.  The test suite checks every
+bit against an independent copy of the formulas and the oracle checks the
+kernels through the public functions.
 
 Modules entering from outside are validated once, by `indices`; code
 behind that line works on table indices only.  The enumerators in
@@ -33,19 +34,18 @@ from .homology import _dim_along, _ext1, _hom, _syzygy, _tau
 class Tables:
     """Candidate masks over the indecomposables of one algebra.
 
-    `ext1_perp[i]` and `tau_perp[i]` are bitmasks over indices.  The
-    candidates of `ext1_perp` have projective dimension <= 1 and no
-    self-extension; those of `tau_perp` are tau-rigid.  For two candidates
-    i and j, bit j of mask i is set when the modules are orthogonal both
-    ways (Ext^1 in both directions vanishes; Hom(M_i, tau M_j) and
-    Hom(M_j, tau M_i) vanish), so a candidate has its own bit.  A module
-    that is not a candidate has mask 0.
+    `ext1_candidates` lists the increasing indices of the modules of
+    projective dimension <= 1 without self-extension, `tau_candidates`
+    those of the tau-rigid ones; `ext1_position` maps each index in the
+    first list to its position.  `ext1_perp[a]` and `tau_perp[a]` are
+    bitmasks over positions in that list: for i = cands[a] and j = cands[b],
+    bit b of mask a is set when the modules are orthogonal both ways (Ext^1
+    vanishes both ways; Hom(M_i, tau M_j) and Hom(M_j, tau M_i) vanish).
     """
 
     def __init__(self, A: Algebra) -> None:
         self.algebra = A
         self.modules: tuple[IndecModule, ...] = A.indecomposables().modules
-        self.size = len(self.modules)
         self._offset = [0]
         for ci in A.c:
             self._offset.append(self._offset[-1] + ci)
@@ -71,33 +71,46 @@ class Tables:
         return frozenset(A.socle_vertex(A.projective(v)) for v in A.projective_injective_vertices())
 
     @cached_property
+    def ext1_candidates(self) -> list[int]:
+        """Indices of the modules of projective dimension <= 1 without self-extension."""
+        return [i for i, m in enumerate(self.modules) if self.pd[i] <= 1 and not _ext1(self.algebra, m, m)]
+
+    @cached_property
+    def ext1_position(self) -> dict[int, int]:
+        return {i: a for a, i in enumerate(self.ext1_candidates)}
+
+    @cached_property
     def ext1_perp(self) -> list[int]:
         A, mods = self.algebra, self.modules
-        cands = [i for i, m in enumerate(mods) if self.pd[i] <= 1 and not _ext1(A, m, m)]
-        return self._perp(cands, lambda i, j: not _ext1(A, mods[i], mods[j]))
+        return _perp(self.ext1_candidates, lambda i, j: not _ext1(A, mods[i], mods[j]))
+
+    @cached_property
+    def tau_candidates(self) -> list[int]:
+        """Indices of the tau-rigid modules."""
+        A = self.algebra
+        return [i for i, m in enumerate(self.modules) if (t := _tau(A, m)) is None or not _hom(A, m, t)]
 
     @cached_property
     def tau_perp(self) -> list[int]:
         A, mods = self.algebra, self.modules
-        taus = [_tau(A, m) for m in mods]
-        cands = [i for i, (m, t) in enumerate(zip(mods, taus)) if t is None or not _hom(A, m, t)]
-        return self._perp(cands, lambda i, j: taus[j] is None or not _hom(A, mods[i], taus[j]))
-
-    def _perp(self, cands: list[int], vanishes: Callable[[int, int], bool]) -> list[int]:
-        """Masks over the increasing candidate indices `cands`: bit j of
-        entry i is set when vanishes(i, j) and vanishes(j, i)."""
-        perp = [0] * self.size
-        for a, i in enumerate(cands):
-            perp[i] |= 1 << i
-            for j in cands[a + 1 :]:
-                if vanishes(i, j) and vanishes(j, i):
-                    perp[i] |= 1 << j
-                    perp[j] |= 1 << i
-        return perp
+        taus = {i: _tau(A, mods[i]) for i in self.tau_candidates}
+        return _perp(self.tau_candidates, lambda i, j: taus[j] is None or not _hom(A, mods[i], taus[j]))
 
     def module_set(self, idx: Iterable[int]) -> ModuleSet:
         """The basic module with summands at increasing indices idx."""
         return ModuleSet(tuple([self.modules[i] for i in idx]))
+
+
+def _perp(cands: list[int], vanishes: Callable[[int, int], bool]) -> list[int]:
+    """Masks over positions in `cands`: bit b of entry a is set when a == b, or
+    when vanishes(i, j) and vanishes(j, i) for i, j = cands[a], cands[b]."""
+    perp = [1 << a for a in range(len(cands))]
+    for a, i in enumerate(cands):
+        for b, j in enumerate(cands[a + 1 :], a + 1):
+            if vanishes(i, j) and vanishes(j, i):
+                perp[a] |= 1 << b
+                perp[b] |= 1 << a
+    return perp
 
 
 def indices(A: Algebra, mods: Iterable[IndecModule]) -> list[int]:
@@ -144,17 +157,11 @@ def cliques(adj: Sequence[int], allowed: int, size: int | None = None) -> list[t
     The self bit `adj[i] >> i & 1` is ignored.  More forced vertices than
     `size` form a larger clique, so they raise RuntimeError.
     """
-    # The search runs on the allowed vertices renumbered 0, 1, ...: the
-    # candidates of a large algebra are few, but their indices run up to
-    # its dimension, and so would every mask.
-    verts = [i for i, bit in enumerate(bin(allowed)[:1:-1]) if bit == "1"]
-    local = [mask(a for a, j in enumerate(verts) if adj[i] >> j & 1) for i in verts]
-    allowed = (1 << len(verts)) - 1
     found: list[tuple[int, ...]] = []
     chosen: list[int] = []
     forced: list[int] = []
     if size is not None:
-        forced = [a for a in range(len(verts)) if not allowed & ~local[a] & ~(1 << a)]
+        forced = [i for i in range(allowed.bit_length()) if allowed >> i & 1 and not allowed & ~adj[i] & ~(1 << i)]
         if len(forced) > size:
             raise RuntimeError(
                 f"{len(forced)} vertices are adjacent to all others, but cliques were "
@@ -162,7 +169,6 @@ def cliques(adj: Sequence[int], allowed: int, size: int | None = None) -> list[t
             )
         allowed &= ~mask(forced)
         need = size - len(forced)
-        forced = [verts[a] for a in forced]
 
     def extend(allowed: int) -> None:
         if size is None:
@@ -175,9 +181,9 @@ def cliques(adj: Sequence[int], allowed: int, size: int | None = None) -> list[t
                 return
             low = allowed & -allowed
             allowed ^= low
-            a = low.bit_length() - 1
-            chosen.append(verts[a])
-            extend(allowed & local[a])
+            i = low.bit_length() - 1
+            chosen.append(i)
+            extend(allowed & adj[i])
             chosen.pop()
 
     extend(allowed)

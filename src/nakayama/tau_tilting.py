@@ -69,26 +69,24 @@ def is_tau_rigid(A: Algebra, ms: ModuleSet) -> bool:
 def enumerate_tau_tilting(B: Algebra) -> list[ModuleSet]:
     """tau-tilting modules of B: sincere tau-rigid cliques of size n(B)."""
     tab = B.tables
-    perp = tab.tau_perp
-    # Composition factors of each tau-rigid candidate; vertex v is bit v - 1.
-    support = {
-        i: mask(B.down(m.top, k) - 1 for k in range(m.length)) for i, m in enumerate(tab.modules) if perp[i]
-    }
+    cands, perp = tab.tau_candidates, tab.tau_perp
+    # Composition factors of each candidate; vertex v is bit v - 1.
+    support = [mask(B.down(m.top, k) - 1 for k in range(m.length)) for m in tab.module_set(cands)]
     found = []
-    for idx in cliques(perp, mask(support), B.n):
+    for at in cliques(perp, (1 << len(perp)) - 1, B.n):
         covered = 0
-        for i in idx:
-            covered |= support[i]
+        for a in at:
+            covered |= support[a]
         if covered == (1 << B.n) - 1:
-            found.append(tab.module_set(idx))
+            found.append(tab.module_set(cands[a] for a in at))
     return found
 
 
 def enumerate_tau_rigid_sets(A: Algebra) -> list[ModuleSet]:
     """All basic tau-rigid modules (cliques of every size, including empty)."""
     tab = A.tables
-    rigid = mask(i for i, p in enumerate(tab.tau_perp) if p)
-    return [tab.module_set(idx) for idx in cliques(tab.tau_perp, rigid)]
+    cands, perp = tab.tau_candidates, tab.tau_perp
+    return [tab.module_set(cands[a] for a in at) for at in cliques(perp, (1 << len(perp)) - 1)]
 
 
 def enumerate_sttilt_over(A: Algebra, base_killed=frozenset()) -> list[SupportPair]:

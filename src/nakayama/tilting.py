@@ -15,15 +15,12 @@ summand of every tilting module, and the search takes it as given.
 modules already enumerated, so a caller holding them enumerates once.
 
 The tilting conditions, mutation and the summand shape check read the
-algebra's `Tables` (projective dimensions, the Ext^1-orthogonality masks
-over the candidates, projective flags, socles of the
-projective-injectives); a violation names its Ext^1 dimension from the
-kernel `_ext1`.  Tables and certificate both come from the single copy
-of each closed form, the kernels in `homology`, which the tests hold to
-an independent reference and to the matrix oracle.
-Modules are validated once, where they enter a public function; the
-enumerators, the re-verification of their results and mutation work on
-table indices behind that line.
+algebra's `Tables`; a violation names its Ext^1 dimension from the kernel
+`_ext1`.  Both rest on the single copy of each closed form, the kernels in
+`homology`, which the tests hold to an independent reference and to the
+matrix oracle.  Modules are validated once, where they enter a public
+function; the enumerators, the re-verification of their results and
+mutation work on table indices behind that line.
 
 The Gen order needs no table: Gen(T) holds a uniserial X iff X is a
 quotient of a summand, so Gen(T1) lies in Gen(T2) iff at every top the
@@ -53,8 +50,10 @@ def _violation(A: Algebra, tab: Tables, idx: Sequence[int]) -> str | None:
     for i in idx:
         if pd[i] > 1:
             return f"pd({tab.modules[i]}) = {pd[i]} > 1"
-    summands, perp = mask(idx), tab.ext1_perp
-    if any(summands & ~perp[i] for i in idx):
+    pos, perp = tab.ext1_position, tab.ext1_perp
+    at = [pos[i] for i in idx if i in pos]
+    summands = mask(at)
+    if len(at) < len(idx) or any(summands & ~perp[a] for a in at):
         mods = [tab.modules[i] for i in idx]
         for x in mods:
             for y in mods:
@@ -102,11 +101,10 @@ def summand_shape_check(A: Algebra, ms: ModuleSet) -> list[IndecModule]:
 def enumerate_tilting(A: Algebra) -> list[ModuleSet]:
     """All basic tilting modules, sorted by their canonical summand tuples."""
     tab = A.tables
-    perp = tab.ext1_perp
-    cands = mask(i for i, p in enumerate(perp) if p)
+    cands, perp = tab.ext1_candidates, tab.ext1_perp
     return [
         _record(A, tab, tab.module_set(idx), idx)  # re-verifies every clique
-        for idx in cliques(perp, cands, A.n)
+        for idx in ([cands[a] for a in at] for at in cliques(perp, (1 << len(perp)) - 1, A.n))
     ]
 
 
@@ -161,16 +159,17 @@ def mutation_at(A: Algebra, T: ModuleSet, X: IndecModule) -> ModuleSet | None:
     why = _violation(A, tab, idx)
     if why is not None:
         raise AlgebraError(f"not a tilting module: {why}")
-    x = idx[T.modules.index(X)]
-    rest_mask = mask(i for i in idx if i != x)
-    perp = tab.ext1_perp
-    # T is tilting, so T/X is partial tilting with n - 1 summands, and
-    # T/X + Y is tilting iff Y is a candidate (pd Y <= 1, no self-extension)
-    # with no Ext^1 against T/X.
+    # T is tilting, so its summands are candidates, T/X is partial tilting
+    # with n - 1 summands, and T/X + Y is tilting iff Y is a candidate
+    # (pd Y <= 1, no self-extension) with no Ext^1 against T/X.
+    cands, pos, perp = tab.ext1_candidates, tab.ext1_position, tab.ext1_perp
+    at = [pos[i] for i in idx]
+    x = at[T.modules.index(X)]
+    rest_mask = mask(a for a in at if a != x)
     partners = [
-        tab.modules[y]
-        for y, p in enumerate(perp)
-        if p and y != x and not rest_mask >> y & 1 and not (rest_mask | 1 << y) & ~p
+        tab.modules[cands[b]]
+        for b, p in enumerate(perp)
+        if b != x and not rest_mask >> b & 1 and not (rest_mask | 1 << b) & ~p
     ]
     if not partners:
         return None

@@ -222,18 +222,19 @@ class TestSizeLimits:
 
     @pytest.mark.parametrize("verb", [row for row in cli.COMMANDS if row[0] != ("verify", "paper")])
     def test_file_dimension_limit(self, capsys, tmp_path, verb):
-        # One simple, and every verb that reads --algebra walks its dimension.
+        # One simple, and every verb that reads --algebra walks its dimension;
+        # 10**6 shows that the file is refused before any work of order d.
         words, extra = verb[0], verb[3]
-        dim = cli.MAX_FILE_DIMENSION + 1
-        path = tmp_path / "a.json"
-        path.write_text(json.dumps({"kind": "cyclic", "kupisch": [dim]}))
         modules = ["S(1)" for name, _ in extra if not name.startswith("-")]
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, *words, "--algebra", str(path), *modules)
-        assert time.perf_counter() - start < 1.0
-        assert code == 2
-        assert out == ""
-        assert f"dimension {dim} exceeds the limit {cli.MAX_FILE_DIMENSION}" in err
+        for dim in (cli.MAX_FILE_DIMENSION + 1, 10**6):
+            path = tmp_path / f"{dim}.json"
+            path.write_text(json.dumps({"kind": "cyclic", "kupisch": [dim]}))
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *words, "--algebra", str(path), *modules)
+            assert time.perf_counter() - start < 1.0, dim
+            assert code == 2
+            assert out == ""
+            assert f"dimension {dim} exceeds the limit {cli.MAX_FILE_DIMENSION}" in err
 
     def test_sttilt_n_refused_before_the_algebra_is_built(self, capsys, monkeypatch):
         def build(*args):
