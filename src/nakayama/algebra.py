@@ -170,8 +170,9 @@ class Algebra:
         return self.down(m.top, m.length - 1)
 
     def indecomposables(self) -> "ModuleSet":
-        mods = [IndecModule(i, l) for i in self.vertices for l in range(1, self.c[i - 1] + 1)]
-        return ModuleSet.of(mods)
+        """Every indecomposable, built in the canonical (top, length) order."""
+        c = self.c
+        return ModuleSet(tuple(IndecModule(i, l) for i in self.vertices for l in range(1, c[i - 1] + 1)))
 
     def submodule(self, m: IndecModule, k: int) -> IndecModule | None:
         """The unique submodule of length k (None for k = 0)."""

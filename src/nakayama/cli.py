@@ -53,20 +53,25 @@ USAGE_ERROR = 2
 # an --algebra file of such a verb is limited by its number of simples, and
 # every --algebra file by its dimension d (the sum of its Kupisch series).
 # Single runs at the limit on a 2-CPU Xeon VM: tilt enumerate --n 14
-# --kind cyclic 0.96 s; tilt graph --n 10 --kind cyclic 8.5 s; sttilt
-# enumerate --n 14 --kind cyclic (2^14 kill sets, 228,486 pairs) 9.2 s,
-# 3.1 s of it enumeration and the rest JSON output; verify paper --max-n
-# 12 0.75 s.
+# --kind cyclic 0.96 s; tilt graph --n 10 --kind cyclic 1.3 s (--kind
+# linear 0.6 s); sttilt enumerate --n 14 --kind cyclic (2^14 kill sets,
+# 228,486 pairs) 9.2 s, 3.1 s of it enumeration and the rest JSON output;
+# verify paper --max-n 12 0.75 s.
 # The worst files measured: for tilt, the path algebra linear (1, 2, ...,
 # N), with Catalan(N) tilting modules: tilt enumerate N=12 (208,012
-# modules) 9.3 s, tilt graph N=8 (1,430 modules) 8.8 s; for sttilt, the
+# modules) 9.3 s, tilt graph N=8 (1,430 modules) 2.4 s; for sttilt, the
 # self-injective cyclic (N, ..., N), with C(2N, N) pairs: N=10 (184,756
 # pairs, d = 100) 8.9 s and 501 MB peak RSS.  Every verb scans the d
 # modules, and cyclic (N, N+1, ..., N+k-1) has Catalan(k) tilting modules
 # too, so the worst files grow slowly with d.  Paired single runs at
 # d ~ 10^4 against the small worst files: tilt enumerate on cyclic (827,
-# ..., 838) 9.6 s (path 8.9 s); tilt graph on (1247, ..., 1254) 11.4 s
-# (path 10.8 s); sttilt enumerate on (1000,)*10 9.4 s ((10,)*10 10.6 s).
+# ..., 838) 9.6 s (path 8.9 s); tilt graph on (1246, ..., 1253) 2.8 s
+# (path 2.4 s), and exchange_graph on (1247, ..., 1254), d = 10,004,
+# 1.7 s; sttilt enumerate on (1000,)*10 9.4 s ((10,)*10 10.6 s).
+# tilt graph makes k(k-1) Gen comparisons for k tilting modules, each
+# module's profile walked once: cyclic --n 12 (k = 4,096) makes 16.7 M
+# (23 s in-process) and the path algebra N=9 (k = 4,862) 23.6 M (30 s),
+# well past 10 s, so the two tilt graph limits stay at 10 and 8.
 MAX_TILT_ENUMERATE_N = 14
 MAX_TILT_GRAPH_N = 10
 MAX_TILT_ENUMERATE_SIMPLES = 12

@@ -25,14 +25,17 @@ mutation work on table indices behind that line.
 The Gen order needs no table: Gen(T) holds a uniserial X iff X is a
 quotient of a summand, so Gen(T1) lies in Gen(T2) iff at every top the
 longest summand of T1 is no longer than that of T2, an O(n) test on two
-per-vertex lists.  The exchange graph pairs the tilting modules that
-share a summand tuple with one summand left out, and its Hasse diagram
-is read off per-module bitmasks of the Gen order (see `exchange_graph`).
+per-vertex profiles.  A module keeps its profile for the Kupisch series
+that last validated it, so a module compared many times is walked once
+per series.  The exchange graph pairs the tilting modules that share a
+summand tuple with one summand left out, and its Hasse diagram is read
+off per-module bitmasks of the Gen order (see `exchange_graph`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet
@@ -111,13 +114,20 @@ def enumerate_tilting(A: Algebra) -> list[ModuleSet]:
 # -- the generation order ------------------------------------------------------
 
 
-def _longest(A: Algebra, T: ModuleSet) -> list[int]:
+def _longest(A: Algebra, T: ModuleSet) -> tuple[int, ...]:
     """Length of the longest summand of T at each top (0 for none).
 
     Validates every summand with the fast-path condition of
     `Algebra.check_module`, which is called only to raise its message.
+    Both the validity and the profile depend only on the Kupisch series,
+    and a ModuleSet is immutable, so the profile of the last series that
+    validated T is kept in T's instance dict as `(A.c, profile)`, like the
+    cached `Algebra.tables`; equality, hash and repr read only the fields.
     """
     c = A.c
+    memo = T.__dict__.get("_longest")
+    if memo is not None and (memo[0] is c or memo[0] == c):
+        return memo[1]
     n = len(c)
     longest = [0] * n
     for m in T:
@@ -126,7 +136,9 @@ def _longest(A: Algebra, T: ModuleSet) -> list[int]:
             A.check_module(m)
         if length > longest[top - 1]:
             longest[top - 1] = length
-    return longest
+    profile = tuple(longest)
+    T.__dict__["_longest"] = (c, profile)
+    return profile
 
 
 def generates(A: Algebra, T: ModuleSet, X: IndecModule) -> bool:
@@ -138,7 +150,7 @@ def generates(A: Algebra, T: ModuleSet, X: IndecModule) -> bool:
 def leq_gen(A: Algebra, T1: ModuleSet, T2: ModuleSet) -> bool:
     """Gen(T1) contained in Gen(T2): at each top, T2 has a summand at least
     as long as the longest summand of T1."""
-    return all(a <= b for a, b in zip(_longest(A, T1), _longest(A, T2)))
+    return all(map(le, _longest(A, T1), _longest(A, T2)))
 
 
 # -- mutation ------------------------------------------------------------------
@@ -275,8 +287,10 @@ def exchange_graph(A: Algebra) -> ExchangeGraph:
 
     Order: `below[j]` is the bitmask of the nodes i != j with
     Gen(i) in Gen(j), from one `leq_gen` call per ordered pair, k(k-1) in
-    all.  (The Hasse diagram is the exchange graph oriented by Gen, so one
-    call per edge would do; the benchmark pins the k(k-1) count.)
+    all; each call compares two kept profiles, so every node is walked and
+    validated once.  (The Hasse diagram is the exchange graph oriented by
+    Gen, so one call per edge would do; the benchmark pins the k(k-1)
+    count.)
 
     Covers: i is covered by j when i is in `below[j]` but not in `below[m]`
     for any m in `below[j]`.

@@ -10,6 +10,7 @@ from nakayama.algebra import (
     ModuleSet,
     algebra_from_json,
     algebra_to_json,
+    iter_algebras,
     iter_kupisch_series,
     make_rsz_nakayama,
     module_literal,
@@ -111,6 +112,11 @@ class TestModules:
         assert mods == sorted(mods)
         assert mods[0] == M(1, 1)
         assert mods[-1] == M(5, 2)
+
+    def test_indecomposables_equal_the_sorted_module_set(self):
+        for A in iter_algebras(4, 4):
+            mods = [M(top, length) for top in A.vertices for length in range(1, A.kupisch(top) + 1)]
+            assert A.indecomposables() == ModuleSet.of(mods), A
 
     def test_submodule_quotient(self, gamma_lin3):
         assert gamma_lin3.submodule(M(4, 3), 2) == M(3, 2)

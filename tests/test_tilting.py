@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -135,12 +136,55 @@ class TestEnumeration:
         ]
 
 
+def _in_gen(T, X):
+    """X is a quotient of a summand of T: same top, no greater length."""
+    return any(Y.top == X.top and X.length <= Y.length for Y in T)
+
+
+def _gen_in(T1, T2):
+    """Gen(T1) lies in Gen(T2): every summand of T1 is a quotient of one of T2."""
+    return all(_in_gen(T2, X) for X in T1)
+
+
 class TestGenOrder:
     def test_generates_quotients_only(self, gamma_lin3):
         T = ModuleSet.of([M(4, 3)])
         assert generates(gamma_lin3, T, M(4, 3))
         assert generates(gamma_lin3, T, M(4, 1))
         assert not generates(gamma_lin3, T, M(3, 2))
+
+    def test_matches_the_reference_on_every_pair(self, small_universe):
+        for A in small_universe:
+            nodes = enumerate_tilting(A)
+            for T1 in nodes:
+                for T2 in nodes:
+                    assert leq_gen(A, T1, T2) == _gen_in(T1, T2), (A, T1, T2)
+                for X in A.indecomposables():
+                    assert generates(A, T1, X) == _in_gen(T1, X), (A, T1, X)
+
+    def test_one_module_set_on_several_series(self):
+        # A ModuleSet keeps its Gen profile for the last series that
+        # validated it; reused with another algebra it answers for that one.
+        mods = [M(1, 1), M(2, 2), M(3, 3)]
+        T, fresh = ModuleSet.of(mods), ModuleSet.of(mods)
+        small, large = Algebra("linear", (1, 2, 3)), Algebra("linear", (1, 2, 3, 4))
+        for A in (large, small, large, small):
+            for S in enumerate_tilting(A):
+                assert leq_gen(A, T, S) == _gen_in(T, S), (A, S)
+                assert leq_gen(A, S, T) == _gen_in(S, T), (A, S)
+            for X in A.indecomposables():
+                assert generates(A, T, X) == _in_gen(T, X), (A, X)
+        refusals = [
+            (Algebra("linear", (1, 2, 2)), "length 3 invalid at vertex 3: need 1..2"),
+            (Algebra("linear", (1, 2)), "vertex 3 out of range 1..2"),
+        ]
+        for A, message in refusals:
+            with pytest.raises(AlgebraError, match=f"^{re.escape(message)}$"):
+                leq_gen(A, T, T)
+            with pytest.raises(AlgebraError, match=f"^{re.escape(message)}$"):
+                generates(A, T, M(1, 1))
+        assert not leq_gen(large, ModuleSet.of([M(4, 1)]), T)
+        assert (T, hash(T), repr(T)) == (fresh, hash(fresh), repr(fresh))
 
     def test_regular_is_maximum(self, gamma_lin3):
         from nakayama.homology import regular_module
@@ -351,7 +395,7 @@ class TestExchangeGraph:
 
 def _reference_graph(A):
     """The exchange graph by brute force: pairwise intersections, the full
-    Gen-order matrix and the cubic Hasse loop."""
+    Gen-order matrix from `_gen_in` and the cubic Hasse loop."""
     nodes = enumerate_tilting(A)
     k = len(nodes)
     edges = [
@@ -361,7 +405,7 @@ def _reference_graph(A):
         if len(set(nodes[i]) & set(nodes[j])) == A.n - 1
     ]
     less = [
-        [i != j and leq_gen(A, nodes[i], nodes[j]) for j in range(k)]
+        [i != j and _gen_in(nodes[i], nodes[j]) for j in range(k)]
         for i in range(k)
     ]
     hasse = [
