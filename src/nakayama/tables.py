@@ -1,25 +1,26 @@
 """Per-algebra candidate masks, and the clique engine.
 
 `Tables` indexes the indecomposables of one algebra once, in the order of
-`Algebra.indecomposables()` (by top, then length), and holds what the
-enumerators read: projective flags and dimensions, the socles of the
-projective-injectives, and the two compatibility graphs `ext1_perp` and
-`tau_perp`, whose vertices are only their candidates, the modules that can
-be a summand at all, numbered 0, 1, ... in index order.  Each is built by
-calling the unvalidated kernels of `homology` once per candidate pair, so
-each closed form has one copy and a module of a large algebra costs a scan,
-not a row, nor a bit in every mask.  Each is built on first use and kept
-on the `Tables` object, which `Algebra.tables` caches on the algebra
-instance; nothing is kept at module level.  The test suite checks every
-bit against an independent copy of the formulas and the oracle checks the
-kernels through the public functions.
+`Algebra.indecomposables()` (by top, then length), so an index is
+arithmetic on the Kupisch series (`at`), and holds what the enumerators
+read: the socles of the projective-injectives, and the two compatibility
+graphs `ext1_perp` and `tau_perp`, whose vertices are only their
+candidates, the modules that can be a summand at all, numbered 0, 1, ...
+in index order.  Each is built by calling the unvalidated kernels of
+`homology` once per module and candidate pair (pd <= 1 takes two syzygy
+steps), so each closed form has one copy and a module of a large algebra
+costs a scan, not a row, nor a bit in every mask.  Each is built on first
+use and kept on the `Tables` object, which `Algebra.tables` caches on the
+algebra instance; nothing is kept at module level.  The test suite checks
+every bit against an independent copy of the formulas and the oracle
+checks the kernels through the public functions.
 
-Modules entering from outside are validated once, by `indices`; code
-behind that line works on table indices only.  The enumerators in
-`tilting` and `tau_tilting` share one clique search, `cliques`; their
-n-clique searches take the vertices adjacent to every candidate as given
-and branch only on the rest, which is sound because neither graph has a
-clique of more than n vertices.
+Modules entering from outside are validated once, by `indices`, which
+refuses a module that is not basic; code behind that line works on table
+indices only.  The enumerators in `tilting` and `tau_tilting` share one
+clique search, `cliques`; their n-clique searches take the vertices
+adjacent to every candidate as given and branch only on the rest, which
+is sound because neither graph has a clique of more than n vertices.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet
-from .homology import _dim_along, _ext1, _hom, _syzygy, _tau
+from .homology import _ext1, _hom, _syzygy, _tau
 
 
 class Tables:
@@ -49,20 +50,10 @@ class Tables:
         self._offset = [0]
         for ci in A.c:
             self._offset.append(self._offset[-1] + ci)
-        self.projective = [m.length == A.c[m.top - 1] for m in self.modules]
 
     def at(self, top: int, length: int) -> int:
         """Table index of M(top, length); the caller vouches that it is valid."""
         return self._offset[top - 1] + length - 1
-
-    @cached_property
-    def index(self) -> dict[IndecModule, int]:
-        return {m: i for i, m in enumerate(self.modules)}
-
-    @cached_property
-    def pd(self) -> list[int | float]:
-        """Projective dimension, math.inf when the syzygy orbit cycles."""
-        return [_dim_along(_syzygy, self.algebra, m) for m in self.modules]
 
     @cached_property
     def projinj_socles(self) -> frozenset[int]:
@@ -72,8 +63,14 @@ class Tables:
 
     @cached_property
     def ext1_candidates(self) -> list[int]:
-        """Indices of the modules of projective dimension <= 1 without self-extension."""
-        return [i for i, m in enumerate(self.modules) if self.pd[i] <= 1 and not _ext1(self.algebra, m, m)]
+        """Indices of the modules without self-extension that are projective
+        or have a projective syzygy, i.e. have projective dimension <= 1."""
+        A = self.algebra
+        return [
+            i
+            for i, m in enumerate(self.modules)
+            if ((s := _syzygy(A, m)) is None or _syzygy(A, s) is None) and not _ext1(A, m, m)
+        ]
 
     @cached_property
     def ext1_position(self) -> dict[int, int]:
@@ -113,21 +110,24 @@ def _perp(cands: list[int], vanishes: Callable[[int, int], bool]) -> list[int]:
     return perp
 
 
-def indices(A: Algebra, mods: Iterable[IndecModule]) -> list[int]:
-    """Table indices of modules entering from outside, in the given order.
+def indices(A: Algebra, ms: ModuleSet) -> list[int]:
+    """Table indices of the summands of a basic module entering from outside.
 
-    Every valid module has an index, so the lookup is the validation: an
-    invalid module raises the AlgebraError of `Algebra.check_module`.
-    """
-    index = A.tables.index
-    out = []
-    for m in mods:
-        i = index.get(m)
-        if i is None:
-            A.check_module(m)
-            raise AlgebraError(f"{m!r} is not an indecomposable module over {A}")
+    Each summand is validated by `Algebra.check_module`; one repeated or out
+    of order raises AlgebraError too."""
+    tab = A.tables
+    out: list[int] = []
+    for m in ms:
+        A.check_module(m)
+        i = tab.at(m.top, m.length)
+        if out and i <= out[-1]:
+            raise AlgebraError(not_basic(m))
         out.append(i)
     return out
+
+
+def not_basic(m: IndecModule) -> str:
+    return f"{m} is repeated or out of order: a basic module lists its summands sorted, each once"
 
 
 def mask(idx: Iterable[int]) -> int:

@@ -39,9 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 
-from .algebra import Algebra, ModuleSet, quotient_algebra
+from .algebra import Algebra, AlgebraError, ModuleSet, quotient_algebra
 from .homology import _hom, _tau, hom_dim
-from .tables import cliques, mask
+from .tables import cliques, mask, not_basic
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,13 @@ class SupportPair:
 def is_tau_rigid(A: Algebra, ms: ModuleSet) -> bool:
     """Hom(X, tau Y) = 0 for all ordered pairs of summands.
 
-    Each summand is validated once; the Hom and tau kernels trust them.
+    Each summand is validated once, and a summand repeated or out of order
+    raises AlgebraError; the Hom and tau kernels trust them.
     """
-    for m in ms:
+    for k, m in enumerate(ms.modules):
         A.check_module(m)
+        if k and not ms.modules[k - 1] < m:
+            raise AlgebraError(not_basic(m))
     taus = [ty for ty in (_tau(A, y) for y in ms) if ty is not None]
     return not any(_hom(A, x, ty) for x in ms for ty in taus)
 

@@ -14,12 +14,13 @@ summand of every tilting module, and the search takes it as given.
 `check_gen_minimum` tests the minimal tilting module against tilting
 modules already enumerated, so a caller holding them enumerates once.
 
-The tilting conditions, mutation and the summand shape check read the
-algebra's `Tables`; a violation names its Ext^1 dimension from the kernel
-`_ext1`.  Both rest on the single copy of each closed form, the kernels in
-`homology`, which the tests hold to an independent reference and to the
-matrix oracle.  Modules are validated once, where they enter a public
-function; the enumerators, the re-verification of their results and
+The tilting conditions and mutation read the algebra's `Tables`; only a
+summand that is not an Ext^1 candidate has its projective dimension walked
+(kernel `_dim_along`), and a violation names its Ext^1 dimension from the
+kernel `_ext1`.  Both rest on the single copy of each closed form, the
+kernels in `homology`, which the tests hold to an independent reference
+and to the matrix oracle.  Modules are validated once, where they enter a
+public function; the enumerators, the re-verification of their results and
 mutation work on table indices behind that line.
 
 The Gen order needs no table: Gen(T) holds a uniserial X iff X is a
@@ -39,21 +40,21 @@ from operator import le
 from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet
-from .homology import _ext1, cosyzygy, regular_i0, regular_module
-from .tables import Tables, cliques, indices, mask
+from .homology import _dim_along, _ext1, _syzygy, cosyzygy, regular_i0, regular_module
+from .tables import cliques, indices, mask
 
 
 class TiltingError(RuntimeError):
     """A structural fact about tilting modules failed to hold."""
 
 
-def _violation(A: Algebra, tab: Tables, idx: Sequence[int]) -> str | None:
+def _violation(A: Algebra, idx: Sequence[int]) -> str | None:
     """First tilting violation of the summands at table indices idx, or None."""
-    pd = tab.pd
-    for i in idx:
-        if pd[i] > 1:
-            return f"pd({tab.modules[i]}) = {pd[i]} > 1"
+    tab = A.tables
     pos, perp = tab.ext1_position, tab.ext1_perp
+    for i in idx:
+        if i not in pos and (pd := _dim_along(_syzygy, A, tab.modules[i])) > 1:
+            return f"pd({tab.modules[i]}) = {pd} > 1"
     at = [pos[i] for i in idx if i in pos]
     summands = mask(at)
     if len(at) < len(idx) or any(summands & ~perp[a] for a in at):
@@ -70,15 +71,13 @@ def _violation(A: Algebra, tab: Tables, idx: Sequence[int]) -> str | None:
 
 def is_tilting(A: Algebra, ms: ModuleSet) -> tuple[bool, str | None]:
     """Check the tilting conditions; returns (ok, first violation or None)."""
-    why = _violation(A, A.tables, indices(A, ms))
+    why = _violation(A, indices(A, ms))
     return why is None, why
 
 
-def _record(
-    A: Algebra, tab: Tables, ms: ModuleSet, idx: Sequence[int], fails: str = "not a tilting module"
-) -> ModuleSet:
+def _record(A: Algebra, ms: ModuleSet, idx: Sequence[int], fails: str = "not a tilting module") -> ModuleSet:
     """Re-verify ms from the tables and return it; errors read `fails: <violation>`."""
-    why = _violation(A, tab, idx)
+    why = _violation(A, idx)
     if why is not None:
         raise TiltingError(f"{fails}: {why}")
     return ms
@@ -86,19 +85,15 @@ def _record(
 
 def tilting_record(A: Algebra, ms: ModuleSet) -> ModuleSet:
     """ms itself once verified as tilting; TiltingError names the violation."""
-    return _record(A, A.tables, ms, indices(A, ms))
+    return _record(A, ms, indices(A, ms))
 
 
 def summand_shape_check(A: Algebra, ms: ModuleSet) -> list[IndecModule]:
     """Summands that are neither projective nor the simple socle of a
     projective-injective; empty means the shape claim holds."""
-    tab = A.tables
-    projective, socles = tab.projective, tab.projinj_socles
-    return [
-        m
-        for m, i in zip(ms, indices(A, ms))
-        if not (projective[i] or (m.length == 1 and m.top in socles))
-    ]
+    indices(A, ms)  # validates ms
+    c, socles = A.c, A.tables.projinj_socles
+    return [m for m in ms if not (m.length == c[m.top - 1] or (m.length == 1 and m.top in socles))]
 
 
 def enumerate_tilting(A: Algebra) -> list[ModuleSet]:
@@ -106,7 +101,7 @@ def enumerate_tilting(A: Algebra) -> list[ModuleSet]:
     tab = A.tables
     cands, perp = tab.ext1_candidates, tab.ext1_perp
     return [
-        _record(A, tab, tab.module_set(idx), idx)  # re-verifies every clique
+        _record(A, tab.module_set(idx), idx)  # re-verifies every clique
         for idx in ([cands[a] for a in at] for at in cliques(perp, (1 << len(perp)) - 1, A.n))
     ]
 
@@ -168,7 +163,7 @@ def mutation_at(A: Algebra, T: ModuleSet, X: IndecModule) -> ModuleSet | None:
         raise AlgebraError(f"{X} is not a summand of the given tilting module")
     tab = A.tables
     idx = indices(A, T)
-    why = _violation(A, tab, idx)
+    why = _violation(A, idx)
     if why is not None:
         raise AlgebraError(f"not a tilting module: {why}")
     # T is tilting, so its summands are candidates, T/X is partial tilting
@@ -238,7 +233,7 @@ def minimal_tilting(A: Algebra) -> ModuleSet:
         if cos is not None:
             parts.append(cos)
     ms = ModuleSet.of(parts)
-    return _record(A, A.tables, ms, indices(A, ms), "minimal tilting candidate fails")
+    return _record(A, ms, indices(A, ms), "minimal tilting candidate fails")
 
 
 def check_gen_minimum(A: Algebra, ms: ModuleSet, tilting: Sequence[ModuleSet]) -> None:
@@ -350,7 +345,7 @@ def mutation_closure(A: Algebra) -> list[ModuleSet]:
     mutates at every summand until closure.
     """
     start = regular_module(A)
-    _record(A, A.tables, start, indices(A, start), "the regular module is not tilting")
+    _record(A, start, indices(A, start), "the regular module is not tilting")
     seen = {start}
     stack = [start]
     while stack:

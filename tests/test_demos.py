@@ -1,3 +1,4 @@
+import doctest
 import os
 import subprocess
 import sys
@@ -16,3 +17,10 @@ def test_demos_run():
         )
         assert proc.returncode == 0, f"{demo.name}: {proc.stderr}"
         assert proc.stdout.strip(), f"{demo.name} printed nothing"
+
+
+def test_readme_example_runs():
+    result = doctest.testfile(
+        str(ROOT / "README.md"), module_relative=False, optionflags=doctest.NORMALIZE_WHITESPACE
+    )
+    assert result.attempted and not result.failed, result

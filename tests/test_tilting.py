@@ -13,7 +13,7 @@ from nakayama.algebra import (
     make_rsz_nakayama,
 )
 from nakayama.auslander import auslander_algebra
-from nakayama.homology import regular_i0
+from nakayama.homology import ext1_dim, proj_dim, regular_i0
 from nakayama.tilting import (
     TiltingError,
     check_gen_minimum,
@@ -80,6 +80,38 @@ class TestIsTilting:
     def test_tilting_record_raises_on_bad_input(self, gamma_lin3):
         with pytest.raises(TiltingError):
             tilting_record(gamma_lin3, ModuleSet.of([M(3, 1)]))
+
+    def test_every_certificate_matches_the_reference_order(self):
+        """pd of each summand in order, then Ext^1 over ordered pairs (x == y
+        included), then the count: the first failure is the certificate."""
+
+        def reference(A, ms):
+            for x in ms:
+                p = proj_dim(A, x)
+                if p > 1:
+                    return f"pd({x}) = {p} > 1"
+            for x in ms:
+                for y in ms:
+                    e = ext1_dim(A, x, y)
+                    if e:
+                        return f"ext1_dim({x},{y}) = {e} != 0"
+            return None if len(ms) == A.n else f"|T| = {len(ms)} != {A.n}"
+
+        algebras = list(iter_algebras(3, 3))
+        assert len(algebras) == 22
+        certificates = set()
+        for A in algebras:
+            mods = A.indecomposables().modules
+            for k in range(A.n + 2):
+                for summands in combinations(mods, k):
+                    ms = ModuleSet(summands)
+                    why = reference(A, ms)
+                    assert is_tilting(A, ms) == (why is None, why), (A, ms)
+                    certificates.add(why)
+        # Tilting modules, and both finite and infinite projective dimensions, were met.
+        assert None in certificates
+        for pd in ("2", "inf"):
+            assert any(w and w.endswith(f") = {pd} > 1") for w in certificates), pd
 
 
 class TestEnumeration:
@@ -334,9 +366,9 @@ class TestMinimalTilting:
         calls = []
         violation = nakayama.tilting._violation
 
-        def counting(A, tab, idx):
+        def counting(A, idx):
             calls.append(idx)
-            return violation(A, tab, idx)
+            return violation(A, idx)
 
         monkeypatch.setattr(nakayama.tilting, "_violation", counting)
         minimal_tilting(gamma_cyc3)
