@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet, make_rsz_nakayama
-from .homology import gorenstein_profile
+from .homology import GorensteinProfile, gorenstein_profile
 from .tau_tilting import SupportPair, enumerate_sttilt_over
 from .tilting import (
     TiltingError,
@@ -45,7 +45,7 @@ class AuslanderResult:
     `dictionary[v]` is the L-module whose Hom-functor is the projective of
     gamma at vertex v; `projinj` are the gamma-vertices whose projective
     is also injective (computed intrinsically from the Kupisch model).
-    `tilting` enumerates the tilting modules of gamma on first use.
+    `tilting` and the checks of gamma below each run once, on first use.
     """
 
     lam: Algebra
@@ -56,6 +56,26 @@ class AuslanderResult:
     @cached_property
     def tilting(self) -> list[ModuleSet]:
         return enumerate_tilting(self.gamma)
+
+    @cached_property
+    def shape_offenders(self) -> list[tuple[ModuleSet, list[IndecModule]]]:
+        """Each tilting module with the summands `summand_shape_check` flags."""
+        return [(T, bad) for T in self.tilting if (bad := summand_shape_check(self.gamma, T))]
+
+    @cached_property
+    def minimum(self) -> tuple[ModuleSet | None, str | None]:
+        """(`minimal_tilting`, None) if it is the unique Gen-minimum of
+        `tilting`, else (None, the text of the error raised)."""
+        try:
+            ms = minimal_tilting(self.gamma)
+            check_gen_minimum(self.gamma, ms, self.tilting)
+        except (AlgebraError, TiltingError) as exc:
+            return None, str(exc)
+        return ms, None
+
+    @cached_property
+    def profile(self) -> GorensteinProfile:
+        return gorenstein_profile(self.gamma)
 
 
 def auslander_algebra(lam: Algebra) -> AuslanderResult:
@@ -151,8 +171,7 @@ def verify_bijection(res: AuslanderResult) -> BijectionReport:
     Images are normalized to kill sets relative to the quotient, then
     compared as sets against the independent support-pair enumeration.
     """
-    gamma = res.gamma
-    profile = gorenstein_profile(gamma)
+    gamma, profile = res.gamma, res.profile
     if not (profile.is_auslander and profile.is_1_gorenstein):
         raise AlgebraError("the bijection needs an Auslander 1-Gorenstein algebra")
     tilting = res.tilting
@@ -195,19 +214,15 @@ class CountReport:
 def verify_counts(res: AuslanderResult) -> CountReport:
     """Count the tilting modules of the Auslander algebra of L = res.lam.
 
-    Expected counts: 2^(n-1) for linear, 2^n for cyclic.  Also checks
-    every summand's shape with `summand_shape_check`, and that the
+    Expected counts: 2^(n-1) for linear, 2^n for cyclic.  Also reads
+    every summand's shape check (`res.shape_offenders`) and whether the
     minimal tilting module is the unique Gen-minimum of the same
-    enumeration, `res.tilting`.
+    enumeration (`res.minimum`).
     """
-    n, kind, gamma, tilting = res.lam.n, res.lam.kind, res.gamma, res.tilting
+    n, kind, tilting = res.lam.n, res.lam.kind, res.tilting
     expected = 2 ** (n - 1) if kind == "linear" else 2 ** n
-    shape_ok = not any(summand_shape_check(gamma, T) for T in tilting)
-    try:
-        check_gen_minimum(gamma, minimal_tilting(gamma), tilting)
-        minimal_ok = True
-    except (AlgebraError, TiltingError):
-        minimal_ok = False
+    shape_ok = not res.shape_offenders
+    minimal_ok = res.minimum[1] is None
     return CountReport(
         n=n,
         kind=kind,

@@ -131,34 +131,6 @@ def nullspace(rows: Matrix, ncols: int) -> list[Vector]:
     return basis
 
 
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One solution of A x = b, or None if inconsistent."""
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    if not m:
-        return [Fraction(0)] * ncols if all(not x for x in b) else None
-    rank_, pivots = _rref_inplace(m)
-    for r in range(len(m)):
-        if all(not x for x in m[r][:ncols]) and m[r][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        if col < ncols:
-            x[col] = m[r][ncols]
-        elif m[r][col]:
-            return None  # pivot landed in the augmented column
-    return x
-
-
-def coords_in_span(vectors: list[Vector], target: Vector) -> Vector | None:
-    """Coefficients expressing target as a combination of the given vectors."""
-    if not vectors:
-        return [] if all(not x for x in target) else None
-    a = transpose([list(v) for v in vectors])
-    return solve(a, target)
-
-
 def extend_basis_indices(vectors: list[Vector], dim: int) -> list[int]:
     """Indices of standard basis vectors completing span(vectors) to K^dim.
 

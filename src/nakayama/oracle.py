@@ -5,17 +5,19 @@ Modules are realized as quiver representations over the rationals
 ``Fraction`` arithmetic).  Hom spaces are intertwiner nullspaces,
 Ext^1 comes from the syzygy sequence, and the Auslander-Reiten translate
 D Tr M is the kernel of nu P1 -> nu P0 for a minimal projective
-presentation; one kernel routine serves the syzygy and tau.  Nothing here
-reuses the closed forms from `homology`; agreement between the two is a
-test target, not an assumption.
+presentation.  One kernel routine serves the syzygy and tau, with one
+elimination per vertex; one top routine serves `identify_module` and the
+generator of the syzygy in `tau_via_dtr`.  Nothing here reuses the closed
+forms from `homology`; agreement between the two is a test target, not
+an assumption.
 
-Caching: each algebra gets a workspace holding its arrow list, the
-representation of each module, the projective cover of each module and
-the Hom basis of each ordered pair, filled on first use.  Workspaces are
-keyed by the `Algebra` value (equal algebras share one) and kept in an
-LRU of `WORKSPACES` entries, so at most that many algebras' data stay
-alive.  The objects in a workspace are shared between calls; only
-`to_representation` hands out a fresh representation.
+Caching: each algebra gets a workspace holding its arrows (also keyed by
+target), the representation of each module, the projective cover of each
+module and the Hom basis of each ordered pair, filled on first use.
+Workspaces are keyed by the `Algebra` value (equal algebras share one)
+and kept in an LRU of `WORKSPACES` entries, so at most that many
+algebras' data stay alive.  The objects in a workspace are shared
+between calls; only `to_representation` hands out a fresh representation.
 
 Validation: the public functions validate each module once, as it enters
 a workspace (a bad top or length raises the `check_module` AlgebraError
@@ -63,17 +65,6 @@ class Representation:
 def arrow_sources(A: Algebra) -> list[int]:
     """Vertices with an outgoing arrow (Kupisch entry at least 2)."""
     return [v for v in A.vertices if A.kupisch(v) >= 2]
-
-
-def incoming_source(A: Algebra, v: int) -> int | None:
-    """Source of the arrow into v, or None if there is none."""
-    if A.kind == "linear":
-        if v == A.n:
-            return None
-        u = v + 1
-    else:
-        u = A.up(v)
-    return u if A.kupisch(u) >= 2 else None
 
 
 def to_representation(A: Algebra, M: IndecModule) -> Representation:
@@ -208,27 +199,24 @@ def _kernel(ws: "_Workspace", X: Representation, f: list[Matrix]) -> tuple[Repre
     """Kernel of the morphism out of X given by per-vertex matrices f.
 
     Returns the kernel representation and its per-vertex inclusion
-    matrices into X (columns form a kernel basis).
+    matrices into X (columns form a kernel basis).  f[v] is eliminated
+    once: basis vector k of `nullspace` is 1 at the k-th free column (its
+    last nonzero entry) and 0 at the other free columns, so the kernel's
+    arrow matrix is the image's rows at the free columns of the target.
     """
     incl = []
-    kdims = []
+    free = []
     for v in range(ws.n):
         basis = linalg.nullspace(f[v], X.dims[v])
         incl.append(linalg.transpose(basis) if basis else [[] for _ in range(X.dims[v])])
-        kdims.append(len(basis))
+        free.append([max(i for i, x in enumerate(vec) if x) for vec in basis])
     kmaps: dict[int, Matrix] = {}
     for src, tgt in ws.arrows:
         image = mat_mul(X.maps[src], incl[src - 1])
-        tgt_cols = linalg.transpose(incl[tgt - 1])
-        mat = linalg.zero_matrix(kdims[tgt - 1], kdims[src - 1])
-        for j, col in enumerate(linalg.transpose(image)):
-            coords = linalg.coords_in_span(tgt_cols, col)
-            if coords is None:
-                raise OracleError("kernel is not arrow-stable")
-            for i, x in enumerate(coords):
-                mat[i][j] = x
-        kmaps[src] = mat
-    return Representation(kdims, kmaps), incl
+        if not linalg.is_zero_matrix(mat_mul(f[tgt - 1], image)):
+            raise OracleError("kernel is not arrow-stable")
+        kmaps[src] = [image[i] for i in free[tgt - 1]]
+    return Representation([len(cols) for cols in free], kmaps), incl
 
 
 def _build_cover(ws: "_Workspace", M: IndecModule) -> CoverData:
@@ -263,12 +251,13 @@ class _Workspace:
     caller; a module becomes a key only after `A.check_module` accepted it.
     """
 
-    __slots__ = ("A", "n", "arrows", "reps", "covers", "hom_spaces")
+    __slots__ = ("A", "n", "arrows", "incoming", "reps", "covers", "hom_spaces")
 
     def __init__(self, A: Algebra):
         self.A = A
         self.n = A.n
         self.arrows = [(src, A.down(src)) for src in arrow_sources(A)]
+        self.incoming = {tgt: src for src, tgt in self.arrows}
         self.reps: dict[IndecModule, Representation] = {}
         self.covers: dict[IndecModule, CoverData] = {}
         self.hom_spaces: dict[tuple[IndecModule, IndecModule], HomSpace] = {}
@@ -302,6 +291,18 @@ def _workspace(A: Algebra) -> _Workspace:
     return _Workspace(A)
 
 
+def _tops(ws: _Workspace, rep: Representation) -> list[list[int]]:
+    """Per vertex v, the basis indices of V_v completing the image of the
+    arrow into v; the unit vectors they index span a complement of the
+    radical there, so their number is the multiplicity of S(v) in the top."""
+    tops = []
+    for v in ws.A.vertices:
+        u = ws.incoming.get(v)
+        rad_vectors = linalg.transpose(rep.maps[u]) if u is not None else []
+        tops.append(linalg.extend_basis_indices(rad_vectors, rep.dims[v - 1]))
+    return tops
+
+
 def identify_module(A: Algebra, rep) -> IndecModule | None:
     """Match a representation with the uniserial module it must be.
 
@@ -311,25 +312,15 @@ def identify_module(A: Algebra, rep) -> IndecModule | None:
     total = sum(rep.dims)
     if total == 0:
         return None
-    tops = []
-    for v in A.vertices:
-        d = rep.dims[v - 1]
-        if d == 0:
-            continue
-        u = incoming_source(A, v)
-        rad = linalg.rank(rep.maps[u]) if u is not None and rep.maps[u] else 0
-        t = d - rad
-        if t < 0:
-            raise OracleError("radical rank exceeds the fiber dimension")
-        if t > 0:
-            tops.append((v, t))
+    ws = _workspace(A)
+    tops = [(v, len(idx)) for v, idx in zip(A.vertices, _tops(ws, rep)) if idx]
     if len(tops) != 1 or tops[0][1] != 1:
         raise OracleError(f"representation is not uniserial: tops {tops}")
     top = tops[0][0]
     candidate = IndecModule(top, total)
     if not A.valid_module(candidate):
         raise OracleError(f"dimensions do not fit any uniserial module: {candidate}")
-    expected = _workspace(A).rep(candidate)
+    expected = ws.rep(candidate)
     if expected.dims != list(rep.dims):
         raise OracleError(f"dimension vector does not match {candidate}")
     return candidate
@@ -416,16 +407,8 @@ def tau_via_dtr(A: Algebra, M: IndecModule) -> IndecModule | None:
     data = ws.cover(M)
     K, incl = data.kernel_rep, data.incl
 
-    # Generators of K: per vertex, kernel basis columns spanning the top.
-    gens: list[tuple[int, list]] = []
-    for v in A.vertices:
-        kd = K.dims[v - 1]
-        if kd == 0:
-            continue
-        u = incoming_source(A, v)
-        rad_vectors = linalg.transpose(K.maps[u]) if u is not None else []
-        for idx in linalg.extend_basis_indices(rad_vectors, kd):
-            gens.append((v, [row[idx] for row in incl[v - 1]]))
+    # Generators of K: per vertex, the kernel basis columns spanning the top.
+    gens = [(v, [row[i] for row in incl[v - 1]]) for v, top in zip(A.vertices, _tops(ws, K)) for i in top]
     if len(gens) != 1:
         raise OracleError(f"syzygy of a non-projective module has {len(gens)} generators, expected 1")
     [(v, coeffs)] = gens

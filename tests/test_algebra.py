@@ -1,5 +1,8 @@
+import ast
 import json
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -345,3 +348,21 @@ class TestPublicSurface:
 
         assert len(nakayama.__all__) == len(set(nakayama.__all__))
         assert [name for name in nakayama.__all__ if not hasattr(nakayama, name)] == []
+
+    def test_runtime_imports_are_stdlib_only(self):
+        import nakayama
+
+        foreign = []
+        for path in sorted(Path(nakayama.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    root = name.partition(".")[0]
+                    if root not in {"nakayama", "__future__"} and root not in sys.stdlib_module_names:
+                        foreign.append(f"{path.name}:{node.lineno} {name}")
+        assert foreign == []

@@ -50,11 +50,6 @@ class TestLinalg:
         rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 1)]]
         assert linalg.rank(rows) == 2
 
-    def test_solve(self):
-        rows = [[1, 0], [1, 1]]
-        sol = linalg.solve(rows, [3, 2])
-        assert sol == [Fraction(3), Fraction(-1)]
-        assert linalg.solve([[1, 2], [2, 4]], [1, 3]) is None
 
 
 @st.composite
@@ -72,6 +67,30 @@ def test_extend_basis_completes_the_span(case):
     assert len(chosen) == dim - linalg.rank(vectors)
     units = [[int(i == j) for j in range(dim)] for i in chosen]
     assert linalg.rank(vectors + units) == dim
+
+
+@st.composite
+def small_matrices(draw):
+    ncols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols), max_size=4))
+    return rows, ncols
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(small_matrices(), st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+def test_nullspace_basis_is_unit_at_the_free_columns(case, weights):
+    """The basis form `_kernel` reads coordinates from."""
+    rows, n = case
+    basis = linalg.nullspace(rows, n)
+    free = linalg.extend_basis_indices(rows, n)
+    assert len(free) == len(basis)
+    for k, vec in enumerate(basis):
+        assert [vec[j] for j in free] == [int(i == k) for i in range(len(free))]
+        assert max(i for i, x in enumerate(vec) if x) == free[k]
+    # Any kernel vector is the combination of the basis by its free entries.
+    x = [sum(w * vec[j] for w, vec in zip(weights, basis)) for j in range(n)]
+    assert all(sum(r * y for r, y in zip(row, x)) == 0 for row in rows)
+    assert x == [sum(x[free[k]] * vec[j] for k, vec in enumerate(basis)) for j in range(n)]
 
 
 def test_oracle_is_independent_of_the_closed_forms():
@@ -125,6 +144,21 @@ class TestRepresentations:
     def test_identify_module(self, gamma_lin3):
         for m in gamma_lin3.indecomposables():
             assert identify_module(gamma_lin3, to_representation(gamma_lin3, m)) == m
+
+    def test_identify_module_rejects_a_decomposable(self):
+        # S(1) + S(2) on linear (1, 2): the arrow 2 -> 1 acts as zero.
+        A = Algebra("linear", (1, 2))
+        rep = oracle.Representation([1, 1], {2: [[0]]})
+        with pytest.raises(OracleError, match=r"^representation is not uniserial: tops \[\(1, 1\), \(2, 1\)\]$"):
+            identify_module(A, rep)
+
+    def test_kernel_of_a_non_morphism_is_refused(self):
+        # On P(2) of linear (1, 2), f is zero at 2 and injective at 1, so
+        # the kernel at 2 maps under the arrow outside the kernel at 1.
+        A = Algebra("linear", (1, 2))
+        ws = _workspace(A)
+        with pytest.raises(OracleError, match="^kernel is not arrow-stable$"):
+            oracle._kernel(ws, ws.rep(M(2, 2)), [[[1]], [[0]]])
 
 
 class TestOracleAgreement:

@@ -6,9 +6,10 @@ Each case swaps one name for a stub that produces the fault, in the
 and checks that exactly the affected record fails.
 """
 
+from collections import Counter
 from dataclasses import replace
 
-from nakayama import auslander
+from nakayama import auslander, homology, tilting
 from nakayama import verification as V
 from nakayama.algebra import Algebra
 from nakayama.auslander import auslander_family
@@ -67,7 +68,7 @@ def test_wrong_gamma_for_the_dual_numbers_fails(monkeypatch):
 
 def test_missing_formula_module_fails_only_the_minimum(monkeypatch):
     real = auslander.enumerate_tilting
-    monkeypatch.setattr(auslander, "enumerate_tilting", lambda A: [T for T in real(A) if T != V.minimal_tilting(A)])
+    monkeypatch.setattr(auslander, "enumerate_tilting", lambda A: [T for T in real(A) if T != auslander.minimal_tilting(A)])
     family = auslander_family(2)
     records = V.shape_assertions(family) + V.mutation_shape_assertions(family) + V.minimal_tilting_assertions(family)
     failed = {r["name"]: r["detail"] for r in records if not r["passed"]}
@@ -104,3 +105,35 @@ def test_paper_report_enumerates_each_gamma_once(monkeypatch):
     V.paper_report(4)
     # 2 * 4 family members, plus the golden lists' n=3 pair and the dual numbers
     assert len(calls) == 11
+
+
+def test_paper_report_checks_each_gamma_once(monkeypatch):
+    """Two reports read each per-Gamma check; it runs once per tilting
+    module (the shape) or once per algebra (the minimum, the profile)."""
+    family = auslander_family(6)
+    expected = Counter(
+        [("summand_shape_check", res.gamma, T) for res in family for T in res.tilting]
+        + [(name, res.gamma) for name in ("minimal_tilting", "check_gen_minimum") for res in family]
+        + [("gorenstein_profile", res.gamma) for res in family]
+        + [("gorenstein_profile", res.lam) for res in family if res.lam.kind == "cyclic"]
+    )
+    calls = Counter()
+    targets = (
+        (tilting, "summand_shape_check", 2),
+        (tilting, "minimal_tilting", 1),
+        (tilting, "check_gen_minimum", 1),
+        (homology, "gorenstein_profile", 1),
+    )
+    for owner, name, arity in targets:
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original, _arity=arity):
+            calls[(_name, *args[:_arity])] += 1
+            return _original(*args)
+
+        for mod in (owner, auslander, V):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counting)
+    V.paper_report(6)
+    assert calls == expected
