@@ -415,39 +415,24 @@ def load_algebra(path: str) -> Algebra:
 
 
 def iter_kupisch_series(kind: str, n: int, max_entry: int) -> Iterator[tuple[int, ...]]:
-    """All valid Kupisch series of length n with entries <= max_entry."""
+    """All valid Kupisch series of length n with entries <= max_entry, in
+    lexicographic order."""
     if n < 1:
         return
-    if kind == LINEAR:
-        def rec(prefix: list[int]) -> Iterator[tuple[int, ...]]:
-            if len(prefix) == n:
-                yield tuple(prefix)
-                return
-            for ci in range(1, min(prefix[-1] + 1, max_entry) + 1):
-                yield from rec(prefix + [ci])
-
-        if max_entry >= 1:
-            yield from rec([1])
-    elif kind == CYCLIC:
-        if max_entry < 2:
-            return
-        if n == 1:
-            for ci in range(2, max_entry + 1):
-                yield (ci,)
-            return
-
-        def rec(prefix: list[int]) -> Iterator[tuple[int, ...]]:
-            if len(prefix) == n:
-                if prefix[0] <= prefix[-1] + 1:
-                    yield tuple(prefix)
-                return
-            for ci in range(2, min(prefix[-1] + 1, max_entry) + 1):
-                yield from rec(prefix + [ci])
-
-        for first in range(2, max_entry + 1):
-            yield from rec([first])
-    else:
+    if kind not in KINDS:
         raise AlgebraError(f"unknown kind {kind!r}")
+    low = 1 if kind == LINEAR else 2
+
+    def rec(prefix: list[int], bound: int) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == n:
+            if kind == LINEAR or prefix[0] <= prefix[-1] + 1:
+                yield tuple(prefix)
+            return
+        for ci in range(low, min(bound, max_entry) + 1):
+            yield from rec(prefix + [ci], ci + 1)
+
+    # A linear series starts at 1; a cyclic one may start anywhere.
+    yield from rec([], 1 if kind == LINEAR else max_entry)
 
 
 def iter_algebras(max_n: int, max_entry: int) -> Iterator[Algebra]:

@@ -51,12 +51,14 @@ USAGE_ERROR = 2
 # Size limits, refused up front with USAGE_ERROR: an option limit (--n,
 # --max-n) of an exponential verb is checked before any algebra is built,
 # an --algebra file of such a verb is limited by its number of simples, and
-# every --algebra file by its dimension d (the sum of its Kupisch series).
+# every algebra by its dimension d (the sum of its Kupisch series): an
+# --algebra file once loaded, the --n/--kind shortcut (d = 2n - 1 linear,
+# 2n cyclic) before it is built.
 # Single runs at the limit on a 2-CPU Xeon VM: tilt enumerate --n 14
 # --kind cyclic 0.96 s; tilt graph --n 10 --kind cyclic 1.3 s (--kind
 # linear 0.6 s); sttilt enumerate --n 14 --kind cyclic (2^14 kill sets,
 # 228,486 pairs) 9.2 s, 3.1 s of it enumeration and the rest JSON output;
-# verify paper --max-n 12 0.75 s.
+# verify paper --max-n 12 0.75 s; profile --n 5000 --kind cyclic 0.2 s.
 # The worst files measured: for tilt, the path algebra linear (1, 2, ...,
 # N), with Catalan(N) tilting modules: tilt enumerate N=12 (208,012
 # modules) 9.3 s, tilt graph N=8 (1,430 modules) 2.4 s; for sttilt, the
@@ -79,7 +81,7 @@ MAX_TILT_GRAPH_SIMPLES = 8
 MAX_STTILT_N = 14
 MAX_STTILT_SIMPLES = 10
 MAX_VERIFY_N = 12
-MAX_FILE_DIMENSION = 10_000
+MAX_DIMENSION = 10_000
 
 
 def _json_dim(value) -> object:
@@ -286,10 +288,12 @@ def main(argv: list[str] | None = None) -> int:
         _check_limit(verb, flag, value, flag_limit)
         A = None
         if not verify:
+            if args.n is not None and args.kind and not args.algebra:
+                _check_limit(verb, "dimension", 2 * args.n - (args.kind == "linear"), MAX_DIMENSION)
             A = _resolve_algebra(args, auslander=words[0] == "tilt")
             if args.algebra:
                 _check_limit(verb, "number of simples", A.n, file_limit)
-                _check_limit(verb, "dimension", A.dimension(), MAX_FILE_DIMENSION)
+                _check_limit(verb, "dimension", A.dimension(), MAX_DIMENSION)
         out = handler(A, args)
         text = out if isinstance(out, str) else json.dumps(out, indent=2, sort_keys=True) + "\n"
         if args.output:

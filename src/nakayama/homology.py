@@ -166,8 +166,21 @@ def ext_dim(A: Algebra, M: IndecModule, N: IndecModule, i: int = 1) -> int:
 
 
 def global_dimension(A: Algebra) -> int | float:
-    dims = [proj_dim(A, A.simple(i)) for i in A.vertices]
-    return max(dims)
+    """Largest projective dimension of a simple.  One memo of pd per module
+    serves every simple, so each syzygy orbit is walked once; a module on
+    the current walk reads INFINITE, as a walk that comes back to it cycles."""
+    pd: dict[IndecModule, int | float] = {}
+    simples = [A.simple(i) for i in A.vertices]
+    for M in simples:
+        walk = []
+        while M is not None and M not in pd:
+            pd[M] = INFINITE
+            walk.append(M)
+            M = _syzygy(A, M)
+        d = -1 if M is None else pd[M]
+        for M in reversed(walk):
+            d = pd[M] = d + 1
+    return max(pd[S] for S in simples)
 
 
 def regular_module(A: Algebra) -> ModuleSet:

@@ -4,8 +4,10 @@ Modules are realized as quiver representations over the rationals
 (vertex-indexed coordinate spaces plus one matrix per arrow, all exact
 ``Fraction`` arithmetic).  Hom spaces are intertwiner nullspaces,
 Ext^1 comes from the syzygy sequence, and the Auslander-Reiten translate
-D Tr M is the kernel of nu P1 -> nu P0 for a minimal projective
-presentation.  One kernel routine serves the syzygy and tau, with one
+D Tr M is the kernel of D f: nu P1 -> nu P0 for a minimal projective
+presentation, each nu P(j) built as the right uniserial dual to the paths
+ending at j.  One layer map (`_positions`) serves representations, cover
+maps and D f; one kernel routine serves the syzygy and tau, with one
 elimination per vertex; one top routine serves `identify_module` and the
 generator of the syzygy in `tau_via_dtr`.  Nothing here reuses the closed
 forms from `homology`; agreement between the two is a test target, not
@@ -46,10 +48,10 @@ class OracleError(RuntimeError):
 class Representation:
     """Quiver representation: dims[v-1] per vertex, one matrix per arrow.
 
-    For a right module the arrow at source v points to A.down(v) and its
-    matrix, of shape dims[down(v)] x dims[v], acts on column vectors.  For
-    a left module (`left_projective`) the matrix at v maps V_{down(v)} into
-    V_v; transposing every matrix (the vertex-wise dual D) swaps the two.
+    The modules are right modules: the arrow at source v points to
+    A.down(v) and its matrix, of shape dims[down(v)] x dims[v], acts on
+    column vectors.  The injectives nu P(j) that `tau_via_dtr` needs are
+    right uniserials too, so they are built the same way.
     """
 
     __slots__ = ("dims", "maps")
@@ -67,12 +69,17 @@ def arrow_sources(A: Algebra) -> list[int]:
     return [v for v in A.vertices if A.kupisch(v) >= 2]
 
 
+def _positions(A: Algebra, M: IndecModule) -> dict[int, dict[int, int]]:
+    """Per vertex v, {layer k of M at v: its basis index in V_v}; validates M."""
+    positions: dict[int, dict[int, int]] = {v: {} for v in A.vertices}
+    for k, v in enumerate(A.layers(M)):
+        positions[v][k] = len(positions[v])
+    return positions
+
+
 def to_representation(A: Algebra, M: IndecModule) -> Representation:
     """Representation of the uniserial module M, one basis vector per layer."""
-    layers = A.layers(M)
-    positions: dict[int, dict[int, int]] = {v: {} for v in A.vertices}
-    for k, v in enumerate(layers):
-        positions[v][k] = len(positions[v])
+    positions = _positions(A, M)
     dims = [len(positions[v]) for v in A.vertices]
     maps: dict[int, Matrix] = {}
     for src in arrow_sources(A):
@@ -160,13 +167,8 @@ def _rep_hom_basis(ws: "_Workspace", X: Representation, Y: Representation) -> li
     return basis
 
 
-@dataclass(frozen=True)
-class HomSpace:
-    dim: int
-    basis: tuple  # tuple of per-vertex matrix lists
-
-
-def hom_space(A: Algebra, M: IndecModule, N: IndecModule) -> HomSpace:
+def hom_space(A: Algebra, M: IndecModule, N: IndecModule) -> tuple:
+    """Basis of Hom(M, N), each element a list of per-vertex matrices."""
     return _workspace(A).hom_space(M, N)
 
 
@@ -223,19 +225,12 @@ def _build_cover(ws: "_Workspace", M: IndecModule) -> CoverData:
     A = ws.A
     P0 = A.projective(M.top)
     # Cover map: layer k of P0 goes to layer k of M for k < len(M), else to 0.
-    p_positions: dict[int, list[int]] = {v: [] for v in A.vertices}
-    for k, v in enumerate(A.layers(P0)):
-        p_positions[v].append(k)
+    p_pos, m_pos = _positions(A, P0), _positions(A, M)
     g = []
     for v in A.vertices:
-        ks = p_positions[v]
-        m_count = sum(1 for k in ks if k < M.length)
-        mat = linalg.zero_matrix(m_count, len(ks))
-        row = 0
-        for col, k in enumerate(ks):
-            if k < M.length:
-                mat[row][col] = 1
-                row += 1
+        mat = linalg.zero_matrix(len(m_pos[v]), len(p_pos[v]))
+        for k, row in m_pos[v].items():
+            mat[row][p_pos[v][k]] = 1
         g.append(mat)
     kernel_rep, incl = _kernel(ws, ws.rep(P0), g)
     return CoverData(P0, kernel_rep, incl)
@@ -260,7 +255,7 @@ class _Workspace:
         self.incoming = {tgt: src for src, tgt in self.arrows}
         self.reps: dict[IndecModule, Representation] = {}
         self.covers: dict[IndecModule, CoverData] = {}
-        self.hom_spaces: dict[tuple[IndecModule, IndecModule], HomSpace] = {}
+        self.hom_spaces: dict[tuple[IndecModule, IndecModule], tuple] = {}
 
     def rep(self, M: IndecModule) -> Representation:
         rep = self.reps.get(M)
@@ -277,13 +272,12 @@ class _Workspace:
             data = self.covers[M] = _build_cover(self, M)
         return data
 
-    def hom_space(self, M: IndecModule, N: IndecModule) -> HomSpace:
+    def hom_space(self, M: IndecModule, N: IndecModule) -> tuple:
         key = (M, N)
-        space = self.hom_spaces.get(key)
-        if space is None:
-            basis = _rep_hom_basis(self, self.rep(M), self.rep(N))
-            space = self.hom_spaces[key] = HomSpace(len(basis), tuple(basis))
-        return space
+        basis = self.hom_spaces.get(key)
+        if basis is None:
+            basis = self.hom_spaces[key] = tuple(_rep_hom_basis(self, self.rep(M), self.rep(N)))
+        return basis
 
 
 @lru_cache(maxsize=WORKSPACES)
@@ -349,43 +343,22 @@ def ext1_space_dim(A: Algebra, M: IndecModule, N: IndecModule) -> int:
     hom_k = _rep_hom_dim(ws, data.kernel_rep, Nrep)
     if hom_k == 0:
         return 0
-    basis = ws.hom_space(data.cover_module, N).basis
+    basis = ws.hom_space(data.cover_module, N)
     restricted = [_flatten_maps([mat_mul(h[v], data.incl[v]) for v in range(ws.n)]) for h in basis]
-    rk = linalg.rank(restricted) if restricted and restricted[0] else 0
-    return hom_k - rk
+    return hom_k - linalg.rank(restricted)
 
 
 # -- the Auslander-Reiten translate as D Tr -----------------------------------
 
 
-def left_projective(A: Algebra, j: int) -> tuple[Representation, dict[int, dict[int, int]]]:
-    """The left module A e_j, with per-vertex positions of its path basis.
-
-    The basis consists of the nonzero paths ending at j; the path of
-    length t starts at the vertex t arrows above j and survives iff
-    t < c at its start.  Positions map vertex -> {t: index}.
-    """
-    positions: dict[int, dict[int, int]] = {v: {} for v in A.vertices}
-    t = 0
-    while True:
-        if A.kind == "linear" and j + t > A.n:
-            break
-        s = A.up(j, t) if t else j
-        if t >= A.kupisch(s):
-            break
-        positions[s][t] = len(positions[s])
-        t += 1
-    dims = [len(positions[v]) for v in A.vertices]
-    maps: dict[int, Matrix] = {}
-    for src in arrow_sources(A):
-        tgt = A.down(src)
-        mat = linalg.zero_matrix(dims[src - 1], dims[tgt - 1])
-        for t_val, col in positions[tgt].items():
-            dest = positions[src].get(t_val + 1)
-            if dest is not None:
-                mat[dest][col] = 1
-        maps[src] = mat
-    return Representation(dims, maps), positions
+def _nu_projective(A: Algebra, j: int) -> IndecModule:
+    """nu P(j) = D(A e_j): the right uniserial with socle j whose T layers
+    are dual to the nonzero paths ending at j.  The path of length t starts
+    t arrows above j, survives iff t < c there, and is layer T - 1 - t."""
+    T = 1
+    while not (A.kind == "linear" and j + T > A.n) and T < A.kupisch(A.up(j, T)):
+        T += 1
+    return IndecModule(A.up(j, T - 1), T)
 
 
 def tau_via_dtr(A: Algebra, M: IndecModule) -> IndecModule | None:
@@ -394,11 +367,14 @@ def tau_via_dtr(A: Algebra, M: IndecModule) -> IndecModule | None:
     Takes the minimal projective presentation P1 -> P0 -> M -> 0.  Its
     syzygy K sits in the uniserial P0, so K has one generator, at some
     vertex v, and P1 = P(v).  Hom(-, A) turns the right projectives into
-    the left projectives F = A e_{top M} and G = A e_v and the map into
-    right multiplication f: F -> G by the generator's path.  Then
-    Tr M = coker f, and dualizing vertex-wise gives the exact sequence
-    0 -> tau M -> nu P1 -> nu P0 (Assem-Simson-Skowronski, Elements I,
-    IV.2.4), so tau M is the kernel of D f.
+    the left projectives A e_{top M} and A e_v and the map into right
+    multiplication f: A e_{top M} -> A e_v by the generator, a combination
+    of the paths from top M to v.  Then Tr M = coker f, and dualizing
+    gives the exact sequence 0 -> tau M -> nu P1 -> nu P0
+    (Assem-Simson-Skowronski, Elements I, IV.2.4), so tau M is the kernel
+    of D f: nu P(v) -> nu P(top M), built from the path bases
+    (`_nu_projective`): entry (path of length t at top M, path of length
+    t + k at v) is the generator's coefficient at path length k.
     """
     A.check_module(M)
     if A.is_projective(M):
@@ -413,24 +389,21 @@ def tau_via_dtr(A: Algebra, M: IndecModule) -> IndecModule | None:
         raise OracleError(f"syzygy of a non-projective module has {len(gens)} generators, expected 1")
     [(v, coeffs)] = gens
 
-    F, F_pos = left_projective(A, M.top)
-    G, G_pos = left_projective(A, v)
-    # P0 layer positions at v give the path-length coordinates.
-    p_layers = [k for k, w in enumerate(A.layers(data.cover_module)) if w == v]
-
-    f_mats: list[Matrix] = []
+    # Layer k of P0 at v is the path of length k from top M to v.
+    path_coeffs = {k: coeffs[i] for k, i in _positions(A, data.cover_module)[v].items() if coeffs[i]}
+    nu1, nu0 = _nu_projective(A, v), _nu_projective(A, M.top)
+    pos1, pos0 = _positions(A, nu1), _positions(A, nu0)
+    Df: list[Matrix] = []
     for s in A.vertices:
-        mat = linalg.zero_matrix(G.dims[s - 1], F.dims[s - 1])
-        for t_val, col in F_pos[s].items():
-            for coeff, k in zip(coeffs, p_layers):
-                dest = G_pos[s].get(t_val + k)
-                if coeff and dest is not None:
-                    mat[dest][col] += coeff
-        f_mats.append(mat)
-
-    # Tr M = coker f, so D Tr M = ker(D f) with D f: D G = nu P1 -> D F = nu P0.
-    dual_G = Representation(G.dims, {src: linalg.transpose(mat) for src, mat in G.maps.items()})
-    dual, _ = _kernel(ws, dual_G, [linalg.transpose(mat) for mat in f_mats])
+        mat = linalg.zero_matrix(len(pos0[s]), len(pos1[s]))
+        for layer, row in pos0[s].items():
+            t = nu0.length - 1 - layer
+            for k, coeff in path_coeffs.items():
+                col = pos1[s].get(nu1.length - 1 - t - k)
+                if col is not None:
+                    mat[row][col] = coeff
+        Df.append(mat)
+    dual, _ = _kernel(ws, ws.rep(nu1), Df)
     result = identify_module(A, dual)
     if result is None:
         raise OracleError("D Tr of a non-projective module vanished")
@@ -471,7 +444,7 @@ def end_algebra(A: Algebra, modules) -> EndTable:
         raise OracleError("end_algebra needs pairwise non-isomorphic summands")
     ws = _workspace(A)
     fibre_dims = tuple(tuple(ws.rep(m).dims) for m in objects)
-    bases = {(a, b): ws.hom_space(x, y).basis for a, x in enumerate(objects) for b, y in enumerate(objects)}
+    bases = {(a, b): ws.hom_space(x, y) for a, x in enumerate(objects) for b, y in enumerate(objects)}
     block_dims = {key: len(basis) for key, basis in bases.items()}
     return EndTable(objects, bases, block_dims, sum(block_dims.values()), fibre_dims)
 

@@ -121,13 +121,11 @@ def indices(A: Algebra, ms: ModuleSet) -> list[int]:
         A.check_module(m)
         i = tab.at(m.top, m.length)
         if out and i <= out[-1]:
-            raise AlgebraError(not_basic(m))
+            raise AlgebraError(
+                f"{m} is repeated or out of order: a basic module lists its summands sorted, each once"
+            )
         out.append(i)
     return out
-
-
-def not_basic(m: IndecModule) -> str:
-    return f"{m} is repeated or out of order: a basic module lists its summands sorted, each once"
 
 
 def mask(idx: Iterable[int]) -> int:

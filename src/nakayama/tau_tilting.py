@@ -15,11 +15,11 @@ the cliques of that graph found by the shared search `tables.cliques`.
 A tau-rigid module has at most n summands (Adachi-Iyama-Reiten), so the
 search for tau-tilting modules takes the candidates compatible with every
 candidate as given.  The pair-side road validates each summand once, in
-`is_tau_rigid`, which then calls the kernels `_tau` and `_hom`; the
-Hom(P(v), M) = 0 test calls `hom_dim`.  The two roads share no table and
-no clique search.  Both rest on the one copy of the Hom and tau closed
-forms, the kernels in `homology`; the tests hold those to an independent
-reference and to the matrix oracle.
+`is_tau_rigid` by `tables.indices`, and then calls the kernels `_tau`
+and `_hom`; the Hom(P(v), M) = 0 test calls `hom_dim`.  The two roads
+share no candidate mask and no clique search.  Both rest on the one copy
+of the Hom and tau closed forms, the kernels in `homology`; the tests
+hold those to an independent reference and to the matrix oracle.
 
 The same component series recur across the 2^n kill sets, so
 `enumerate_sttilt_over` keeps a memo local to each call, keyed by the
@@ -39,9 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 
-from .algebra import Algebra, AlgebraError, ModuleSet, quotient_algebra
+from .algebra import Algebra, ModuleSet, quotient_algebra
 from .homology import _hom, _tau, hom_dim
-from .tables import cliques, mask, not_basic
+from .tables import cliques, indices, mask
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,10 @@ class SupportPair:
 def is_tau_rigid(A: Algebra, ms: ModuleSet) -> bool:
     """Hom(X, tau Y) = 0 for all ordered pairs of summands.
 
-    Each summand is validated once, and a summand repeated or out of order
-    raises AlgebraError; the Hom and tau kernels trust them.
+    `tables.indices` validates each summand once, and refuses one repeated
+    or out of order; the Hom and tau kernels trust them.
     """
-    for k, m in enumerate(ms.modules):
-        A.check_module(m)
-        if k and not ms.modules[k - 1] < m:
-            raise AlgebraError(not_basic(m))
+    indices(A, ms)
     taus = [ty for ty in (_tau(A, y) for y in ms) if ty is not None]
     return not any(_hom(A, x, ty) for x in ms for ty in taus)
 

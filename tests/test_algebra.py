@@ -326,20 +326,21 @@ class TestUniverseGenerators:
             seen.add(key)
 
     def test_generator_is_exhaustive(self):
-        # Brute force all tuples and keep the valid ones.
+        # Brute force all tuples in lexicographic order and keep the valid
+        # ones; the generator yields exactly those, in the same order.
         from itertools import product as iproduct
 
         for kind in ("linear", "cyclic"):
-            for n in range(1, 5):
-                brute = set()
-                for c in iproduct(range(1, 4), repeat=n):
-                    try:
-                        validate_kupisch(kind, c)
-                    except AlgebraError:
-                        continue
-                    brute.add(c)
-                generated = set(iter_kupisch_series(kind, n, 3))
-                assert generated == brute
+            for n in range(1, 6):
+                for max_entry in range(1, 5):
+                    brute = []
+                    for c in iproduct(range(1, max_entry + 1), repeat=n):
+                        try:
+                            validate_kupisch(kind, c)
+                        except AlgebraError:
+                            continue
+                        brute.append(c)
+                    assert list(iter_kupisch_series(kind, n, max_entry)) == brute, (kind, n, max_entry)
 
 
 class TestPublicSurface:

@@ -226,7 +226,7 @@ class TestSizeLimits:
         # 10**6 shows that the file is refused before any work of order d.
         words, extra = verb[0], verb[3]
         modules = ["S(1)" for name, _ in extra if not name.startswith("-")]
-        for dim in (cli.MAX_FILE_DIMENSION + 1, 10**6):
+        for dim in (cli.MAX_DIMENSION + 1, 10**6):
             path = tmp_path / f"{dim}.json"
             path.write_text(json.dumps({"kind": "cyclic", "kupisch": [dim]}))
             start = time.perf_counter()
@@ -234,7 +234,28 @@ class TestSizeLimits:
             assert time.perf_counter() - start < 1.0, dim
             assert code == 2
             assert out == ""
-            assert f"dimension {dim} exceeds the limit {cli.MAX_FILE_DIMENSION}" in err
+            assert f"dimension {dim} exceeds the limit {cli.MAX_DIMENSION}" in err
+
+    @pytest.mark.parametrize("kind, dim", [("linear", 10_001), ("cyclic", 10_002)])
+    def test_n_is_bounded_by_the_dimension_limit(self, capsys, monkeypatch, kind, dim):
+        # The shortcut algebra has dimension 2n - 1 (linear) or 2n (cyclic).
+        def build(*args):
+            raise AssertionError("built an algebra past the dimension limit")
+
+        monkeypatch.setattr(cli, "make_rsz_nakayama", build)
+        n = cli.MAX_DIMENSION // 2 + 1
+        code, out, err = run_cli(capsys, "indec", "list", "--n", str(n), "--kind", kind)
+        assert code == 2
+        assert out == ""
+        assert f"dimension {dim} exceeds the limit {cli.MAX_DIMENSION}" in err
+
+    @pytest.mark.parametrize("verb", [("profile",), ("indec", "list")], ids=" ".join)
+    def test_n_at_the_dimension_limit_runs(self, capsys, verb):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *verb, "--n", str(cli.MAX_DIMENSION // 2), "--kind", "cyclic")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert out
 
     def test_sttilt_n_refused_before_the_algebra_is_built(self, capsys, monkeypatch):
         def build(*args):

@@ -1,5 +1,6 @@
 import pytest
 
+from nakayama import homology
 from nakayama.algebra import Algebra, AlgebraError, IndecModule, make_rsz_nakayama
 from nakayama.homology import (
     INFINITE,
@@ -97,6 +98,24 @@ class TestProjInjDim:
         assert global_dimension(gamma_cyc3) == 2
         assert global_dimension(make_rsz_nakayama(4, "cyclic")) == INFINITE
         assert global_dimension(make_rsz_nakayama(4, "linear")) == 3
+
+    def test_global_dimension_is_the_largest_pd_of_a_simple(self, small_universe):
+        for A in small_universe:
+            assert global_dimension(A) == max(proj_dim(A, A.simple(i)) for i in A.vertices), A
+
+    def test_global_dimension_walks_each_syzygy_orbit_once(self, monkeypatch):
+        calls = 0
+        kernel = homology._syzygy
+
+        def counted(A, M):
+            nonlocal calls
+            calls += 1
+            return kernel(A, M)
+
+        monkeypatch.setattr(homology, "_syzygy", counted)
+        n = 200
+        assert global_dimension(make_rsz_nakayama(n, "cyclic")) == INFINITE
+        assert calls <= 2 * n
 
 
 class TestTau:

@@ -186,6 +186,13 @@ class TestOracleAgreement:
             for m in A.indecomposables():
                 assert tau_via_dtr(A, m) == tau(A, m)
 
+    def test_nu_projective_is_the_injective_envelope(self, small_universe):
+        # The oracle walks the paths ending at j; the closed form is the
+        # longest uniserial with socle j.
+        for A in small_universe:
+            for j in A.vertices:
+                assert oracle._nu_projective(A, j) == A.injective_env_vertex(j), (A, j)
+
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(kupisch_algebras())

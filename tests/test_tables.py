@@ -18,8 +18,8 @@ from nakayama.algebra import (
 )
 from nakayama.auslander import auslander_algebra
 from nakayama.tables import cliques, mask
-from nakayama.tau_tilting import enumerate_sttilt, is_sttilt_pair
-from nakayama.tilting import enumerate_tilting, is_tilting, tilting_record
+from nakayama.tau_tilting import enumerate_sttilt, is_sttilt_pair, is_tau_rigid
+from nakayama.tilting import enumerate_tilting, is_tilting, summand_shape_check, tilting_record
 
 M = IndecModule
 
@@ -160,7 +160,8 @@ def test_module_that_is_not_basic_raises_at_entry():
     A = Algebra("linear", (1, 2))
     for summands in ((M(1, 1), M(1, 1)), (M(2, 2), M(1, 1))):
         ms = ModuleSet(summands)
-        for call in (is_tilting, tilting_record, lambda A, ms: is_sttilt_pair(A, ms, [])):
+        calls = (is_tilting, tilting_record, summand_shape_check, is_tau_rigid, lambda A, ms: is_sttilt_pair(A, ms, []))
+        for call in calls:
             with pytest.raises(AlgebraError, match=re.escape(f"{summands[1]} is repeated or out of order")):
                 call(A, ms)
 
