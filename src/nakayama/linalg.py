@@ -1,15 +1,17 @@
 """Dense exact linear algebra over the rationals, sized for tiny matrices.
 
-Matrices are lists of rows with int or Fraction entries.  Ranks of
-integer matrices use fraction-free elimination (much faster than Fraction
-arithmetic and exact); everything needing actual division is done over
-Fraction.  No floating point anywhere.
+Matrices are lists of rows with int or Fraction entries.  Every rank is
+fraction-free: each row is scaled by the lcm of its denominators, which
+keeps the rank, and the integer matrix is eliminated by gcd-reduced cross
+multiplication.  Reduced row echelon form divides a row only at a pivot
+other than 1, so integer input whose pivots are 1 stays integer.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Matrix = list  # list[list[int | Fraction]]
 Vector = list  # list[int | Fraction]
@@ -50,9 +52,8 @@ def is_zero_matrix(m: Matrix) -> bool:
     return all(not x for row in m for x in row)
 
 
-def _rank_int(rows: list[list[int]]) -> int:
-    """Fraction-free integer elimination (gcd-reduced cross multiplication)."""
-    m = [row[:] for row in rows]
+def _rank_int(m: list[list[int]]) -> int:
+    """Fraction-free integer elimination (gcd-reduced cross multiplication), in place."""
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     rank = 0
@@ -81,15 +82,18 @@ def _rank_int(rows: list[list[int]]) -> int:
 def rank(rows: Matrix) -> int:
     if not rows or not rows[0]:
         return 0
-    if all(isinstance(x, int) for row in rows for x in row):
-        return _rank_int(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    r, _ = _rref_inplace(m)
-    return r
+    m = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (scale // x.denominator) for x in row])
+    return _rank_int(m)
 
 
-def _rref_inplace(m: list[list[Fraction]]) -> tuple[int, list[int]]:
-    """Reduced row echelon form in place; returns (rank, pivot columns)."""
+def _rref_inplace(m: Matrix) -> tuple[int, list[int]]:
+    """Reduced row echelon form in place; returns (rank, pivot columns).
+
+    A pivot row is divided only when its pivot is not 1.
+    """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []
@@ -99,8 +103,10 @@ def _rref_inplace(m: list[list[Fraction]]) -> tuple[int, list[int]]:
         if pivot is None:
             continue
         m[rank_], m[pivot] = m[pivot], m[rank_]
-        inv = 1 / m[rank_][col]
-        m[rank_] = [x * inv for x in m[rank_]]
+        p = m[rank_][col]
+        if p != 1:
+            inv = 1 / Fraction(p)
+            m[rank_] = [x * inv for x in m[rank_]]
         for r in range(nrows):
             if r != rank_ and m[r][col]:
                 factor = m[r][col]
@@ -113,18 +119,24 @@ def _rref_inplace(m: list[list[Fraction]]) -> tuple[int, list[int]]:
 
 
 def nullspace(rows: Matrix, ncols: int) -> list[Vector]:
-    """Basis of the right kernel {x : A x = 0}, as vectors of Fractions."""
+    """Basis of the right kernel {x : A x = 0}, one vector per free column.
+
+    Vector k is the int 1 at the k-th free column and the int 0 at the
+    other free columns; at a pivot column it holds the negated reduced
+    entry, an int when the input is integer and every pivot divided by
+    was 1, and otherwise possibly a Fraction.  No rows give the unit vectors.
+    """
     if not rows:
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank_, pivots = _rref_inplace(m)
+        return identity(ncols)
+    m = [list(row) for row in rows]
+    _, pivots = _rref_inplace(m)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
+        v = [0] * ncols
+        v[free] = 1
         for r, col in enumerate(pivots):
             v[col] = -m[r][free]
         basis.append(v)
@@ -136,6 +148,6 @@ def extend_basis_indices(vectors: list[Vector], dim: int) -> list[int]:
 
     They are the non-pivot columns of the reduced row echelon form.
     """
-    m = [[Fraction(x) for x in v] for v in vectors]
+    m = [list(v) for v in vectors]
     _, pivots = _rref_inplace(m)
     return [i for i in range(dim) if i not in pivots]

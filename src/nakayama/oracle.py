@@ -2,8 +2,9 @@
 
 Modules are realized as quiver representations over the rationals
 (vertex-indexed coordinate spaces plus one matrix per arrow, all exact
-``Fraction`` arithmetic).  Hom spaces are intertwiner nullspaces,
-Ext^1 comes from the syzygy sequence, and the Auslander-Reiten translate
+int and ``Fraction`` arithmetic).  Hom spaces are intertwiner nullspaces,
+dim Ext^1(M, N) = dim Hom(K, N) - dim Hom(P0, N) + dim Hom(M, N) for the
+projective cover P0 -> M with kernel K, and the Auslander-Reiten translate
 D Tr M is the kernel of D f: nu P1 -> nu P0 for a minimal projective
 presentation, each nu P(j) built as the right uniserial dual to the paths
 ending at j.  One layer map (`_positions`) serves representations, cover
@@ -15,7 +16,8 @@ an assumption.
 
 Caching: each algebra gets a workspace holding its arrows (also keyed by
 target), the representation of each module, the projective cover of each
-module and the Hom basis of each ordered pair, filled on first use.
+module, and the Hom basis (`hom_spaces`) and Hom dimension (`hom_dims`)
+of each ordered pair, filled on first use.
 Workspaces are keyed by the `Algebra` value (equal algebras share one)
 and kept in an LRU of `WORKSPACES` entries, so at most that many
 algebras' data stay alive.  The objects in a workspace are shared
@@ -173,8 +175,7 @@ def hom_space(A: Algebra, M: IndecModule, N: IndecModule) -> tuple:
 
 
 def hom_space_dim(A: Algebra, M: IndecModule, N: IndecModule) -> int:
-    ws = _workspace(A)
-    return _rep_hom_dim(ws, ws.rep(M), ws.rep(N))
+    return _workspace(A).hom_dim(M, N)
 
 
 # -- projective covers and syzygies -------------------------------------------
@@ -242,11 +243,12 @@ def _build_cover(ws: "_Workspace", M: IndecModule) -> CoverData:
 class _Workspace:
     """What the oracle has built for one algebra, filled on first use.
 
-    `reps[M]`, `covers[M]` and `hom_spaces[(M, N)]` are shared by every
-    caller; a module becomes a key only after `A.check_module` accepted it.
+    `reps[M]`, `covers[M]`, `hom_spaces[(M, N)]` and `hom_dims[(M, N)]` are
+    shared by every caller; a module becomes a key only after
+    `A.check_module` accepted it.
     """
 
-    __slots__ = ("A", "n", "arrows", "incoming", "reps", "covers", "hom_spaces")
+    __slots__ = ("A", "n", "arrows", "incoming", "reps", "covers", "hom_spaces", "hom_dims")
 
     def __init__(self, A: Algebra):
         self.A = A
@@ -256,6 +258,7 @@ class _Workspace:
         self.reps: dict[IndecModule, Representation] = {}
         self.covers: dict[IndecModule, CoverData] = {}
         self.hom_spaces: dict[tuple[IndecModule, IndecModule], tuple] = {}
+        self.hom_dims: dict[tuple[IndecModule, IndecModule], int] = {}
 
     def rep(self, M: IndecModule) -> Representation:
         rep = self.reps.get(M)
@@ -278,6 +281,13 @@ class _Workspace:
         if basis is None:
             basis = self.hom_spaces[key] = tuple(_rep_hom_basis(self, self.rep(M), self.rep(N)))
         return basis
+
+    def hom_dim(self, M: IndecModule, N: IndecModule) -> int:
+        key = (M, N)
+        dim = self.hom_dims.get(key)
+        if dim is None:
+            dim = self.hom_dims[key] = _rep_hom_dim(self, self.rep(M), self.rep(N))
+        return dim
 
 
 @lru_cache(maxsize=WORKSPACES)
@@ -331,9 +341,9 @@ def syzygy_oracle(A: Algebra, M: IndecModule) -> IndecModule | None:
 def ext1_space_dim(A: Algebra, M: IndecModule, N: IndecModule) -> int:
     """dim Ext^1(M, N) from 0 -> K -> P0 -> M -> 0.
 
-    Hom(-, N) is left exact, so Ext^1 = Hom(K, N) / image of Hom(P0, N);
-    the dimension is dim Hom(K, N) minus the rank of the restrictions of a
-    basis of Hom(P0, N) to K.
+    Hom(-, N) applied to it, with Ext^1(P0, N) = 0, gives the exact sequence
+    0 -> Hom(M, N) -> Hom(P0, N) -> Hom(K, N) -> Ext^1(M, N) -> 0, so
+    dim Ext^1(M, N) = dim Hom(K, N) - dim Hom(P0, N) + dim Hom(M, N).
     """
     ws = _workspace(A)
     data = ws.cover(M)
@@ -343,9 +353,7 @@ def ext1_space_dim(A: Algebra, M: IndecModule, N: IndecModule) -> int:
     hom_k = _rep_hom_dim(ws, data.kernel_rep, Nrep)
     if hom_k == 0:
         return 0
-    basis = ws.hom_space(data.cover_module, N)
-    restricted = [_flatten_maps([mat_mul(h[v], data.incl[v]) for v in range(ws.n)]) for h in basis]
-    return hom_k - linalg.rank(restricted)
+    return hom_k - ws.hom_dim(data.cover_module, N) + ws.hom_dim(M, N)
 
 
 # -- the Auslander-Reiten translate as D Tr -----------------------------------

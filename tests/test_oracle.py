@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nakayama.algebra import Algebra, AlgebraError, IndecModule, make_rsz_nakayama
+from nakayama.algebra import Algebra, AlgebraError, IndecModule, iter_algebras, make_rsz_nakayama
 from nakayama.homology import ext1_dim, hom_dim, syzygy, tau
 from nakayama import linalg, oracle
 from nakayama.oracle import (
@@ -50,6 +50,46 @@ class TestLinalg:
         rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 1)]]
         assert linalg.rank(rows) == 2
 
+    def test_nullspace_keeps_ints_without_division(self):
+        # Both branches give int units and zeros; pivots of 1 divide nothing.
+        for rows, n in (([], 2), ([[1, -1, 0]], 3), ([[0, 1, 0, 0], [0, 0, 1, -1]], 4)):
+            basis = linalg.nullspace(rows, n)
+            assert all(type(x) is int for vec in basis for x in vec), basis
+        assert linalg.nullspace([], 2) == [[1, 0], [0, 1]]
+        assert linalg.nullspace([[2, 1]], 2) == [[Fraction(-1, 2), 1]]
+
+
+# Rational entries: numerators -3..3 over denominators 1..4, mixed with ints.
+rationals = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+
+
+def fraction_rank(rows) -> int:
+    """Rank by Gaussian elimination over Fraction, the reference for `linalg.rank`."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        for i in range(r + 1, len(m)):
+            factor = m[i][col] / m[r][col]
+            m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+@st.composite
+def rational_matrices(draw):
+    ncols = draw(st.integers(1, 5))
+    row = st.one_of(st.just([0] * ncols), st.lists(rationals, min_size=ncols, max_size=ncols))
+    return draw(st.lists(row, max_size=5))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rational_matrices())
+def test_fraction_free_rank_matches_fraction_elimination(rows):
+    assert linalg.rank(rows) == fraction_rank(rows)
 
 
 @st.composite
@@ -72,7 +112,7 @@ def test_extend_basis_completes_the_span(case):
 @st.composite
 def small_matrices(draw):
     ncols = draw(st.integers(1, 5))
-    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols), max_size=4))
+    rows = draw(st.lists(st.lists(rationals, min_size=ncols, max_size=ncols), max_size=4))
     return rows, ncols
 
 
@@ -236,6 +276,33 @@ def test_invalid_module_raises_at_entry(entry, bad, message):
     for _ in range(2):
         with pytest.raises(AlgebraError, match=message):
             entry(A, bad)
+    assert not [key for key in _workspace(A).hom_dims if bad in key]
+
+
+def ext1_by_restriction(A, M, N) -> int:
+    """dim Hom(K, N) minus the rank of a Hom(P0, N) basis restricted to K.
+
+    Hom(-, N) is left exact on 0 -> K -> P0 -> M -> 0, so Ext^1(M, N) is
+    Hom(K, N) modulo the restrictions along the kernel inclusion `incl`.
+    """
+    ws = _workspace(A)
+    data = cover_data(A, M)
+    Nrep = ws.rep(N)
+    if data.kernel_rep.total_dim() == 0:
+        return 0
+    hom_k = oracle._rep_hom_dim(ws, data.kernel_rep, Nrep)
+    if hom_k == 0:
+        return 0
+    basis = hom_space(A, data.cover_module, N)
+    restricted = [oracle._flatten_maps([linalg.mat_mul(h[v], data.incl[v]) for v in range(A.n)]) for h in basis]
+    return hom_k - linalg.rank(restricted)
+
+
+def test_ext1_equals_the_restriction_road():
+    """Three Hom dimensions against Hom(K, N) modulo restricted Hom(P0, N)."""
+    for A in iter_algebras(4, 4):
+        for m, nmod in itertools.product(A.indecomposables(), repeat=2):
+            assert ext1_space_dim(A, m, nmod) == ext1_by_restriction(A, m, nmod), (A, m, nmod)
 
 
 class TestWorkspaceScope:
@@ -259,6 +326,17 @@ class TestWorkspaceScope:
         assert self.roads(A) == expected
         self.wreck(A)
         assert self.roads(A) == expected
+
+    @pytest.mark.parametrize("A", [Algebra("cyclic", (3, 3, 2)), Algebra("linear", (1, 2, 3, 2))], ids=str)
+    def test_ext1_before_any_hom_dim(self, A):
+        # Ext^1 fills `hom_dims` with Hom(P0, N) and Hom(M, N) first; the
+        # Hom dimensions read afterwards from the same cache must not care.
+        _workspace.cache_clear()
+        pairs = list(itertools.product(A.indecomposables(), repeat=2))
+        ext1s = [ext1_space_dim(A, x, y) for x, y in pairs]
+        homs = [hom_space_dim(A, x, y) for x, y in pairs]
+        assert ext1s == [ext1_dim(A, x, y) for x, y in pairs]
+        assert homs == [hom_dim(A, x, y) for x, y in pairs]
 
     def test_equal_algebras_built_separately_agree(self):
         A, B = Algebra("linear", (1, 2, 3, 2)), Algebra("linear", (1, 2, 3, 2))
