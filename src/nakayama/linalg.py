@@ -1,11 +1,13 @@
-"""Dense exact linear algebra over the rationals, sized for tiny matrices.
+"""Exact linear algebra over the rationals, sized for tiny matrices.
 
-Matrices are lists of rows with int or Fraction entries.  Every rank is
-fraction-free: each row is scaled by the lcm of its denominators, which
-keeps the rank, and the integer matrix is eliminated by gcd-reduced cross
-multiplication.  Reduced row echelon form divides a row only at a pivot
-other than 1, so integer input whose pivots are 1 stays integer.  No
-floating point anywhere.
+Matrices are lists of rows with int or Fraction entries.  `rank` works on
+sparse rows, each a ``{column: entry}`` dict holding its nonzero entries
+(a dense row is read as its nonzeros), and is fraction-free: each row is
+scaled by the lcm of its denominators, which keeps the rank, and the
+integer rows are eliminated by gcd-reduced cross multiplication at each
+row's lowest column.  Reduced row echelon form divides a row only at a
+pivot other than 1, so integer input whose pivots are 1 stays integer.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -52,41 +54,37 @@ def is_zero_matrix(m: Matrix) -> bool:
     return all(not x for row in m for x in row)
 
 
-def _rank_int(m: list[list[int]]) -> int:
-    """Fraction-free integer elimination (gcd-reduced cross multiplication), in place."""
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        p = m[rank][col]
-        for r in range(rank + 1, nrows):
-            x = m[r][col]
-            if x:
-                row = m[r]
-                prow = m[rank]
-                g = gcd(p, x)
-                a, b = p // g, x // g
-                for j in range(col, ncols):
-                    row[j] = a * row[j] - b * prow[j]
-        rank += 1
-        col += 1
-    return rank
+def rank(rows) -> int:
+    """Rank of the rows, each a ``{column: entry}`` dict or a dense list.
 
-
-def rank(rows: Matrix) -> int:
-    if not rows or not rows[0]:
-        return 0
-    m = []
+    Each row is scaled to integers and reduced against the pivot rows
+    kept so far, at its lowest column, until it is zero or starts at a
+    column no pivot row holds; then it becomes that column's pivot row.
+    """
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (scale // x.denominator) for x in row])
-    return _rank_int(m)
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        r = {c: x for c, x in items if x}
+        if any(type(x) is not int for x in r.values()):
+            scale = lcm(*(x.denominator for x in r.values()))
+            r = {c: x.numerator * (scale // x.denominator) for c, x in r.items()}
+        while r:
+            col = min(r)
+            p = pivots.get(col)
+            if p is None:
+                pivots[col] = r
+                break
+            g = gcd(p[col], r[col])
+            a, b = p[col] // g, r[col] // g
+            if a != 1:
+                r = {c: a * x for c, x in r.items()}
+            for c, y in p.items():
+                x = r.get(c, 0) - b * y
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
+    return len(pivots)
 
 
 def _rref_inplace(m: Matrix) -> tuple[int, list[int]]:

@@ -3,11 +3,15 @@
 Modules are realized as quiver representations over the rationals
 (vertex-indexed coordinate spaces plus one matrix per arrow, all exact
 int and ``Fraction`` arithmetic).  Hom spaces are intertwiner nullspaces,
-dim Ext^1(M, N) = dim Hom(K, N) - dim Hom(P0, N) + dim Hom(M, N) for the
-projective cover P0 -> M with kernel K, and the Auslander-Reiten translate
-D Tr M is the kernel of D f: nu P1 -> nu P0 for a minimal projective
-presentation, each nu P(j) built as the right uniserial dual to the paths
-ending at j.  One layer map (`_positions`) serves representations, cover
+their dimensions ranks of sparse intertwiner systems, and
+dim Ext^1(M, N) = dim Hom(Omega M, N) - dim Hom(P0, N) + dim Hom(M, N) for
+the projective cover P0 -> M whose kernel K is identified as the module
+Omega M: `identify_module` checks that K has a simple top S(v) and the
+dimension vector of M(v, d), and a module with simple top S(v) is a
+quotient of the uniserial P(v), so K is isomorphic to M(v, d).  The
+Auslander-Reiten translate D Tr M is the kernel of D f: nu P1 -> nu P0
+for a minimal projective presentation, each nu P(j) built as the right
+uniserial dual to the paths ending at j.  One layer map (`_positions`) serves representations, cover
 maps and D f; one kernel routine serves the syzygy and tau, with one
 elimination per vertex; one top routine serves `identify_module` and the
 generator of the syzygy in `tau_via_dtr`.  Nothing here reuses the closed
@@ -16,8 +20,10 @@ an assumption.
 
 Caching: each algebra gets a workspace holding its arrows (also keyed by
 target), the representation of each module, the projective cover of each
-module, and the Hom basis (`hom_spaces`) and Hom dimension (`hom_dims`)
-of each ordered pair, filled on first use.
+module with its kernel identified once as the syzygy module
+(`CoverData.syzygy`, read by `syzygy_oracle` and `ext1_space_dim`), and
+the Hom basis (`hom_spaces`) and Hom dimension (`hom_dims`) of each
+ordered pair, filled on first use.
 Workspaces are keyed by the `Algebra` value (equal algebras share one)
 and kept in an LRU of `WORKSPACES` entries, so at most that many
 algebras' data stay alive.  The objects in a workspace are shared
@@ -120,27 +126,46 @@ def check_relations(A: Algebra, rep: Representation) -> bool:
 
 
 def _hom_system(ws: "_Workspace", X: Representation, Y: Representation):
-    """Linear system whose kernel is Hom(X, Y); returns (rows, total, offsets)."""
+    """Linear system whose kernel is Hom(X, Y); returns (rows, total, offsets).
+
+    Unknown (i, k) of the map at vertex v is column offsets[v] + i * dim X_v + k.
+    Equation (arrow src -> tgt, i, j) is entry (i, j) of f_tgt X_a - Y_a f_src,
+    one ``{column: entry}`` dict of its nonzero entries, built from the
+    nonzeros of column j of X_a and row i of Y_a; zero equations are dropped.
+    """
     offsets = [0] * ws.n
     total = 0
     for v in range(ws.n):
         offsets[v] = total
         total += Y.dims[v] * X.dims[v]
     rows = []
+    if total == 0:  # no unknowns, so every equation is zero
+        return rows, total, offsets
     for src, tgt in ws.arrows:
-        Xa, Ya = X.maps[src], Y.maps[src]
         dXs, dXt = X.dims[src - 1], X.dims[tgt - 1]
-        dYs, dYt = Y.dims[src - 1], Y.dims[tgt - 1]
-        for i in range(dYt):
-            for j in range(dXs):
-                row = [0] * total
-                for k in range(dXt):
-                    if Xa[k][j]:
-                        row[offsets[tgt - 1] + i * dXt + k] += Xa[k][j]
-                for k in range(dYs):
-                    if Ya[i][k]:
-                        row[offsets[src - 1] + k * dXs + j] -= Ya[i][k]
-                if any(row):
+        if not (dXs and Y.dims[tgt - 1]):  # no equations at this arrow
+            continue
+        src_at, tgt_at = offsets[src - 1], offsets[tgt - 1]
+        xcols = [[] for _ in range(dXs)]
+        for k, xrow in enumerate(X.maps[src]):
+            for j, x in enumerate(xrow):
+                if x:
+                    xcols[j].append((tgt_at + k, x))
+        for i, yrow in enumerate(Y.maps[src]):
+            ys = [(src_at + k * dXs, y) for k, y in enumerate(yrow) if y]
+            base = i * dXt
+            for j, xcol in enumerate(xcols):
+                if not (xcol or ys):
+                    continue
+                row = {col + base: x for col, x in xcol}
+                for col, y in ys:
+                    col += j
+                    x = row.get(col, 0) - y
+                    if x:
+                        row[col] = x
+                    else:
+                        del row[col]
+                if row:
                     rows.append(row)
     return rows, total, offsets
 
@@ -157,7 +182,13 @@ def _rep_hom_basis(ws: "_Workspace", X: Representation, Y: Representation) -> li
     rows, total, offsets = _hom_system(ws, X, Y)
     if total == 0:
         return []
-    vectors = linalg.nullspace(rows, total)
+    dense = []
+    for row in rows:
+        vec = [0] * total
+        for col, x in row.items():
+            vec[col] = x
+        dense.append(vec)
+    vectors = linalg.nullspace(dense, total)
     basis = []
     for vec in vectors:
         mats = []
@@ -186,12 +217,14 @@ class CoverData:
     """Minimal projective cover P(top M) -> M with its kernel.
 
     `incl` holds per-vertex inclusion matrices of the kernel into the
-    cover (columns form a kernel basis).
+    cover (columns form a kernel basis); `syzygy` is the kernel identified
+    as a module by `identify_module` (None if the kernel is zero).
     """
 
     cover_module: IndecModule
     kernel_rep: Representation
     incl: list[Matrix]
+    syzygy: IndecModule | None
 
 
 def cover_data(A: Algebra, M: IndecModule) -> CoverData:
@@ -234,7 +267,7 @@ def _build_cover(ws: "_Workspace", M: IndecModule) -> CoverData:
             mat[row][p_pos[v][k]] = 1
         g.append(mat)
     kernel_rep, incl = _kernel(ws, ws.rep(P0), g)
-    return CoverData(P0, kernel_rep, incl)
+    return CoverData(P0, kernel_rep, incl, identify_module(A, kernel_rep))
 
 
 # -- the per-algebra workspace ------------------------------------------------
@@ -332,25 +365,25 @@ def identify_module(A: Algebra, rep) -> IndecModule | None:
 
 def syzygy_oracle(A: Algebra, M: IndecModule) -> IndecModule | None:
     """Kernel of the projective cover, identified as a module (None if zero)."""
-    data = cover_data(A, M)
-    if data.kernel_rep.total_dim() == 0:
-        return None
-    return identify_module(A, data.kernel_rep)
+    return cover_data(A, M).syzygy
 
 
 def ext1_space_dim(A: Algebra, M: IndecModule, N: IndecModule) -> int:
-    """dim Ext^1(M, N) from 0 -> K -> P0 -> M -> 0.
+    """dim Ext^1(M, N) from 0 -> Omega M -> P0 -> M -> 0.
 
     Hom(-, N) applied to it, with Ext^1(P0, N) = 0, gives the exact sequence
-    0 -> Hom(M, N) -> Hom(P0, N) -> Hom(K, N) -> Ext^1(M, N) -> 0, so
-    dim Ext^1(M, N) = dim Hom(K, N) - dim Hom(P0, N) + dim Hom(M, N).
+    0 -> Hom(M, N) -> Hom(P0, N) -> Hom(Omega M, N) -> Ext^1(M, N) -> 0, so
+    dim Ext^1(M, N) = dim Hom(Omega M, N) - dim Hom(P0, N) + dim Hom(M, N),
+    each read from `hom_dims`.  Omega M is the cover's kernel K as
+    `identify_module` named it once per cover; K is isomorphic to it, so
+    dim Hom(K, N) is the same number.
     """
     ws = _workspace(A)
     data = ws.cover(M)
-    Nrep = ws.rep(N)
-    if data.kernel_rep.total_dim() == 0:
+    ws.rep(N)  # validates N, also where the answer is 0 without it
+    if data.syzygy is None:
         return 0
-    hom_k = _rep_hom_dim(ws, data.kernel_rep, Nrep)
+    hom_k = ws.hom_dim(data.syzygy, N)
     if hom_k == 0:
         return 0
     return hom_k - ws.hom_dim(data.cover_module, N) + ws.hom_dim(M, N)

@@ -93,6 +93,26 @@ def test_fraction_free_rank_matches_fraction_elimination(rows):
 
 
 @st.composite
+def sparse_rows(draw):
+    """``{column: entry}`` rows: empty rows, explicit zero entries, and rows
+    that combine two earlier rows, so that entries cancel in elimination."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), rationals, max_size=ncols), max_size=5))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        x, y = draw(rationals), draw(rationals)
+        rows.append({c: x * a.get(c, 0) + y * b.get(c, 0) for c in a.keys() | b.keys()})
+    return rows, ncols
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(sparse_rows())
+def test_sparse_rank_matches_fraction_elimination(case):
+    rows, ncols = case
+    assert linalg.rank(rows) == fraction_rank([[row.get(c, 0) for c in range(ncols)] for row in rows])
+
+
+@st.composite
 def spanning_sets(draw):
     dim = draw(st.integers(1, 5))
     vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), max_size=5))
@@ -303,6 +323,112 @@ def test_ext1_equals_the_restriction_road():
     for A in iter_algebras(4, 4):
         for m, nmod in itertools.product(A.indecomposables(), repeat=2):
             assert ext1_space_dim(A, m, nmod) == ext1_by_restriction(A, m, nmod), (A, m, nmod)
+
+
+def dense_hom_system(ws, X, Y):
+    """The intertwiner system with one dense row of length `total` per
+    nonzero equation: the reference for the sparse `oracle._hom_system`."""
+    offsets = [0] * ws.n
+    total = 0
+    for v in range(ws.n):
+        offsets[v] = total
+        total += Y.dims[v] * X.dims[v]
+    rows = []
+    for src, tgt in ws.arrows:
+        Xa, Ya = X.maps[src], Y.maps[src]
+        dXs, dXt = X.dims[src - 1], X.dims[tgt - 1]
+        dYs, dYt = Y.dims[src - 1], Y.dims[tgt - 1]
+        for i in range(dYt):
+            for j in range(dXs):
+                row = [0] * total
+                for k in range(dXt):
+                    if Xa[k][j]:
+                        row[offsets[tgt - 1] + i * dXt + k] += Xa[k][j]
+                for k in range(dYs):
+                    if Ya[i][k]:
+                        row[offsets[src - 1] + k * dXs + j] -= Ya[i][k]
+                if any(row):
+                    rows.append(row)
+    return rows, total, offsets
+
+
+def densified(ws, X, Y):
+    """`oracle._hom_system` with its rows written out densely."""
+    rows, total, offsets = oracle._hom_system(ws, X, Y)
+    assert all(all(row.values()) for row in rows), "a row holds a zero entry"
+    return [[row.get(c, 0) for c in range(total)] for row in rows], total, offsets
+
+
+@st.composite
+def representations(draw):
+    """Any two representations of cyclic (3, 3, 2) or of the loop cyclic (3,),
+    where the two sides of an equation share columns, relations or not,
+    with entries -2..2: several nonzeros per row and column of a matrix."""
+    ws = _workspace(Algebra("cyclic", draw(st.sampled_from([(3, 3, 2), (3,)]))))
+
+    def one():
+        dims = draw(st.lists(st.integers(0, 2), min_size=ws.n, max_size=ws.n))
+        maps = {src: [[draw(st.integers(-2, 2)) for _ in range(dims[src - 1])] for _ in range(dims[tgt - 1])]
+                for src, tgt in ws.arrows}
+        return oracle.Representation(dims, maps)
+
+    return ws, one(), one()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(representations())
+def test_sparse_hom_system_is_the_dense_one_on_any_representations(case):
+    ws, X, Y = case
+    assert densified(ws, X, Y) == dense_hom_system(ws, X, Y)
+
+
+def test_sparse_hom_system_matches_the_dense_reference():
+    """Hom dimensions from sparse rows against dense rows, on every ordered
+    pair of modules and of each cover's kernel against every module."""
+    for A in iter_algebras(4, 4):
+        ws = _workspace(A)
+        mods = list(A.indecomposables())
+        reps = [ws.rep(m) for m in mods]
+        kernels = [cover_data(A, m).kernel_rep for m in mods]
+        for X, Y in itertools.product(reps + kernels, reps):
+            rows, total, offsets = dense_hom_system(ws, X, Y)
+            assert densified(ws, X, Y) == (rows, total, offsets), (A, X.dims, Y.dims)
+            assert oracle._rep_hom_dim(ws, X, Y) == total - fraction_rank(rows), (A, X.dims, Y.dims)
+        for m, nmod in itertools.product(mods, repeat=2):
+            assert len(hom_space(A, m, nmod)) == hom_space_dim(A, m, nmod), (A, m, nmod)
+
+
+@pytest.mark.parametrize("ext1_first", [True, False], ids=["ext1-first", "hom-first"])
+@pytest.mark.parametrize("A", [Algebra("cyclic", (3, 3, 2)), Algebra("linear", (1, 2, 3, 2))], ids=str)
+def test_hom_is_solved_only_on_module_representations(A, ext1_first, monkeypatch):
+    """Ext^1 reads Hom(Omega M, N) from `hom_dims`: every Hom system solved
+    is one of the workspace's module representations, once per key, and
+    each cover's kernel is identified once."""
+    _workspace.cache_clear()
+    ws = _workspace(A)
+    solved, identified = [], []
+    rep_hom_dim, identify = oracle._rep_hom_dim, oracle.identify_module
+
+    def spy_solve(ws_, X, Y):
+        solved.append(X)
+        return rep_hom_dim(ws_, X, Y)
+
+    def spy_identify(A_, rep):
+        identified.append(rep)
+        return identify(A_, rep)
+
+    monkeypatch.setattr(oracle, "_rep_hom_dim", spy_solve)
+    monkeypatch.setattr(oracle, "identify_module", spy_identify)
+    pairs = list(itertools.product(A.indecomposables(), repeat=2))
+    for road in (ext1_space_dim, hom_space_dim) if ext1_first else (hom_space_dim, ext1_space_dim):
+        for x, y in pairs:
+            road(A, x, y)
+    module_reps = {id(rep) for rep in ws.reps.values()}
+    assert all(id(X) in module_reps for X in solved)
+    assert len(solved) == len(ws.hom_dims)
+    kernels = {id(data.kernel_rep) for data in ws.covers.values()}
+    identified_ids = Counter(map(id, identified))
+    assert set(identified_ids) <= kernels and max(identified_ids.values()) == 1
 
 
 class TestWorkspaceScope:
