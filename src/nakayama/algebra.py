@@ -99,6 +99,10 @@ class Algebra:
         return range(1, self.n + 1)
 
     def check_vertex(self, v: int) -> None:
+        if type(v) is int and 0 < v <= len(self.c):
+            return
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise AlgebraError(f"vertex {v!r} is not an integer")
         if not 1 <= v <= self.n:
             raise AlgebraError(f"vertex {v} out of range 1..{self.n}")
 
@@ -131,13 +135,14 @@ class Algebra:
         return m
 
     def check_module(self, m: IndecModule) -> None:
-        if 1 <= m.top <= len(self.c) and 1 <= m.length <= self.c[m.top - 1]:
+        c, top, length = self.c, m.top, m.length
+        if type(top) is type(length) is int and 0 < top <= len(c) and 0 < length <= c[top - 1]:
             return
-        self.check_vertex(m.top)
-        if not 1 <= m.length <= self.kupisch(m.top):
-            raise AlgebraError(
-                f"length {m.length} invalid at vertex {m.top}: need 1..{self.kupisch(m.top)}"
-            )
+        self.check_vertex(top)
+        if not isinstance(length, int) or isinstance(length, bool):
+            raise AlgebraError(f"length {length!r} at vertex {top} is not an integer")
+        if not 1 <= length <= self.kupisch(top):
+            raise AlgebraError(f"length {length} invalid at vertex {top}: need 1..{self.kupisch(top)}")
 
     def valid_module(self, m: IndecModule) -> bool:
         try:
@@ -246,6 +251,12 @@ class Algebra:
         """Projective dimensions and candidate masks over the indecomposables, built on first use."""
         return Tables(self)
 
+    @cached_property
+    def quotient_components(self) -> dict[tuple[int, ...], Algebra]:
+        """The linear component of each run of surviving vertices that
+        `quotient_algebra` has met on this algebra, keyed by the run."""
+        return {}
+
     def __str__(self) -> str:
         return f"{self.kind}{self.c}"
 
@@ -315,11 +326,12 @@ class QuotientAlgebra:
     """A/(e) for e the sum of primitive idempotents at `killed` vertices.
 
     The quotient of a Nakayama algebra splits into linear components, one
-    per maximal descending run of surviving vertices.  `embeds[k][t-1]` is
-    the parent vertex carrying local vertex t of component k (local
-    indices count from the bottom of the run).  The one exception: killing
-    nothing in a cyclic algebra returns the algebra itself as the single
-    component.
+    per run: a maximal chain of surviving vertices, each one arrow above
+    the last.  `embeds[k][t-1]` is the parent vertex carrying local vertex
+    t of component k (local indices count from the bottom of the run);
+    components are ordered by the least vertex of their run.  The one
+    exception: killing nothing in a cyclic algebra returns the algebra
+    itself as the single component.
     """
 
     components: tuple[Algebra, ...]
@@ -328,40 +340,45 @@ class QuotientAlgebra:
 
 
 def quotient_algebra(A: Algebra, killed: Iterable[int]) -> QuotientAlgebra:
-    """Quotient of A by the idempotents at `killed` vertices."""
+    """Quotient of A by the idempotents at `killed` vertices.
+
+    A component depends only on its run, so each is built (and validated)
+    the first time this instance of A meets its run, and is then kept in
+    `A.quotient_components`.  That memo holds at most n(n-1) runs when A is
+    cyclic and n(n+1)/2 when it is linear, however many of the 2^n kill
+    sets are asked for.
+    """
     killed_set = frozenset(killed)
+    c, n, cyclic = A.c, len(A.c), A.kind == CYCLIC
     for v in killed_set:
         A.check_vertex(v)
-    if len(killed_set) == A.n:
+    if len(killed_set) == n:
         return QuotientAlgebra((), (), killed_set)
-    if not killed_set and A.kind == CYCLIC:
+    if not killed_set and cyclic:
         return QuotientAlgebra((A,), (tuple(A.vertices),), killed_set)
 
-    # Vertex arithmetic on c directly: v - 1 and v + 1 are the vertices
-    # below and above v, wrapping between 1 and n only when cyclic; 0 is none.
-    c, n, cyclic = A.c, len(A.c), A.kind == CYCLIC
-    runs = []
-    for b in range(1, n + 1):
-        below = b - 1 if b > 1 else n if cyclic else 0
-        # b starts a run when it survives and the vertex below it, if any, does not.
-        if b in killed_set or (below and below not in killed_set):
-            continue
-        run = [b]
-        v = b
-        while True:
-            v = v + 1 if v < n else 1 if cyclic else 0
-            if not v or v in killed_set:
-                break
-            run.append(v)
-        runs.append(run)
-    runs.sort(key=min)
+    # One scan up the vertices; a run that reaches n continues at 1 when A
+    # is cyclic, and then it holds 1, so it stays first.
+    runs: list[tuple[int, ...]] = []
+    start = 0
+    for v in range(1, n + 2):
+        if v <= n and v not in killed_set:
+            if not start:
+                start = v
+        elif start:
+            runs.append(tuple(range(start, v)))
+            start = 0
+    if cyclic and runs[0][0] == 1 and runs[-1][-1] == n:
+        runs[0] = runs.pop() + runs[0]
 
+    memo = A.quotient_components
     comps = []
-    embeds = []
     for run in runs:
-        comps.append(Algebra(LINEAR, tuple(min(c[v - 1], t) for t, v in enumerate(run, start=1))))
-        embeds.append(tuple(run))
-    return QuotientAlgebra(tuple(comps), tuple(embeds), killed_set)
+        comp = memo.get(run)
+        if comp is None:
+            comp = memo[run] = Algebra(LINEAR, tuple(min(c[v - 1], t) for t, v in enumerate(run, start=1)))
+        comps.append(comp)
+    return QuotientAlgebra(tuple(comps), tuple(runs), killed_set)
 
 
 # -- literals and serialization ----------------------------------------------

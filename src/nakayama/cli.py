@@ -57,19 +57,20 @@ USAGE_ERROR = 2
 # Single runs at the limit on a 2-CPU Xeon VM: tilt enumerate --n 14
 # --kind cyclic 0.96 s; tilt graph --n 10 --kind cyclic 1.3 s (--kind
 # linear 0.6 s); sttilt enumerate --n 14 --kind cyclic (2^14 kill sets,
-# 228,486 pairs) 9.2 s, 3.1 s of it enumeration and the rest JSON output;
-# verify paper --max-n 12 0.75 s; profile --n 5000 --kind cyclic 0.2 s.
+# 228,486 pairs) 9.0-9.5 s and 702 MB peak RSS, 3.2-3.4 s of it
+# enumeration and the rest JSON output; verify paper --max-n 12 0.75 s;
+# profile --n 5000 --kind cyclic 0.2 s.
 # The worst files measured: for tilt, the path algebra linear (1, 2, ...,
 # N), with Catalan(N) tilting modules: tilt enumerate N=12 (208,012
 # modules) 9.3 s, tilt graph N=8 (1,430 modules) 2.4 s; for sttilt, the
 # self-injective cyclic (N, ..., N), with C(2N, N) pairs: N=10 (184,756
-# pairs, d = 100) 8.9 s and 501 MB peak RSS.  Every verb scans the d
+# pairs, d = 100) 7.1-7.9 s and 499 MB peak RSS.  Every verb scans the d
 # modules, and cyclic (N, N+1, ..., N+k-1) has Catalan(k) tilting modules
 # too, so the worst files grow slowly with d.  Paired single runs at
 # d ~ 10^4 against the small worst files: tilt enumerate on cyclic (827,
 # ..., 838) 9.6 s (path 8.9 s); tilt graph on (1246, ..., 1253) 2.8 s
 # (path 2.4 s), and exchange_graph on (1247, ..., 1254), d = 10,004,
-# 1.7 s; sttilt enumerate on (1000,)*10 9.4 s ((10,)*10 10.6 s).
+# 1.7 s; sttilt enumerate on (1000,)*10 6.9-7.2 s ((10,)*10 7.1-7.9 s).
 # tilt graph makes k(k-1) Gen comparisons for k tilting modules, each
 # module's profile walked once: cyclic --n 12 (k = 4,096) makes 16.7 M
 # (23 s in-process) and the path algebra N=9 (k = 4,862) 23.6 M (30 s),

@@ -21,17 +21,22 @@ share no candidate mask and no clique search.  Both rest on the one copy
 of the Hom and tau closed forms, the kernels in `homology`; the tests
 hold those to an independent reference and to the matrix oracle.
 
-The same component series recur across the 2^n kill sets, so
-`enumerate_sttilt_over` keeps a memo local to each call, keyed by the
-component `Algebra` (equal series hash alike): `enumerate_tau_tilting`
-runs once per distinct series, and its modules are kept as local
-(top, length) pairs.  Each kill set maps those pairs through the
-component's embedding straight to parent table indices; the parent's
-tables index modules in (top, length) order, so sorted indices are the
-canonical `ModuleSet` order and pairs are sorted on integers.  Validation
-happens once, at entry (the base kill set); the quotient components and
-their modules come from tables, so they are valid by construction and
-nothing is re-checked per module.
+The same components recur across the 2^n kill sets.  `quotient_algebra`
+builds each one once per run (a maximal chain of surviving vertices) and
+keeps it on the parent algebra, and `enumerate_sttilt_over` keeps two
+memos local to each call.  The first is keyed by the component `Algebra`
+(equal series hash alike), so `enumerate_tau_tilting` runs once per
+distinct series.  The second is keyed by the run, which fixes the
+component within one call: each run's tau-tilting modules are placed
+through its embedding as sorted tuples of parent table indices once per
+call.  The parent's tables index modules in (top, length) order, so
+sorted indices are the canonical `ModuleSet` order.  A kill set with one
+component takes its run's tuples as they are; one with several takes
+their product and sorts each choice.  All pairs of one kill set share a
+single frozenset of killed vertices, and pairs are sorted on integers.
+Validation happens once, at entry (the base kill set); the quotient
+components and their modules come from tables, so they are valid by
+construction and nothing is re-checked per module.
 """
 
 from __future__ import annotations
@@ -101,36 +106,41 @@ def enumerate_sttilt_over(A: Algebra, base_killed=frozenset()) -> list[SupportPa
         A.check_vertex(v)
     ambient = [v for v in A.vertices if v not in base]
     tab = A.tables
-    # tau-tilting modules of each component series met in this call, as
-    # component-local (top, length) pairs.
-    series: dict[Algebra, list[list[tuple[int, int]]]] = {}
-    # Kill set of each module part, as parent table indices; combinations()
-    # yields sorted kill tuples.
-    kill_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # tau-tilting modules of each component series met in this call.
+    series: dict[Algebra, list[ModuleSet]] = {}
+    # The same, placed on each run met in this call, as sorted tuples of
+    # parent table indices; within one call the run fixes the component.
+    placed: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    # Kill set of each module part, as parent table indices.
+    kill_of: dict[tuple[int, ...], frozenset[int]] = {}
     for r in range(len(ambient) + 1):
         for extra in combinations(ambient, r):
-            killed_total = base | set(extra)
-            q = quotient_algebra(A, killed_total)
+            q = quotient_algebra(A, base.union(extra))
             per_component = []
             for comp, emb in zip(q.components, q.embeds):
-                local = series.get(comp)
-                if local is None:
-                    local = series[comp] = [
-                        [(m.top, m.length) for m in ms] for ms in enumerate_tau_tilting(comp)
-                    ]
-                if not local:
-                    # The regular module is always tau-tilting, so this is a bug.
-                    raise RuntimeError(f"component of {A}/{sorted(killed_total)} has no tau-tilting module")
-                per_component.append([[tab.at(emb[t - 1], l) for t, l in ms] for ms in local])
-            for choice in product(*per_component):
-                idx = tuple(sorted(chain.from_iterable(choice)))
+                parts = placed.get(emb)
+                if parts is None:
+                    local = series.get(comp)
+                    if local is None:
+                        local = series[comp] = enumerate_tau_tilting(comp)
+                    if not local:
+                        # The regular module is always tau-tilting, so this is a bug.
+                        raise RuntimeError(f"component of {A}/{sorted(q.killed)} has no tau-tilting module")
+                    parts = placed[emb] = [tuple(sorted(tab.at(emb[m.top - 1], m.length) for m in ms)) for ms in local]
+                per_component.append(parts)
+            if len(per_component) == 1:
+                module_parts = per_component[0]
+            else:
+                module_parts = [tuple(sorted(chain.from_iterable(choice))) for choice in product(*per_component)]
+            killed = frozenset(extra)
+            for idx in module_parts:
                 if idx in kill_of:
                     # The module part of a support pair fixes its kill set, so this is a bug.
-                    raise RuntimeError(f"kill sets {sorted(kill_of[idx])} and {sorted(extra)} share a module part")
-                kill_of[idx] = extra
+                    raise RuntimeError(f"kill sets {sorted(kill_of[idx])} and {sorted(killed)} share a module part")
+                kill_of[idx] = killed
     # Table indices follow the (top, length) order of the modules, so this
     # is the order of SupportPair.sort_key.
-    return [SupportPair(tab.module_set(idx), frozenset(extra)) for idx, extra in sorted(kill_of.items())]
+    return [SupportPair(tab.module_set(idx), killed) for idx, killed in sorted(kill_of.items())]
 
 
 def enumerate_sttilt(A: Algebra) -> list[SupportPair]:

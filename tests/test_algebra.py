@@ -11,6 +11,7 @@ from nakayama.algebra import (
     AlgebraError,
     IndecModule,
     ModuleSet,
+    QuotientAlgebra,
     algebra_from_json,
     algebra_to_json,
     iter_algebras,
@@ -95,6 +96,27 @@ class TestModules:
             gamma_lin3.module(6, 1)
         with pytest.raises(AlgebraError):
             gamma_lin3.module(3, 0)
+
+    @pytest.mark.parametrize(
+        "top, length",
+        [(1.5, 1), (2, 1.5), (True, 1), (2, True), ("2", 1)],
+        ids=["float top", "float length", "bool top", "bool length", "str top"],
+    )
+    def test_coordinates_must_be_integers(self, top, length):
+        # Equal-valued floats and bools are refused, by the rule of the series
+        # validator, on the fast path of check_module as on the slow one.
+        A = make_rsz_nakayama(3, "linear")
+        with pytest.raises(AlgebraError, match="is not an integer"):
+            A.check_module(M(top, length))
+        assert not A.valid_module(M(top, length))
+
+    @pytest.mark.parametrize("v", [1.5, 2.0, True, "2", None], ids=["1.5", "2.0", "True", "str", "None"])
+    def test_vertices_must_be_integers(self, v):
+        A = make_rsz_nakayama(3, "linear")
+        with pytest.raises(AlgebraError, match="is not an integer"):
+            A.check_vertex(v)
+        with pytest.raises(AlgebraError, match="is not an integer"):
+            quotient_algebra(A, {v})
 
     def test_layers_linear(self, gamma_lin3):
         assert gamma_lin3.layers(M(4, 3)) == (4, 3, 2)
@@ -278,6 +300,46 @@ class TestQuotientAlgebra:
     def test_invalid_vertex(self, gamma_lin3):
         with pytest.raises(AlgebraError):
             quotient_algebra(gamma_lin3, {9})
+
+    def test_matches_the_sorted_run_scan_and_builds_each_run_once(self):
+        algebras = list(iter_algebras(5, 4))
+        algebras += [make_rsz_nakayama(n, kind) for kind in ("linear", "cyclic") for n in range(1, 9)]
+        for A in algebras:
+            for r in range(A.n + 1):
+                for killed in combinations(A.vertices, r):
+                    expected = _reference_quotient(A, set(killed))
+                    q = quotient_algebra(A, killed)
+                    again = quotient_algebra(A, killed)
+                    assert q == again == expected, (A, killed)
+                    assert all(x is y for x, y in zip(q.components, again.components))
+            bound = A.n * (A.n - 1) if A.kind == "cyclic" else A.n * (A.n + 1) // 2
+            assert len(A.quotient_components) == bound, A
+
+
+def _reference_quotient(A, killed):
+    """quotient_algebra by a separate scan: each run grows up from its bottom
+    vertex, and the runs are then sorted by their least vertex."""
+    if len(killed) == A.n:
+        return QuotientAlgebra((), (), frozenset(killed))
+    if not killed and A.kind == "cyclic":
+        return QuotientAlgebra((A,), (tuple(A.vertices),), frozenset(killed))
+    c, n, cyclic = A.c, A.n, A.kind == "cyclic"
+    runs = []
+    for b in range(1, n + 1):
+        below = b - 1 if b > 1 else n if cyclic else 0
+        if b in killed or (below and below not in killed):
+            continue
+        run = [b]
+        v = b
+        while True:
+            v = v + 1 if v < n else 1 if cyclic else 0
+            if not v or v in killed:
+                break
+            run.append(v)
+        runs.append(run)
+    runs.sort(key=min)
+    comps = tuple(Algebra("linear", tuple(min(c[v - 1], t) for t, v in enumerate(run, start=1))) for run in runs)
+    return QuotientAlgebra(comps, tuple(tuple(run) for run in runs), frozenset(killed))
 
 
 class TestLiteralsAndJson:

@@ -296,8 +296,14 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
 @pytest.mark.parametrize(
     "bad, message",
-    [(M(3, 1), "vertex 3 out of range 1..2"), (M(1, 10), "length 10 invalid at vertex 1: need 1..2")],
-    ids=["top", "length"],
+    [
+        (M(3, 1), "vertex 3 out of range 1..2"),
+        (M(1, 10), "length 10 invalid at vertex 1: need 1..2"),
+        (M(1.5, 1), r"vertex 1\.5 is not an integer"),
+        (M(2, 1.5), r"length 1\.5 at vertex 2 is not an integer"),
+        (M(True, 1), "vertex True is not an integer"),
+    ],
+    ids=["top", "length", "float top", "float length", "bool top"],
 )
 def test_invalid_module_raises_at_entry(entry, bad, message):
     with pytest.raises(AlgebraError, match=message):

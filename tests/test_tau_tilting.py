@@ -1,10 +1,18 @@
-from itertools import combinations
+from itertools import chain, combinations, product
 from math import comb
 
 import pytest
 
 from nakayama import tau_tilting
-from nakayama.algebra import Algebra, AlgebraError, IndecModule, ModuleSet, make_rsz_nakayama
+from nakayama.algebra import (
+    Algebra,
+    AlgebraError,
+    IndecModule,
+    ModuleSet,
+    iter_algebras,
+    make_rsz_nakayama,
+    quotient_algebra,
+)
 from nakayama.tau_tilting import (
     SupportPair,
     enumerate_sttilt,
@@ -110,6 +118,11 @@ class TestSupportPairs:
             for m in p.modules:
                 assert not set(gamma_cyc3.layers(m)) & (base | p.killed)
 
+    @pytest.mark.parametrize("v", [1.5, True])
+    def test_non_integer_base_vertex_raises(self, v):
+        with pytest.raises(AlgebraError, match="is not an integer"):
+            enumerate_sttilt_over(make_rsz_nakayama(3, "linear"), {v})
+
     def test_module_parts_are_distinct(self, small_universe):
         # The module part determines the pair (the kill-set clash would raise).
         for A in small_universe:
@@ -198,6 +211,25 @@ class TestClosedFormCounts:
                 assert len(enumerate_sttilt(Algebra("cyclic", (c,) * n))) == comb(2 * n, n)
 
 
+def _product_loop(A, base):
+    """Support pairs of A/(base) over every kill set, in SupportPair.sort_key
+    order, each component's tau-tilting modules placed in the parent."""
+    ambient = [v for v in A.vertices if v not in base]
+    series = {}
+    pairs = []
+    for r in range(len(ambient) + 1):
+        for extra in combinations(ambient, r):
+            q = quotient_algebra(A, base | set(extra))
+            per_component = []
+            for comp, emb in zip(q.components, q.embeds):
+                if comp not in series:
+                    series[comp] = enumerate_tau_tilting(comp)
+                per_component.append([[M(emb[m.top - 1], m.length) for m in ms] for ms in series[comp]])
+            for choice in product(*per_component):
+                pairs.append((ModuleSet.of(chain.from_iterable(choice)), frozenset(extra)))
+    return sorted(pairs, key=lambda p: (p[0].modules, sorted(p[1])))
+
+
 @pytest.fixture
 def tau_tilting_calls(monkeypatch):
     """The algebras enumerate_tau_tilting is called on, in call order."""
@@ -226,6 +258,32 @@ class TestKillSetMemo:
         first = len(tau_tilting_calls)
         enumerate_sttilt(A)
         assert len(tau_tilting_calls) == 2 * first
+
+    @pytest.mark.parametrize("n, kind, runs", [(8, "cyclic", 8 * 7), (8, "linear", 8 * 9 // 2)])
+    def test_each_run_validated_once(self, monkeypatch, n, kind, runs):
+        # quotient_algebra builds the component of a run once per parent
+        # instance, and no other Algebra is made while enumerating.
+        A = make_rsz_nakayama(n, kind)
+        validated = []
+        inner = Algebra.__post_init__
+
+        def counting(self):
+            validated.append(self)
+            inner(self)
+
+        monkeypatch.setattr(Algebra, "__post_init__", counting)
+        enumerate_sttilt(A)
+        assert len(validated) == len(A.quotient_components) == runs
+        enumerate_sttilt(A)
+        assert len(validated) == runs
+
+    def test_matches_the_product_loop(self):
+        # A separate copy of the loop that takes the product over the
+        # components of every kill set and sorts each choice.
+        for A in iter_algebras(5, 4):
+            for base in [()] + [(v,) for v in A.vertices]:
+                got = [(p.modules, p.killed) for p in enumerate_sttilt_over(A, base)]
+                assert got == _product_loop(A, frozenset(base)), (A, base)
 
     def test_component_without_tau_tilting_module_raises(self, monkeypatch):
         monkeypatch.setattr(tau_tilting, "enumerate_tau_tilting", lambda B: [])
