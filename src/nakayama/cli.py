@@ -19,7 +19,11 @@ Algebras come either from --algebra FILE (JSON: {"kind": ..., "kupisch":
 radical-square-zero Nakayama algebra; `tilt` verbs then target its
 Auslander algebra.  Modules are literals like "M(4,3)", "P(2)", "S(1)".
 `main` checks the size limits, resolves the algebra and writes the
-handler's output, once for every command.
+handler's output, once for every command.  A handler returns a JSON
+payload, finished text, or an iterator of text chunks; `tilt enumerate`
+and `sttilt enumerate` enumerate first and then stream their listings
+record by record, in the bytes of one json.dumps of the whole payload, so
+a request that fails writes nothing and no copy of the output is held.
 Exit codes: 0 success, 1 failed verification, 2 usage or input error.
 """
 
@@ -30,6 +34,8 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 from .algebra import (
     Algebra,
@@ -42,7 +48,7 @@ from .algebra import (
 )
 from . import homology as H
 from .auslander import auslander_algebra
-from .tau_tilting import enumerate_sttilt
+from .tau_tilting import _sttilt_indices
 from .tilting import enumerate_tilting, exchange_graph, exchange_graph_dot
 from .verification import paper_report
 
@@ -54,23 +60,26 @@ USAGE_ERROR = 2
 # every algebra by its dimension d (the sum of its Kupisch series): an
 # --algebra file once loaded, the --n/--kind shortcut (d = 2n - 1 linear,
 # 2n cyclic) before it is built.
-# Single runs at the limit on a 2-CPU Xeon VM: tilt enumerate --n 14
-# --kind cyclic 0.96 s; tilt graph --n 10 --kind cyclic 1.3 s (--kind
-# linear 0.6 s); sttilt enumerate --n 14 --kind cyclic (2^14 kill sets,
-# 228,486 pairs) 9.0-9.5 s and 702 MB peak RSS, 3.2-3.4 s of it
-# enumeration and the rest JSON output; verify paper --max-n 12 0.75 s;
+# Single runs at the limit on a 2-CPU Xeon VM whose speed drifts by up to
+# a factor of two, the enumerating verbs streamed to stdout: tilt
+# enumerate --n 14 --kind cyclic 1.0-1.1 s and 27 MiB peak RSS; tilt graph
+# --n 10 --kind cyclic 1.1-1.6 s (--kind linear 0.6 s); sttilt enumerate
+# --n 15 --kind cyclic (2^15 kill sets, 168 MB of JSON) 3.4-6.2 s and
+# 167 MiB, and --n 14 (228,486 pairs) 1.9-2.8 s and 81 MiB, where holding
+# the whole listing took 7.1-9.6 s and 701 MiB; --n 16 took 8.5-10.5 s
+# on the faster runs, so the limit is 15; verify paper --max-n 12 0.75 s;
 # profile --n 5000 --kind cyclic 0.2 s.
 # The worst files measured: for tilt, the path algebra linear (1, 2, ...,
 # N), with Catalan(N) tilting modules: tilt enumerate N=12 (208,012
-# modules) 9.3 s, tilt graph N=8 (1,430 modules) 2.4 s; for sttilt, the
-# self-injective cyclic (N, ..., N), with C(2N, N) pairs: N=10 (184,756
-# pairs, d = 100) 7.1-7.9 s and 499 MB peak RSS.  Every verb scans the d
-# modules, and cyclic (N, N+1, ..., N+k-1) has Catalan(k) tilting modules
-# too, so the worst files grow slowly with d.  Paired single runs at
-# d ~ 10^4 against the small worst files: tilt enumerate on cyclic (827,
-# ..., 838) 9.6 s (path 8.9 s); tilt graph on (1246, ..., 1253) 2.8 s
-# (path 2.4 s), and exchange_graph on (1247, ..., 1254), d = 10,004,
-# 1.7 s; sttilt enumerate on (1000,)*10 6.9-7.2 s ((10,)*10 7.1-7.9 s).
+# modules) 5.1-5.6 s and 96 MiB, tilt graph N=8 (1,430 modules) 2.4 s;
+# for sttilt, the self-injective cyclic (N, ..., N), with C(2N, N) pairs:
+# N=10 (184,756 pairs, d = 100) 3.1-3.3 s and 85 MiB, N=11 (705,432
+# pairs) 7.2-7.7 s on the faster runs, and cyclic (909,)*11 (d = 9,999)
+# 10.0 s, so the limit stays at 10.  Every verb scans the d modules, and
+# cyclic (N, N+1, ..., N+k-1) has Catalan(k) tilting modules too, so the
+# worst files grow slowly with d.  At d ~ 10^4: tilt enumerate on cyclic
+# (827, ..., 838) 5.2-5.3 s and 98 MiB; tilt graph on (1246, ..., 1253)
+# 1.7 s; sttilt enumerate on (1000,)*10 3.5-3.7 s and 128 MiB.
 # tilt graph makes k(k-1) Gen comparisons for k tilting modules, each
 # module's profile walked once: cyclic --n 12 (k = 4,096) makes 16.7 M
 # (23 s in-process) and the path algebra N=9 (k = 4,862) 23.6 M (30 s),
@@ -79,7 +88,7 @@ MAX_TILT_ENUMERATE_N = 14
 MAX_TILT_GRAPH_N = 10
 MAX_TILT_ENUMERATE_SIMPLES = 12
 MAX_TILT_GRAPH_SIMPLES = 8
-MAX_STTILT_N = 14
+MAX_STTILT_N = 15
 MAX_STTILT_SIMPLES = 10
 MAX_VERIFY_N = 12
 MAX_DIMENSION = 10_000
@@ -87,6 +96,33 @@ MAX_DIMENSION = 10_000
 
 def _json_dim(value) -> object:
     return "infinity" if value == math.inf else value
+
+
+# The enumerating verbs stream their output in the bytes of
+# json.dumps(payload, indent=2, sort_keys=True) + "\n": each module is
+# rendered once per table index, then every record is joined from those.
+
+
+def _json_items(texts: Iterable[str], depth: int) -> list[str]:
+    """Each JSON text as a list item at `depth` spaces, with its leading newline."""
+    pad = "\n" + " " * depth
+    return [pad + text for text in texts]
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """A list opened at `depth` spaces, of items rendered by `_json_items(..., depth + 2)`."""
+    return "[" + ",".join(items) + "\n" + " " * depth + "]" if items else "[]"
+
+
+def _json_stream(head: dict, key: str, records: Iterable[str]) -> Iterator[str]:
+    """json.dumps({**head, key: [...]}, indent=2, sort_keys=True) + "\n" in
+    chunks, for a `key` that sorts after every key of `head`; each record is
+    a list item at 4 spaces with its leading newline."""
+    sep = json.dumps(head, indent=2, sort_keys=True)[:-2] + f",\n  {json.dumps(key)}: ["
+    for record in records:
+        yield sep + record
+        sep = ","
+    yield "\n  ]\n}\n" if sep == "," else sep + "]\n}\n"
 
 
 def _resolve_algebra(args, auslander: bool = False) -> Algebra:
@@ -109,7 +145,9 @@ def _check_limit(verb: str, what: str, value: int | None, limit: int | None) -> 
 
 
 # Handlers take the resolved algebra (None for verify paper) and the parsed
-# arguments, and return a JSON payload or finished text.
+# arguments, and return a JSON payload (a dict, or the list of verify
+# paper), finished text, or an iterator of text chunks.  Everything that
+# can raise happens before an iterator is returned: it only renders.
 
 
 def cmd_algebra_info(A: Algebra, args) -> object:
@@ -164,15 +202,15 @@ def cmd_profile(A: Algebra, args) -> object:
 
 def cmd_tilt_enumerate(A: Algebra, args) -> object:
     tilting = enumerate_tilting(A)
+    at = A.tables.at
+    rows = ([at(m.top, m.length) for m in T] for T in tilting)
+    lits = [str(m) for m in A.tables.modules]
     if args.format == "json":
-        return {
-            "algebra": algebra_to_json(A),
-            "count": len(tilting),
-            "tilting": [T.literals() for T in tilting],
-        }
-    lines = [f"# {len(tilting)} tilting modules over {A}"]
-    lines += [str(T) for T in tilting]
-    return "\n".join(lines) + "\n"
+        frags = _json_items(map(json.dumps, lits), 6)
+        records = ("\n    " + _json_list([frags[i] for i in idx], 4) for idx in rows)
+        return _json_stream({"algebra": algebra_to_json(A), "count": len(tilting)}, "tilting", records)
+    header = f"# {len(tilting)} tilting modules over {A}\n"
+    return chain((header,), (" ".join([lits[i] for i in idx]) + "\n" for idx in rows))
 
 
 def cmd_tilt_graph(A: Algebra, args) -> object:
@@ -180,18 +218,23 @@ def cmd_tilt_graph(A: Algebra, args) -> object:
 
 
 def cmd_sttilt_enumerate(A: Algebra, args) -> object:
-    pairs = enumerate_sttilt(A)
+    pairs = _sttilt_indices(A)
+    lits = [str(m) for m in A.tables.modules]
     if args.format == "json":
-        return {
-            "algebra": algebra_to_json(A),
-            "count": len(pairs),
-            "pairs": [{"modules": p.modules.literals(), "killed": sorted(p.killed)} for p in pairs],
-        }
-    lines = [f"# {len(pairs)} support tau-tilting pairs over {A}"]
-    for p in pairs:
-        killed = ",".join(str(v) for v in sorted(p.killed)) or "-"
-        lines.append(f"{p.modules} | killed {killed}")
-    return "\n".join(lines) + "\n"
+        frags = _json_items(map(json.dumps, lits), 8)
+        killed_as = functools.cache(lambda k: _json_list(_json_items(map(str, sorted(k)), 8), 6))
+        records = (
+            '\n    {\n      "killed": ' + killed_as(killed)
+            + ',\n      "modules": ' + _json_list([frags[i] for i in idx], 6) + "\n    }"
+            for idx, killed in pairs
+        )
+        return _json_stream({"algebra": algebra_to_json(A), "count": len(pairs)}, "pairs", records)
+    killed_as = functools.cache(lambda k: ",".join(map(str, sorted(k))) or "-")
+    header = f"# {len(pairs)} support tau-tilting pairs over {A}\n"
+    return chain(
+        (header,),
+        ((" ".join([lits[i] for i in idx]) or "0") + " | killed " + killed_as(killed) + "\n" for idx, killed in pairs),
+    )
 
 
 def cmd_auslander_build(A: Algebra, args) -> object:
@@ -296,12 +339,17 @@ def main(argv: list[str] | None = None) -> int:
                 _check_limit(verb, "number of simples", A.n, file_limit)
                 _check_limit(verb, "dimension", A.dimension(), MAX_DIMENSION)
         out = handler(A, args)
-        text = out if isinstance(out, str) else json.dumps(out, indent=2, sort_keys=True) + "\n"
+        if isinstance(out, str):
+            chunks = (out,)
+        elif isinstance(out, Iterator):
+            chunks = out
+        else:
+            chunks = (json.dumps(out, indent=2, sort_keys=True) + "\n",)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
     except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -37,6 +37,11 @@ single frozenset of killed vertices, and pairs are sorted on integers.
 Validation happens once, at entry (the base kill set); the quotient
 components and their modules come from tables, so they are valid by
 construction and nothing is re-checked per module.
+
+The kill-set road ends in a private sorted list of (index tuple, kill
+set) items, `_sttilt_indices`.  `enumerate_sttilt_over` turns each item
+into a `SupportPair`; `sttilt enumerate` on the command line renders the
+items as they are, so it builds no `ModuleSet` per pair.
 """
 
 from __future__ import annotations
@@ -94,13 +99,10 @@ def enumerate_tau_rigid_sets(A: Algebra) -> list[ModuleSet]:
     return [tab.module_set(cands[a] for a in at) for at in cliques(perp, (1 << len(perp)) - 1)]
 
 
-def enumerate_sttilt_over(A: Algebra, base_killed=frozenset()) -> list[SupportPair]:
-    """Support tau-tilting pairs of A/(base_killed), in parent coordinates.
-
-    Kill sets in the result are relative: they range over subsets of the
-    vertices surviving base_killed.  With base_killed empty this is the
-    support tau-tilting fan of A itself, zero pair included.
-    """
+def _sttilt_indices(A: Algebra, base_killed=frozenset()) -> list[tuple[tuple[int, ...], frozenset[int]]]:
+    """Support tau-tilting pairs of A/(base_killed) as sorted
+    (module part, kill set) items, the module part as increasing parent
+    table indices; see `enumerate_sttilt_over`, which builds from them."""
     base = frozenset(base_killed)
     for v in base:
         A.check_vertex(v)
@@ -140,7 +142,19 @@ def enumerate_sttilt_over(A: Algebra, base_killed=frozenset()) -> list[SupportPa
                 kill_of[idx] = killed
     # Table indices follow the (top, length) order of the modules, so this
     # is the order of SupportPair.sort_key.
-    return [SupportPair(tab.module_set(idx), killed) for idx, killed in sorted(kill_of.items())]
+    return [(idx, kill_of[idx]) for idx in sorted(kill_of)]
+
+
+def enumerate_sttilt_over(A: Algebra, base_killed=frozenset()) -> list[SupportPair]:
+    """Support tau-tilting pairs of A/(base_killed), in parent coordinates.
+
+    Kill sets in the result are relative: they range over subsets of the
+    vertices surviving base_killed.  With base_killed empty this is the
+    support tau-tilting fan of A itself, zero pair included.
+    """
+    items = _sttilt_indices(A, base_killed)
+    module_set = A.tables.module_set
+    return [SupportPair(module_set(idx), killed) for idx, killed in items]
 
 
 def enumerate_sttilt(A: Algebra) -> list[SupportPair]:

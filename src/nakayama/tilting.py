@@ -29,8 +29,9 @@ longest summand of T1 is no longer than that of T2, an O(n) test on two
 per-vertex profiles.  A module keeps its profile for the Kupisch series
 that last validated it, so a module compared many times is walked once
 per series.  The exchange graph pairs the tilting modules that share a
-summand tuple with one summand left out, and its Hasse diagram is read
-off per-module bitmasks of the Gen order (see `exchange_graph`).
+summand tuple with one summand left out, keyed on their table indices,
+and its Hasse diagram is read off per-module bitmasks of the Gen order
+(see `exchange_graph`).
 """
 
 from __future__ import annotations
@@ -275,10 +276,12 @@ class ExchangeGraph:
 def exchange_graph(A: Algebra) -> ExchangeGraph:
     """Exchange graph and Gen-order Hasse diagram of the tilting modules.
 
-    Edges: each tilting module is keyed by its n summand tuples with one
-    summand left out; two modules holding the same key share n - 1
-    summands.  An almost complete tilting module has at most two
-    complements, so a key held by three modules raises TiltingError.
+    Edges: each tilting module is keyed by its n tuples of summand table
+    indices with one summand left out; two modules holding the same key
+    share n - 1 summands.  Integer keys hash in C, where a tuple of
+    modules would call each dataclass's hash.  An almost complete tilting
+    module has at most two complements, so a key held by three modules
+    raises TiltingError.
 
     Order: `below[j]` is the bitmask of the nodes i != j with
     Gen(i) in Gen(j), from one `leq_gen` call per ordered pair, k(k-1) in
@@ -292,25 +295,27 @@ def exchange_graph(A: Algebra) -> ExchangeGraph:
     """
     nodes = enumerate_tilting(A)
     k = len(nodes)
-    holders: dict[tuple[IndecModule, ...], list[int]] = {}
+    tab = A.tables
+    at = tab.at
+    holders: dict[tuple[int, ...], list[int]] = {}
     for i, T in enumerate(nodes):
-        mods = T.modules
-        for p in range(len(mods)):
-            holders.setdefault(mods[:p] + mods[p + 1 :], []).append(i)
+        idx = tuple([at(m.top, m.length) for m in T])
+        for p in range(len(idx)):
+            holders.setdefault(idx[:p] + idx[p + 1 :], []).append(i)
     edges = []
     for key, held in holders.items():
         if len(held) > 2:
             raise TiltingError(
                 f"{len(held)} complements of the almost complete tilting module "
-                f"{ModuleSet(key)}"
+                f"{tab.module_set(key)}"
             )
         if len(held) == 2:
             edges.append(tuple(held))
     below = [0] * k
     lower: list[list[int]] = [[] for _ in range(k)]
-    for j in range(k):
-        for i in range(k):
-            if i != j and leq_gen(A, nodes[i], nodes[j]):
+    for j, Tj in enumerate(nodes):
+        for i, Ti in enumerate(nodes):
+            if i != j and leq_gen(A, Ti, Tj):
                 below[j] |= 1 << i
                 lower[j].append(i)
     hasse = []

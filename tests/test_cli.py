@@ -1,10 +1,15 @@
 import json
+import subprocess
+import sys
 import time
 
 import pytest
 
 from nakayama import cli, tau_tilting
-from nakayama.algebra import IndecModule, ModuleSet, algebra_to_json, make_rsz_nakayama
+from nakayama.algebra import Algebra, IndecModule, ModuleSet, algebra_to_json, make_rsz_nakayama
+from nakayama.auslander import auslander_algebra
+from nakayama.tau_tilting import enumerate_sttilt
+from nakayama.tilting import enumerate_tilting
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +179,122 @@ class TestTiltingVerbs:
         assert "M(1,1) | killed -" in out
 
 
+def _reference_listing(words, A, fmt):
+    """The listing as one json.dumps of the whole payload, or one join of str(T)."""
+    if words == ("tilt", "enumerate"):
+        tilting = enumerate_tilting(A)
+        if fmt == "json":
+            payload = {"algebra": algebra_to_json(A), "count": len(tilting), "tilting": [T.literals() for T in tilting]}
+            return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        lines = [f"# {len(tilting)} tilting modules over {A}"] + [str(T) for T in tilting]
+        return "\n".join(lines) + "\n"
+    pairs = enumerate_sttilt(A)
+    if fmt == "json":
+        payload = {
+            "algebra": algebra_to_json(A),
+            "count": len(pairs),
+            "pairs": [{"modules": p.modules.literals(), "killed": sorted(p.killed)} for p in pairs],
+        }
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    lines = [f"# {len(pairs)} support tau-tilting pairs over {A}"]
+    lines += [f"{p.modules} | killed {','.join(str(v) for v in sorted(p.killed)) or '-'}" for p in pairs]
+    return "\n".join(lines) + "\n"
+
+
+LISTINGS = [("tilt", "enumerate"), ("sttilt", "enumerate")]
+
+
+class TestStreamedListings:
+    """The listings are written record by record, in the bytes of one json.dumps."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("words", LISTINGS, ids=" ".join)
+    @pytest.mark.parametrize("kind", ["linear", "cyclic"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_shortcut_bytes_match_the_whole_payload(self, capsys, tmp_path, n, kind, words, fmt):
+        lam = make_rsz_nakayama(n, kind)
+        A = auslander_algebra(lam).gamma if words[0] == "tilt" else lam
+        argv = (*words, "--n", str(n), "--kind", kind, "--format", fmt)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == _reference_listing(words, A, fmt)
+        dest = tmp_path / "out"
+        assert run_cli(capsys, *argv, "--output", str(dest)) == (0, "", "")
+        assert dest.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("words", LISTINGS, ids=" ".join)
+    @pytest.mark.parametrize("series", [("linear", (1, 2, 2)), ("cyclic", (3, 2))], ids=str)
+    def test_file_bytes_match_the_whole_payload(self, capsys, tmp_path, series, words, fmt):
+        A = Algebra(*series)
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(algebra_to_json(A)))
+        argv = (*words, "--algebra", str(path), "--format", fmt)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == _reference_listing(words, A, fmt)
+        dest = tmp_path / "out"
+        assert run_cli(capsys, *argv, "--output", str(dest)) == (0, "", "")
+        assert dest.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("items", [[], [["M(1,1)"]], [["M(1,1)", "M(2,2)"], ["M(2,1)"]]], ids=len)
+    def test_stream_is_one_dump_also_when_empty(self, items):
+        head = {"algebra": {"kind": "linear", "kupisch": [1, 2]}, "count": len(items)}
+        records = ("\n    " + cli._json_list(cli._json_items(map(json.dumps, T), 6), 4) for T in items)
+        whole = json.dumps({**head, "tilting": items}, indent=2, sort_keys=True) + "\n"
+        assert "".join(cli._json_stream(head, "tilting", records)) == whole
+
+    def test_zero_pair_and_empty_kill_set(self, capsys):
+        argv = ("sttilt", "enumerate", "--n", "2", "--kind", "cyclic")
+        out = run_cli(capsys, *argv, "--format", "json")[1]
+        pairs = json.loads(out)["pairs"]
+        assert {"killed": [1, 2], "modules": []} in pairs
+        sincere = sum(p["killed"] == [] for p in pairs)
+        assert sincere == 3
+        assert '"killed": [],' in out and '"modules": []\n' in out
+        text = run_cli(capsys, *argv, "--format", "text")[1].splitlines()
+        assert "0 | killed 1,2" in text
+        assert sum(line.endswith(" | killed -") for line in text) == sincere
+
+    def test_refused_request_writes_nothing(self, capsys, tmp_path):
+        dest = tmp_path / "out"
+        n = cli.MAX_STTILT_N + 1
+        code, out, err = run_cli(capsys, "sttilt", "enumerate", "--n", str(n), "--kind", "cyclic", "--output", str(dest))
+        assert (code, out) == (2, "")
+        assert f"--n {n} exceeds the limit" in err
+        assert not dest.exists()
+
+    def test_failed_enumeration_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        # A library bug raises before the first byte is written or the file opened.
+        fixed = [ModuleSet.of([IndecModule(1, 1)])]
+        monkeypatch.setattr(tau_tilting, "enumerate_tau_tilting", lambda B: fixed)
+        dest = tmp_path / "out"
+        for target in ((), ("--output", str(dest))):
+            with pytest.raises(RuntimeError, match="share a module part"):
+                cli.main(["sttilt", "enumerate", "--n", "2", "--kind", "cyclic", *target])
+            assert capsys.readouterr().out == ""
+        assert not dest.exists()
+
+    def test_sttilt_peak_memory_is_bounded(self, tmp_path):
+        # The pairs are kept as index tuples and rendered as they are written,
+        # so no payload of the whole output is held: 27 MiB against 124 MiB
+        # for one json.dumps of 2^12 kill sets' pairs (single runs).
+        dest = tmp_path / "out.json"
+        child = [sys.executable, "-m", "nakayama.cli", "sttilt", "enumerate", "--n", "12", "--kind", "cyclic",
+                 "--output", str(dest)]
+        # A fresh parent, so the peak is this child's alone.
+        probe = (
+            "import resource, subprocess, sys; "
+            "code = subprocess.run(sys.argv[1:]).returncode; "
+            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe, *child], capture_output=True, text=True, timeout=60)
+        code, peak_kib = map(int, proc.stdout.split())
+        assert code == 0
+        assert json.loads(dest.read_text())["count"] == len(enumerate_sttilt(make_rsz_nakayama(12, "cyclic")))
+        assert peak_kib < 64 * 1024, f"peak RSS {peak_kib // 1024} MiB"
+
+
 class TestSizeLimits:
     @pytest.mark.parametrize(
         "argv, limit",
@@ -182,6 +303,7 @@ class TestSizeLimits:
             (("tilt", "graph", "--n", "40", "--kind", "cyclic"), cli.MAX_TILT_GRAPH_N),
             (("sttilt", "enumerate", "--n", "40", "--kind", "cyclic"), cli.MAX_STTILT_N),
             (("verify", "paper", "--max-n", "40"), cli.MAX_VERIFY_N),
+            (("sttilt", "enumerate", "--n", str(cli.MAX_STTILT_N + 1), "--kind", "cyclic"), cli.MAX_STTILT_N),
         ],
     )
     def test_oversized_request_refused_at_once(self, capsys, argv, limit):

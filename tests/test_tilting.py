@@ -479,7 +479,8 @@ class TestExchangeGraphReference:
         shared = [M(1, 1), M(2, 2)]
         stub = [ModuleSet.of(shared + [extra]) for extra in (M(2, 1), M(3, 1), M(3, 2))]
         monkeypatch.setattr(nakayama.tilting, "enumerate_tilting", lambda A: stub)
-        with pytest.raises(TiltingError, match="3 complements"):
+        message = "3 complements of the almost complete tilting module M(1,1) M(2,2)"
+        with pytest.raises(TiltingError, match=f"^{re.escape(message)}$"):
             exchange_graph(A)
 
 
