@@ -63,7 +63,7 @@ USAGE_ERROR = 2
 # Single runs at the limit on a 2-CPU Xeon VM whose speed drifts by up to
 # a factor of two, the enumerating verbs streamed to stdout: tilt
 # enumerate --n 14 --kind cyclic 1.0-1.1 s and 27 MiB peak RSS; tilt graph
-# --n 10 --kind cyclic 1.1-1.6 s (--kind linear 0.6 s); sttilt enumerate
+# --n 10 --kind cyclic 0.5-0.8 s (--kind linear 0.2-0.3 s); sttilt enumerate
 # --n 15 --kind cyclic (2^15 kill sets, 168 MB of JSON) 3.4-6.2 s and
 # 167 MiB, and --n 14 (228,486 pairs) 1.9-2.8 s and 81 MiB, where holding
 # the whole listing took 7.1-9.6 s and 701 MiB; --n 16 took 8.5-10.5 s
@@ -71,7 +71,7 @@ USAGE_ERROR = 2
 # profile --n 5000 --kind cyclic 0.2 s.
 # The worst files measured: for tilt, the path algebra linear (1, 2, ...,
 # N), with Catalan(N) tilting modules: tilt enumerate N=12 (208,012
-# modules) 5.1-5.6 s and 96 MiB, tilt graph N=8 (1,430 modules) 2.4 s;
+# modules) 5.1-5.6 s and 96 MiB, tilt graph N=8 (1,430 modules) 0.8 s;
 # for sttilt, the self-injective cyclic (N, ..., N), with C(2N, N) pairs:
 # N=10 (184,756 pairs, d = 100) 3.1-3.3 s and 85 MiB, N=11 (705,432
 # pairs) 7.2-7.7 s on the faster runs, and cyclic (909,)*11 (d = 9,999)
@@ -79,11 +79,13 @@ USAGE_ERROR = 2
 # cyclic (N, N+1, ..., N+k-1) has Catalan(k) tilting modules too, so the
 # worst files grow slowly with d.  At d ~ 10^4: tilt enumerate on cyclic
 # (827, ..., 838) 5.2-5.3 s and 98 MiB; tilt graph on (1246, ..., 1253)
-# 1.7 s; sttilt enumerate on (1000,)*10 3.5-3.7 s and 128 MiB.
+# 0.8-1.0 s; sttilt enumerate on (1000,)*10 3.5-3.7 s and 128 MiB.
 # tilt graph makes k(k-1) Gen comparisons for k tilting modules, each
-# module's profile walked once: cyclic --n 12 (k = 4,096) makes 16.7 M
-# (23 s in-process) and the path algebra N=9 (k = 4,862) 23.6 M (30 s),
-# well past 10 s, so the two tilt graph limits stay at 10 and 8.
+# module's profile walked once and packed into one integer, so that a
+# comparison is three integer operations (about 0.3 us a call): cyclic
+# --n 12 (k = 4,096) makes 16.7 M, 8-11 s in-process with the DOT output,
+# and the path algebra N=9 (k = 4,862) 23.6 M, 7.7 s, still near 10 s on
+# the same VM, so the two tilt graph limits stay at 10 and 8.
 MAX_TILT_ENUMERATE_N = 14
 MAX_TILT_GRAPH_N = 10
 MAX_TILT_ENUMERATE_SIMPLES = 12

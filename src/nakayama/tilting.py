@@ -25,19 +25,19 @@ mutation work on table indices behind that line.
 
 The Gen order needs no table: Gen(T) holds a uniserial X iff X is a
 quotient of a summand, so Gen(T1) lies in Gen(T2) iff at every top the
-longest summand of T1 is no longer than that of T2, an O(n) test on two
-per-vertex profiles.  A module keeps its profile for the Kupisch series
-that last validated it, so a module compared many times is walked once
-per series.  The exchange graph pairs the tilting modules that share a
-summand tuple with one summand left out, keyed on their table indices,
-and its Hasse diagram is read off per-module bitmasks of the Gen order
-(see `exchange_graph`).
+longest summand of T1 is no longer than that of T2.  That per-top profile
+is packed into one integer, a field per top with a guard bit above it,
+so the test on all n tops is one subtraction and a mask.  A module keeps
+its packed profile for the Kupisch series that last validated it, so a
+module compared many times is walked once per series.  The exchange
+graph pairs the tilting modules that share a summand tuple with one
+summand left out, keyed on their table indices, and its Hasse diagram is
+read off per-module bitmasks of the Gen order (see `exchange_graph`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le
 from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet
@@ -110,43 +110,64 @@ def enumerate_tilting(A: Algebra) -> list[ModuleSet]:
 # -- the generation order ------------------------------------------------------
 
 
-def _longest(A: Algebra, T: ModuleSet) -> tuple[int, ...]:
-    """Length of the longest summand of T at each top (0 for none).
+def _gen_profile(A: Algebra, T: ModuleSet) -> tuple[tuple[int, ...], int, int, int]:
+    """T's Gen profile for the series of A, as `(A.c, packed, guard, width)`.
 
-    Validates every summand with the fast-path condition of
-    `Algebra.check_module`, which is called only to raise its message.
-    Both the validity and the profile depend only on the Kupisch series,
-    and a ModuleSet is immutable, so the profile of the last series that
-    validated T is kept in T's instance dict as `(A.c, profile)`, like the
-    cached `Algebra.tables`; equality, hash and repr read only the fields.
+    Field v - 1 of `packed` (bits (v - 1) * width up) holds the length of
+    the longest summand of T at top v, 0 for none.  A field is
+    `width = max(c).bit_length() + 1` bits wide, so every length stays
+    below its top bit; `guard` sets the top bit of every field.  Every
+    summand is validated by `Algebra.check_module`.  Both the validity and
+    the profile depend only on the Kupisch series, and a ModuleSet is
+    immutable, so the profile of the last series that validated T is kept
+    in T's instance dict, like the cached `Algebra.tables`; equality, hash
+    and repr read only the fields.
     """
     c = A.c
-    memo = T.__dict__.get("_longest")
-    if memo is not None and (memo[0] is c or memo[0] == c):
-        return memo[1]
-    n = len(c)
-    longest = [0] * n
+    memo = T.__dict__.get("_gen")
+    if memo is not None and memo[0] == c:
+        return memo
+    longest = [0] * len(c)
     for m in T:
-        top, length = m.top, m.length
-        if not (1 <= top <= n and 1 <= length <= c[top - 1]):
-            A.check_module(m)
-        if length > longest[top - 1]:
-            longest[top - 1] = length
-    profile = tuple(longest)
-    T.__dict__["_longest"] = (c, profile)
-    return profile
+        A.check_module(m)
+        if m.length > longest[m.top - 1]:
+            longest[m.top - 1] = m.length
+    width = max(c).bit_length() + 1
+    packed = 0
+    for length in reversed(longest):
+        packed = packed << width | length
+    # 1 at the top bit of each of the len(c) fields: a base-2^width repunit.
+    guard = ((1 << len(c) * width) - 1) // ((1 << width) - 1) << width - 1
+    memo = T.__dict__["_gen"] = (c, packed, guard, width)
+    return memo
 
 
 def generates(A: Algebra, T: ModuleSet, X: IndecModule) -> bool:
     """X lies in Gen(T): for uniserial modules, X is a quotient of a summand."""
     A.check_module(X)
-    return _longest(A, T)[X.top - 1] >= X.length
+    _, packed, _, width = _gen_profile(A, T)
+    return packed >> (X.top - 1) * width & (1 << width) - 1 >= X.length
 
 
 def leq_gen(A: Algebra, T1: ModuleSet, T2: ModuleSet) -> bool:
     """Gen(T1) contained in Gen(T2): at each top, T2 has a summand at least
-    as long as the longest summand of T1."""
-    return all(map(le, _longest(A, T1), _longest(A, T2)))
+    as long as the longest summand of T1.
+
+    One subtraction compares every top: with the guard bits set in T2's
+    packed profile, field v keeps its guard bit after T1's field is
+    subtracted iff T2's length at v is at least T1's, and no field borrows
+    from the next.  Both memos are read inline; `_gen_profile` runs only
+    when one is missing or was kept for another series.
+    """
+    c = A.c
+    m1 = T1.__dict__.get("_gen")
+    m2 = T2.__dict__.get("_gen")
+    if m1 is None or m1[0] is not c:
+        m1 = _gen_profile(A, T1)
+    if m2 is None or m2[0] is not c:
+        m2 = _gen_profile(A, T2)
+    guard = m1[2]
+    return ((m2[1] | guard) - m1[1]) & guard == guard
 
 
 # -- mutation ------------------------------------------------------------------
@@ -285,10 +306,10 @@ def exchange_graph(A: Algebra) -> ExchangeGraph:
 
     Order: `below[j]` is the bitmask of the nodes i != j with
     Gen(i) in Gen(j), from one `leq_gen` call per ordered pair, k(k-1) in
-    all; each call compares two kept profiles, so every node is walked and
-    validated once.  (The Hasse diagram is the exchange graph oriented by
-    Gen, so one call per edge would do; the benchmark pins the k(k-1)
-    count.)
+    all; each call is three integer operations on two kept packed
+    profiles, so every node is walked and validated once.  (The Hasse
+    diagram is the exchange graph oriented by Gen, so one call per edge
+    would do; the benchmark pins the k(k-1) count.)
 
     Covers: i is covered by j when i is in `below[j]` but not in `below[m]`
     for any m in `below[j]`.

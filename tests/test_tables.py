@@ -118,21 +118,27 @@ def test_tables_equal_closed_forms_exhaustively():
 
 
 @st.composite
-def kupisch_algebras(draw):
-    """Random valid Kupisch series of both kinds, N <= 12, entries <= 8."""
+def kupisch_algebras(draw, max_entry=8, peak=False):
+    """Random valid Kupisch series of both kinds, N <= 12, entries <= max_entry.
+
+    With `peak` the largest entry is max_entry: a linear series opens with
+    1, 2, ..., max_entry (so N may reach max_entry), a cyclic one with
+    max_entry."""
     kind = draw(st.sampled_from(("linear", "cyclic")))
-    n = draw(st.integers(1, 12))
     if kind == "linear":
+        n = draw(st.integers(max_entry, max(12, max_entry)) if peak else st.integers(1, 12))
         c = [1]
         for i in range(2, n + 1):
-            c.append(draw(st.integers(1, min(c[-1] + 1, i, 8))))
+            low = i if peak and i <= max_entry else 1
+            c.append(draw(st.integers(low, min(c[-1] + 1, i, max_entry))))
     else:
+        n = draw(st.integers(1, 12))
         # Entries rise by at most one per step, and the last one must stay
         # within reach of c[N] >= c[1] - 1, which closes the cycle.
-        c = [draw(st.integers(2, 8))]
+        c = [draw(st.integers(max_entry if peak else 2, max_entry))]
         for i in range(1, n):
             low = max(2, c[0] - 1 - (n - 1 - i))
-            c.append(draw(st.integers(low, min(c[-1] + 1, 8))))
+            c.append(draw(st.integers(low, min(c[-1] + 1, max_entry))))
     return Algebra(kind, tuple(c))
 
 

@@ -1,7 +1,9 @@
+import random
 import re
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nakayama.tilting
 from nakayama.algebra import (
@@ -30,6 +32,7 @@ from nakayama.tilting import (
     summand_shape_check,
     tilting_record,
 )
+from test_tables import kupisch_algebras
 
 M = IndecModule
 
@@ -178,6 +181,24 @@ def _gen_in(T1, T2):
     return all(_in_gen(T2, X) for X in T1)
 
 
+@st.composite
+def gen_order_cases(draw):
+    """(A, T1, T2, X): basic modules, tilting or not, and one indecomposable
+    over a series whose largest entry is just below or at a power of two,
+    so the longest lengths fill a packed field up to its guard bit.  A
+    drawn length 0, or one past c_v, stands for the full length c_v."""
+    A = draw(kupisch_algebras(max_entry=draw(st.sampled_from((3, 4, 7, 8, 15, 16))), peak=True))
+    pairs = st.tuples(st.integers(1, A.n), st.integers(0, max(A.c)))
+
+    def modules(drawn):
+        return [M(v, length if 0 < length <= A.c[v - 1] else A.c[v - 1]) for v, length in drawn]
+
+    def basic():
+        return ModuleSet.of(modules(draw(st.lists(pairs, max_size=2 * A.n))))
+
+    return A, basic(), basic(), modules([draw(pairs)])[0]
+
+
 class TestGenOrder:
     def test_generates_quotients_only(self, gamma_lin3):
         T = ModuleSet.of([M(4, 3)])
@@ -194,8 +215,28 @@ class TestGenOrder:
                 for X in A.indecomposables():
                     assert generates(A, T1, X) == _in_gen(T1, X), (A, T1, X)
 
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(gen_order_cases())
+    def test_packed_profiles_match_the_reference(self, case):
+        A, T1, T2, X = case
+        assert leq_gen(A, T1, T2) == _gen_in(T1, T2)
+        assert leq_gen(A, T2, T1) == _gen_in(T2, T1)
+        assert leq_gen(A, T1, T1)
+        assert generates(A, T1, X) == _in_gen(T1, X)
+        assert generates(A, T2, X) == _in_gen(T2, X)
+
+    def test_wide_fields_match_the_reference(self):
+        # Lengths up to 1253 take 12-bit fields, 8 of them.
+        A = Algebra("cyclic", tuple(range(1246, 1254)))
+        nodes = enumerate_tilting(A)
+        assert nakayama.tilting._gen_profile(A, nodes[0])[3] == 12
+        rng = random.Random(25)
+        for _ in range(3000):
+            T1, T2 = rng.choice(nodes), rng.choice(nodes)
+            assert leq_gen(A, T1, T2) == _gen_in(T1, T2), (T1, T2)
+
     def test_one_module_set_on_several_series(self):
-        # A ModuleSet keeps its Gen profile for the last series that
+        # A ModuleSet keeps its packed Gen profile for the last series that
         # validated it; reused with another algebra it answers for that one.
         mods = [M(1, 1), M(2, 2), M(3, 3)]
         T, fresh = ModuleSet.of(mods), ModuleSet.of(mods)
@@ -241,8 +282,13 @@ class TestGenOrder:
     )
     @pytest.mark.parametrize(
         "bad, message",
-        [(M(2, 9), BAD_LENGTH), (M(4, 1), BAD_TOP)],
-        ids=["length", "top"],
+        [
+            (M(2, 9), BAD_LENGTH),
+            (M(4, 1), BAD_TOP),
+            (M(2, 2.0), "length 2.0 at vertex 2 is not an integer"),
+            (M(True, 1), "vertex True is not an integer"),
+        ],
+        ids=["length", "top", "float-length", "bool-top"],
     )
     def test_every_argument_is_validated(self, call, bad, message):
         A = Algebra("linear", (1, 2, 2))
