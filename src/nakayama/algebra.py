@@ -271,6 +271,8 @@ def make_rsz_nakayama(n: int, kind: str) -> Algebra:
 
     Linear: Kupisch series (1, 2, ..., 2); cyclic: (2, ..., 2).
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise AlgebraError(f"number of simples {n!r} is not an integer")
     if n < 1:
         raise AlgebraError(f"need at least one simple, got n = {n}")
     if kind == LINEAR:

@@ -148,6 +148,8 @@ def ext_dim(A: Algebra, M: IndecModule, N: IndecModule, i: int = 1) -> int:
     The chain reaches zero or repeats a module within dim A steps; at the
     first repeat the remaining steps are reduced modulo the cycle length.
     """
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise AlgebraError(f"degree {i!r} is not an integer")
     if i < 1:
         raise AlgebraError(f"ext_dim needs i >= 1, got {i}")
     A.check_module(M)

@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals, sized for tiny matrices.
 
-Matrices are lists of rows with int or Fraction entries.  `rank` works on
-sparse rows, each a ``{column: entry}`` dict holding its nonzero entries
-(a dense row is read as its nonzeros), and is fraction-free: each row is
-scaled by the lcm of its denominators, which keeps the rank, and the
-integer rows are eliminated by gcd-reduced cross multiplication at each
-row's lowest column.  Reduced row echelon form divides a row only at a
-pivot other than 1, so integer input whose pivots are 1 stays integer.
-No floating point anywhere.
+Matrices are lists of rows with int or Fraction entries.  One
+fraction-free elimination, `_echelon`, serves `rank`, `nullspace` and
+`extend_basis_indices`.  It works on sparse rows, each a ``{column:
+entry}`` dict holding its nonzero entries (a dense row is read as its
+nonzeros): each row is scaled by the lcm of its denominators, which keeps
+the row space, and the integer rows are eliminated by gcd-reduced cross
+multiplication at each row's lowest column.  No reduced form is built;
+`nullspace` divides only as it back-substitutes, and keeps every integral
+entry an int.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -54,12 +55,13 @@ def is_zero_matrix(m: Matrix) -> bool:
     return all(not x for row in m for x in row)
 
 
-def rank(rows) -> int:
-    """Rank of the rows, each a ``{column: entry}`` dict or a dense list.
+def _echelon(rows) -> dict[int, dict[int, int]]:
+    """Echelon form of the rows, each a ``{column: entry}`` dict or a dense list.
 
     Each row is scaled to integers and reduced against the pivot rows
     kept so far, at its lowest column, until it is zero or starts at a
     column no pivot row holds; then it becomes that column's pivot row.
+    Returns the integer pivot rows keyed by their lowest column.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -84,59 +86,39 @@ def rank(rows) -> int:
                     r[c] = x
                 else:
                     del r[c]
-    return len(pivots)
+    return pivots
 
 
-def _rref_inplace(m: Matrix) -> tuple[int, list[int]]:
-    """Reduced row echelon form in place; returns (rank, pivot columns).
-
-    A pivot row is divided only when its pivot is not 1.
-    """
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    rank_ = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank_, nrows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank_], m[pivot] = m[pivot], m[rank_]
-        p = m[rank_][col]
-        if p != 1:
-            inv = 1 / Fraction(p)
-            m[rank_] = [x * inv for x in m[rank_]]
-        for r in range(nrows):
-            if r != rank_ and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank_])]
-        pivots.append(col)
-        rank_ += 1
-        if rank_ == nrows:
-            break
-    return rank_, pivots
+def rank(rows) -> int:
+    """Rank of the rows, each a ``{column: entry}`` dict or a dense list."""
+    return len(_echelon(rows))
 
 
-def nullspace(rows: Matrix, ncols: int) -> list[Vector]:
+def nullspace(rows, ncols: int) -> list[Vector]:
     """Basis of the right kernel {x : A x = 0}, one vector per free column.
 
-    Vector k is the int 1 at the k-th free column and the int 0 at the
-    other free columns; at a pivot column it holds the negated reduced
-    entry, an int when the input is integer and every pivot divided by
-    was 1, and otherwise possibly a Fraction.  No rows give the unit vectors.
+    Vector k is 1 at the k-th free column, 0 at the other free columns and
+    after the k-th; the pivot entries are back-substituted from the
+    highest pivot down.  Entries are ints wherever they are integral.
     """
-    if not rows:
-        return identity(ncols)
-    m = [list(row) for row in rows]
-    _, pivots = _rref_inplace(m)
-    pivot_set = set(pivots)
+    pivots = _echelon(rows)
+    order = sorted(pivots, reverse=True)
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         v = [0] * ncols
         v[free] = 1
-        for r, col in enumerate(pivots):
-            v[col] = -m[r][free]
+        for col in order:
+            if col > free:
+                continue
+            row = pivots[col]
+            s = sum(y * v[c] for c, y in row.items())
+            if type(s) is int and not s % row[col]:
+                v[col] = -s // row[col]
+            elif s:
+                q = Fraction(-s, row[col])
+                v[col] = q.numerator if q.denominator == 1 else q
         basis.append(v)
     return basis
 
@@ -144,8 +126,7 @@ def nullspace(rows: Matrix, ncols: int) -> list[Vector]:
 def extend_basis_indices(vectors: list[Vector], dim: int) -> list[int]:
     """Indices of standard basis vectors completing span(vectors) to K^dim.
 
-    They are the non-pivot columns of the reduced row echelon form.
+    They are the columns without a pivot, the same in every echelon form.
     """
-    m = [list(v) for v in vectors]
-    _, pivots = _rref_inplace(m)
+    pivots = _echelon(vectors)
     return [i for i in range(dim) if i not in pivots]

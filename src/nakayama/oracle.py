@@ -2,8 +2,9 @@
 
 Modules are realized as quiver representations over the rationals
 (vertex-indexed coordinate spaces plus one matrix per arrow, all exact
-int and ``Fraction`` arithmetic).  Hom spaces are intertwiner nullspaces,
-their dimensions ranks of sparse intertwiner systems, and
+int and ``Fraction`` arithmetic).  Hom spaces are nullspaces of sparse
+intertwiner systems and their dimensions the systems' ranks, both read
+from the one elimination in `linalg`; and
 dim Ext^1(M, N) = dim Hom(Omega M, N) - dim Hom(P0, N) + dim Hom(M, N) for
 the projective cover P0 -> M whose kernel K is identified as the module
 Omega M: `identify_module` checks that K has a simple top S(v) and the
@@ -182,13 +183,7 @@ def _rep_hom_basis(ws: "_Workspace", X: Representation, Y: Representation) -> li
     rows, total, offsets = _hom_system(ws, X, Y)
     if total == 0:
         return []
-    dense = []
-    for row in rows:
-        vec = [0] * total
-        for col, x in row.items():
-            vec[col] = x
-        dense.append(vec)
-    vectors = linalg.nullspace(dense, total)
+    vectors = linalg.nullspace(rows, total)
     basis = []
     for vec in vectors:
         mats = []
@@ -237,8 +232,9 @@ def _kernel(ws: "_Workspace", X: Representation, f: list[Matrix]) -> tuple[Repre
     Returns the kernel representation and its per-vertex inclusion
     matrices into X (columns form a kernel basis).  f[v] is eliminated
     once: basis vector k of `nullspace` is 1 at the k-th free column (its
-    last nonzero entry) and 0 at the other free columns, so the kernel's
-    arrow matrix is the image's rows at the free columns of the target.
+    last nonzero entry) and 0 at the other free columns, the one basis of
+    that shape, so the kernel's arrow matrix is the image's rows at the
+    free columns of the target.
     """
     incl = []
     free = []

@@ -37,6 +37,12 @@ class TestKupischValidation:
         with pytest.raises(AlgebraError):
             make_rsz_nakayama(0, "linear")
 
+    @pytest.mark.parametrize("n", [True, 2.5, 3.0, "3", None], ids=["True", "2.5", "3.0", "str", "None"])
+    @pytest.mark.parametrize("kind", ["linear", "cyclic"])
+    def test_rsz_count_must_be_an_integer(self, n, kind):
+        with pytest.raises(AlgebraError, match=f"^number of simples {n!r} is not an integer$"):
+            make_rsz_nakayama(n, kind)
+
     def test_valid_series(self):
         validate_kupisch("linear", (1, 2, 2, 3, 2))
         validate_kupisch("cyclic", (3, 2, 3, 2, 3, 2))

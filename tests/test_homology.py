@@ -228,6 +228,11 @@ class TestExt:
         with pytest.raises(ValueError):
             ext_dim(gamma_lin3, M(1, 1), M(1, 1), 0)
 
+    @pytest.mark.parametrize("i", [True, 2.5, 2.0, "2", None], ids=["True", "2.5", "2.0", "str", "None"])
+    def test_ext_degree_must_be_an_integer(self, gamma_lin3, i):
+        with pytest.raises(AlgebraError, match=f"^degree {i!r} is not an integer$"):
+            ext_dim(gamma_lin3, M(1, 1), M(1, 1), i)
+
 
 class TestGorensteinProfiles:
     def test_regular_module(self, gamma_lin3):

@@ -51,11 +51,13 @@ class TestLinalg:
         assert linalg.rank(rows) == 2
 
     def test_nullspace_keeps_ints_without_division(self):
-        # Both branches give int units and zeros; pivots of 1 divide nothing.
-        for rows, n in (([], 2), ([[1, -1, 0]], 3), ([[0, 1, 0, 0], [0, 0, 1, -1]], 4)):
+        # Units and zeros are ints, and so is every integral entry, whatever
+        # the pivot divided by.
+        for rows, n in (([], 2), ([[1, -1, 0]], 3), ([[0, 1, 0, 0], [0, 0, 1, -1]], 4), ([[2, 4]], 2)):
             basis = linalg.nullspace(rows, n)
             assert all(type(x) is int for vec in basis for x in vec), basis
         assert linalg.nullspace([], 2) == [[1, 0], [0, 1]]
+        assert linalg.nullspace([[2, 4]], 2) == [[-2, 1]]
         assert linalg.nullspace([[2, 1]], 2) == [[Fraction(-1, 2), 1]]
 
 
@@ -142,6 +144,7 @@ def test_nullspace_basis_is_unit_at_the_free_columns(case, weights):
     """The basis form `_kernel` reads coordinates from."""
     rows, n = case
     basis = linalg.nullspace(rows, n)
+    assert linalg.nullspace([{c: x for c, x in enumerate(row) if x} for row in rows], n) == basis
     free = linalg.extend_basis_indices(rows, n)
     assert len(free) == len(basis)
     for k, vec in enumerate(basis):
