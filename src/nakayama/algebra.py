@@ -23,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 LINEAR = "linear"
 CYCLIC = "cyclic"
@@ -34,8 +34,7 @@ class AlgebraError(ValueError):
     """Invalid Kupisch data, module coordinates, or vertex arguments."""
 
 
-@dataclass(frozen=True, order=True)
-class IndecModule:
+class IndecModule(NamedTuple):
     """Uniserial module M(top, length); layers run top, top-1, ... down."""
 
     top: int
@@ -177,7 +176,7 @@ class Algebra:
     def indecomposables(self) -> "ModuleSet":
         """Every indecomposable, built in the canonical (top, length) order."""
         c = self.c
-        return ModuleSet(tuple(IndecModule(i, l) for i in self.vertices for l in range(1, c[i - 1] + 1)))
+        return ModuleSet(IndecModule(i, l) for i in self.vertices for l in range(1, c[i - 1] + 1))
 
     def submodule(self, m: IndecModule, k: int) -> IndecModule | None:
         """The unique submodule of length k (None for k = 0)."""
@@ -285,46 +284,35 @@ def make_rsz_nakayama(n: int, kind: str) -> Algebra:
 # -- basic module sets -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModuleSet:
+class ModuleSet(tuple):
     """Basic module: a canonically sorted, duplicate-free tuple of summands."""
-
-    modules: tuple[IndecModule, ...]
 
     @classmethod
     def of(cls, mods: Iterable[IndecModule]) -> "ModuleSet":
-        return cls(tuple(sorted(set(mods))))
+        return cls(sorted(set(mods)))
 
-    def __iter__(self) -> Iterator[IndecModule]:
-        return iter(self.modules)
-
-    def __len__(self) -> int:
-        return len(self.modules)
-
-    def __contains__(self, m: object) -> bool:
-        return m in self.modules
-
-    def __bool__(self) -> bool:
-        return bool(self.modules)
+    @property
+    def modules(self) -> tuple[IndecModule, ...]:
+        """The summands as a plain tuple."""
+        return tuple(self)
 
     def plus(self, m: IndecModule) -> "ModuleSet":
-        return ModuleSet.of(self.modules + (m,))
+        return ModuleSet.of(self + (m,))
 
     def minus(self, m: IndecModule) -> "ModuleSet":
-        return ModuleSet.of(x for x in self.modules if x != m)
+        return ModuleSet.of(x for x in self if x != m)
 
     def literals(self) -> list[str]:
-        return [str(m) for m in self.modules]
+        return [str(m) for m in self]
 
     def __str__(self) -> str:
-        return " ".join(self.literals()) if self.modules else "0"
+        return " ".join(self.literals()) if self else "0"
 
 
 # -- quotients by idempotents ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientAlgebra:
+class QuotientAlgebra(NamedTuple):
     """A/(e) for e the sum of primitive idempotents at `killed` vertices.
 
     The quotient of a Nakayama algebra splits into linear components, one

@@ -23,8 +23,7 @@ Caching: each algebra gets a workspace holding its arrows (also keyed by
 target), the representation of each module, the projective cover of each
 module with its kernel identified once as the syzygy module
 (`CoverData.syzygy`, read by `syzygy_oracle` and `ext1_space_dim`), and
-the Hom basis (`hom_spaces`) and Hom dimension (`hom_dims`) of each
-ordered pair, filled on first use.
+the Hom dimension (`hom_dims`) of each ordered pair, filled on first use.
 Workspaces are keyed by the `Algebra` value (equal algebras share one)
 and kept in an LRU of `WORKSPACES` entries, so at most that many
 algebras' data stay alive.  The objects in a workspace are shared
@@ -195,9 +194,10 @@ def _rep_hom_basis(ws: "_Workspace", X: Representation, Y: Representation) -> li
     return basis
 
 
-def hom_space(A: Algebra, M: IndecModule, N: IndecModule) -> tuple:
+def hom_space(A: Algebra, M: IndecModule, N: IndecModule) -> list[list[Matrix]]:
     """Basis of Hom(M, N), each element a list of per-vertex matrices."""
-    return _workspace(A).hom_space(M, N)
+    ws = _workspace(A)
+    return _rep_hom_basis(ws, ws.rep(M), ws.rep(N))
 
 
 def hom_space_dim(A: Algebra, M: IndecModule, N: IndecModule) -> int:
@@ -272,12 +272,11 @@ def _build_cover(ws: "_Workspace", M: IndecModule) -> CoverData:
 class _Workspace:
     """What the oracle has built for one algebra, filled on first use.
 
-    `reps[M]`, `covers[M]`, `hom_spaces[(M, N)]` and `hom_dims[(M, N)]` are
-    shared by every caller; a module becomes a key only after
-    `A.check_module` accepted it.
+    `reps[M]`, `covers[M]` and `hom_dims[(M, N)]` are shared by every
+    caller; a module becomes a key only after `A.check_module` accepted it.
     """
 
-    __slots__ = ("A", "n", "arrows", "incoming", "reps", "covers", "hom_spaces", "hom_dims")
+    __slots__ = ("A", "n", "arrows", "incoming", "reps", "covers", "hom_dims")
 
     def __init__(self, A: Algebra):
         self.A = A
@@ -286,7 +285,6 @@ class _Workspace:
         self.incoming = {tgt: src for src, tgt in self.arrows}
         self.reps: dict[IndecModule, Representation] = {}
         self.covers: dict[IndecModule, CoverData] = {}
-        self.hom_spaces: dict[tuple[IndecModule, IndecModule], tuple] = {}
         self.hom_dims: dict[tuple[IndecModule, IndecModule], int] = {}
 
     def rep(self, M: IndecModule) -> Representation:
@@ -303,13 +301,6 @@ class _Workspace:
             self.A.check_module(M)
             data = self.covers[M] = _build_cover(self, M)
         return data
-
-    def hom_space(self, M: IndecModule, N: IndecModule) -> tuple:
-        key = (M, N)
-        basis = self.hom_spaces.get(key)
-        if basis is None:
-            basis = self.hom_spaces[key] = tuple(_rep_hom_basis(self, self.rep(M), self.rep(N)))
-        return basis
 
     def hom_dim(self, M: IndecModule, N: IndecModule) -> int:
         key = (M, N)
@@ -460,7 +451,7 @@ class EndTable:
     """
 
     objects: tuple[IndecModule, ...]
-    bases: dict[tuple[int, int], tuple]
+    bases: dict[tuple[int, int], list[list[Matrix]]]
     block_dims: dict[tuple[int, int], int]
     total_dim: int
     fibre_dims: tuple[tuple[int, ...], ...]
@@ -481,7 +472,9 @@ def end_algebra(A: Algebra, modules) -> EndTable:
         raise OracleError("end_algebra needs pairwise non-isomorphic summands")
     ws = _workspace(A)
     fibre_dims = tuple(tuple(ws.rep(m).dims) for m in objects)
-    bases = {(a, b): ws.hom_space(x, y) for a, x in enumerate(objects) for b, y in enumerate(objects)}
+    bases = {
+        (a, b): _rep_hom_basis(ws, ws.rep(x), ws.rep(y)) for a, x in enumerate(objects) for b, y in enumerate(objects)
+    }
     block_dims = {key: len(basis) for key, basis in bases.items()}
     return EndTable(objects, bases, block_dims, sum(block_dims.values()), fibre_dims)
 

@@ -95,7 +95,7 @@ class Tables:
 
     def module_set(self, idx: Iterable[int]) -> ModuleSet:
         """The basic module with summands at increasing indices idx."""
-        return ModuleSet(tuple([self.modules[i] for i in idx]))
+        return ModuleSet([self.modules[i] for i in idx])
 
 
 def _perp(cands: list[int], vanishes: Callable[[int, int], bool]) -> list[int]:

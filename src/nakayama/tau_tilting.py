@@ -48,23 +48,22 @@ items as they are, so it builds no `ModuleSet` per pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, product
+from typing import NamedTuple
 
 from .algebra import Algebra, ModuleSet, quotient_algebra
 from .homology import _hom, _tau, hom_dim
 from .tables import cliques, indices
 
 
-@dataclass(frozen=True)
-class SupportPair:
+class SupportPair(NamedTuple):
     """Support tau-tilting pair: the module part plus the killed vertices."""
 
     modules: ModuleSet
     killed: frozenset[int]
 
     def sort_key(self):
-        return (self.modules.modules, tuple(sorted(self.killed)))
+        return (self.modules, tuple(sorted(self.killed)))
 
 
 def is_tau_rigid(A: Algebra, ms: ModuleSet) -> bool:

@@ -120,8 +120,8 @@ def _gen_profile(A: Algebra, T: ModuleSet) -> tuple[tuple[int, ...], int, int, i
     summand is validated by `Algebra.check_module`.  Both the validity and
     the profile depend only on the Kupisch series, and a ModuleSet is
     immutable, so the profile of the last series that validated T is kept
-    in T's instance dict, like the cached `Algebra.tables`; equality, hash
-    and repr read only the fields.
+    in T's instance dict, like the cached `Algebra.tables`; equality and
+    hash read only the summands.
     """
     c = A.c
     memo = T.__dict__.get("_gen")
@@ -193,7 +193,7 @@ def mutation_at(A: Algebra, T: ModuleSet, X: IndecModule) -> ModuleSet | None:
     # (pd Y <= 1, no self-extension) with no Ext^1 against T/X.
     cands, pos, perp = tab.ext1_candidates, tab.ext1_position, tab.ext1_perp
     at = [pos[i] for i in idx]
-    x = at[T.modules.index(X)]
+    x = at[T.index(X)]
     rest_mask = mask(a for a in at if a != x)
     partners = [
         tab.modules[cands[b]]
@@ -299,10 +299,8 @@ def exchange_graph(A: Algebra) -> ExchangeGraph:
 
     Edges: each tilting module is keyed by its n tuples of summand table
     indices with one summand left out; two modules holding the same key
-    share n - 1 summands.  Integer keys hash in C, where a tuple of
-    modules would call each dataclass's hash.  An almost complete tilting
-    module has at most two complements, so a key held by three modules
-    raises TiltingError.
+    share n - 1 summands.  An almost complete tilting module has at most
+    two complements, so a key held by three modules raises TiltingError.
 
     Order: `below[j]` is the bitmask of the nodes i != j with
     Gen(i) in Gen(j), from one `leq_gen` call per ordered pair, k(k-1) in
@@ -381,4 +379,4 @@ def mutation_closure(A: Algebra) -> list[ModuleSet]:
             if nxt is not None and nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return sorted(seen, key=lambda s: s.modules)
+    return sorted(seen)

@@ -22,6 +22,7 @@ from nakayama.algebra import (
     quotient_algebra,
     validate_kupisch,
 )
+from nakayama.tilting import enumerate_tilting
 
 M = IndecModule
 
@@ -227,6 +228,22 @@ class TestModuleSet:
     def test_canonical_order_and_dedup(self):
         ms = ModuleSet.of([M(3, 1), M(1, 2), M(3, 1), M(1, 1)])
         assert ms.modules == (M(1, 1), M(1, 2), M(3, 1))
+        assert type(ms.modules) is tuple
+
+    def test_module_hashes_as_its_coordinates(self):
+        # Sets and dicts of modules iterate in the order their (top, length) tuples give.
+        for top, length in [(1, 1), (2, 3), (7, 2)]:
+            assert hash(M(top, length)) == hash((top, length))
+
+    def test_tilting_modules_are_listed_in_sorted_order(self):
+        for A in (
+            make_rsz_nakayama(3, "linear"),
+            make_rsz_nakayama(4, "cyclic"),
+            Algebra("cyclic", (3, 2)),
+            Algebra("linear", (1, 2, 3, 2)),
+        ):
+            tilting = enumerate_tilting(A)
+            assert tilting == sorted(tilting), A
 
     def test_set_operations(self):
         ms = ModuleSet.of([M(1, 1), M(2, 2)])
@@ -435,3 +452,23 @@ class TestPublicSurface:
                     if root not in {"nakayama", "__future__"} and root not in sys.stdlib_module_names:
                         foreign.append(f"{path.name}:{node.lineno} {name}")
         assert foreign == []
+
+    def test_no_module_imports_a_name_it_never_uses(self):
+        import nakayama
+
+        unused = []
+        for path in sorted(Path(nakayama.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":  # its imports are re-exports
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    for alias in node.names:
+                        imported[alias.asname or alias.name] = node.lineno
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+        assert unused == []
