@@ -199,23 +199,33 @@ class Algebra:
     def radical(self, m: IndecModule) -> IndecModule | None:
         return self.submodule(m, m.length - 1)
 
-    def injective_env_vertex(self, j: int) -> IndecModule:
-        """Injective envelope of the simple at vertex j.
+    @cached_property
+    def injective_envelopes(self) -> tuple[IndecModule, ...]:
+        """Injective envelope of the simple at each vertex j, at index j - 1.
 
         The envelope is the longest uniserial module with socle at j;
         its length l* is the largest l with l <= c at the vertex l-1
         arrows above j (the walk stops at the boundary for linear kind).
+        The walks take as many steps as the envelopes have layers, which
+        sum to the dimension of the algebra.
         """
+        envelopes = []
+        for j in self.vertices:
+            l = 1
+            while True:
+                t = l + 1
+                if self.kind == LINEAR and j + t - 1 > self.n:
+                    break
+                if t > self.kupisch(self.up(j, t - 1)):
+                    break
+                l = t
+            envelopes.append(IndecModule(self.up(j, l - 1), l))
+        return tuple(envelopes)
+
+    def injective_env_vertex(self, j: int) -> IndecModule:
+        """Injective envelope of the simple at vertex j."""
         self.check_vertex(j)
-        l = 1
-        while True:
-            t = l + 1
-            if self.kind == LINEAR and j + t - 1 > self.n:
-                break
-            if t > self.kupisch(self.up(j, t - 1)):
-                break
-            l = t
-        return IndecModule(self.up(j, l - 1), l)
+        return self.injective_envelopes[j - 1]
 
     def is_injective(self, m: IndecModule) -> bool:
         self.check_module(m)

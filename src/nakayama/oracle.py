@@ -12,26 +12,37 @@ dimension vector of M(v, d), and a module with simple top S(v) is a
 quotient of the uniserial P(v), so K is isomorphic to M(v, d).  The
 Auslander-Reiten translate D Tr M is the kernel of D f: nu P1 -> nu P0
 for a minimal projective presentation, each nu P(j) built as the right
-uniserial dual to the paths ending at j.  One layer map (`_positions`) serves representations, cover
-maps and D f; one kernel routine serves the syzygy and tau, with one
-elimination per vertex; one top routine serves `identify_module` and the
-generator of the syzygy in `tau_via_dtr`.  Nothing here reuses the closed
-forms from `homology`; agreement between the two is a test target, not
-an assumption.
+uniserial dual to the paths ending at j.  One layer map (`_positions`)
+serves representations, cover maps and D f; one kernel routine serves the
+syzygy and tau, with one elimination per vertex; one top routine serves
+`identify_module` and the generator of the syzygy in `tau_via_dtr`.
+Nothing here reuses the closed forms from `homology`; agreement between
+the two is a test target, not an assumption.
+
+Support: a representation keeps the bitmask of the vertices where it is
+nonzero, read from its own dimension vector.  Kernels, tops, cover maps
+and D f work only at those vertices, and a Hom system only at the arrows
+out of X's support into Y's; Hom(X, Y) is 0 without a solve when the two
+supports are disjoint.  So the work per module grows with its length,
+not with the number of vertices.
 
 Caching: each algebra gets a workspace holding its arrows (also keyed by
-target), the representation of each module, the projective cover of each
-module with its kernel identified once as the syzygy module
-(`CoverData.syzygy`, read by `syzygy_oracle` and `ext1_space_dim`), and
-the Hom dimension (`hom_dims`) of each ordered pair, filled on first use.
-Workspaces are keyed by the `Algebra` value (equal algebras share one)
-and kept in an LRU of `WORKSPACES` entries, so at most that many
-algebras' data stay alive.  The objects in a workspace are shared
-between calls; only `to_representation` hands out a fresh representation.
+target), the layer positions of each module, the representation of each
+module, the projective cover of each module with its kernel identified
+once as the syzygy module (`CoverData.syzygy`, read by `syzygy_oracle`
+and `ext1_space_dim`), and the Hom dimension (`hom_dims`) of each ordered
+pair, filled on first use.  Each representation keeps the nonzeros of its
+arrow maps by column and by row (`_nonzeros`), so a Hom system only adds
+the pair's offsets.  Workspaces are keyed by the `Algebra` value (equal
+algebras share one) and kept in an LRU of `WORKSPACES` entries, so at
+most that many algebras' data stay alive.  The objects in a workspace
+are shared between calls; only `to_representation` hands out a fresh
+representation.
 
 Validation: the public functions validate each module once, as it enters
-a workspace (a bad top or length raises the `check_module` AlgebraError
-and nothing is cached); a module found in a workspace has been validated.
+a workspace: building its layer positions runs `A.layers`, which checks
+it (a bad top or length raises the `check_module` AlgebraError and
+nothing is cached); a module found in a workspace has been validated.
 """
 
 from __future__ import annotations
@@ -39,6 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 from .algebra import Algebra, IndecModule
 from . import linalg
@@ -60,13 +73,18 @@ class Representation:
     A.down(v) and its matrix, of shape dims[down(v)] x dims[v], acts on
     column vectors.  The injectives nu P(j) that `tau_via_dtr` needs are
     right uniserials too, so they are built the same way.
+
+    `support` has bit v-1 set for each vertex v where the representation
+    is nonzero; `nonzeros` is filled by `_nonzeros` on first use.
     """
 
-    __slots__ = ("dims", "maps")
+    __slots__ = ("dims", "maps", "support", "nonzeros")
 
     def __init__(self, dims: list[int], maps: dict[int, Matrix]):
         self.dims = list(dims)
         self.maps = maps
+        self.support = sum(1 << v for v, d in enumerate(self.dims) if d)
+        self.nonzeros = None
 
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -78,24 +96,32 @@ def arrow_sources(A: Algebra) -> list[int]:
 
 
 def _positions(A: Algebra, M: IndecModule) -> dict[int, dict[int, int]]:
-    """Per vertex v, {layer k of M at v: its basis index in V_v}; validates M."""
-    positions: dict[int, dict[int, int]] = {v: {} for v in A.vertices}
+    """Per vertex v where M is nonzero, {layer k of M at v: its basis index
+    in V_v}; validates M."""
+    positions: dict[int, dict[int, int]] = {}
     for k, v in enumerate(A.layers(M)):
-        positions[v][k] = len(positions[v])
+        at = positions.setdefault(v, {})
+        at[k] = len(at)
     return positions
 
 
 def to_representation(A: Algebra, M: IndecModule) -> Representation:
     """Representation of the uniserial module M, one basis vector per layer."""
-    positions = _positions(A, M)
-    dims = [len(positions[v]) for v in A.vertices]
+    ws = _workspace(A)
+    positions = ws.positions(M)
+    dims = [0] * ws.n
+    for v, at in positions.items():
+        dims[v - 1] = len(at)
     maps: dict[int, Matrix] = {}
-    for src in arrow_sources(A):
-        tgt = A.down(src)
-        mat = linalg.zero_matrix(dims[tgt - 1], dims[src - 1])
-        for k in positions[src]:
+    for src, tgt in ws.arrows:
+        src_at = positions.get(src)
+        if src_at is None:  # a dims[tgt] x 0 matrix
+            maps[src] = [[] for _ in range(dims[tgt - 1])]
+            continue
+        mat = linalg.zero_matrix(dims[tgt - 1], len(src_at))
+        for k, col in src_at.items():
             if k + 1 < M.length:
-                mat[positions[tgt][k + 1]][positions[src][k]] = 1
+                mat[positions[tgt][k + 1]][col] = 1
         maps[src] = mat
     return Representation(dims, maps)
 
@@ -108,6 +134,8 @@ def check_relations(A: Algebra, rep: Representation) -> bool:
     """
     sources = set(arrow_sources(A))
     for v in A.vertices:
+        if not rep.dims[v - 1]:  # every path from v acts on the zero space
+            continue
         comp = linalg.identity(rep.dims[v - 1])
         cur = v
         exists = True
@@ -125,39 +153,61 @@ def check_relations(A: Algebra, rep: Representation) -> bool:
 # -- Hom as an intertwiner nullspace ------------------------------------------
 
 
+def _nonzeros(ws: "_Workspace", rep: Representation):
+    """The nonzeros of rep's arrow maps, by column and by row; kept on rep.
+
+    Returns (cols, rows) keyed by arrow source: cols[src] = (tgt, per column
+    j of the map, its nonzeros (k, x)) where rep is nonzero at src, and
+    rows[src] = per row i of the map, its nonzeros (k, y), where rep is
+    nonzero at the target.  Both follow the order of `ws.arrows`.
+    """
+    if rep.nonzeros is None:
+        cols, rows = {}, {}
+        for src, tgt in ws.arrows:
+            mat = rep.maps[src]
+            if rep.dims[src - 1]:
+                xcols = [[] for _ in range(rep.dims[src - 1])]
+                for k, row in enumerate(mat):
+                    for j, x in enumerate(row):
+                        if x:
+                            xcols[j].append((k, x))
+                cols[src] = tgt, xcols
+            if rep.dims[tgt - 1]:
+                rows[src] = [[(k, y) for k, y in enumerate(row) if y] for row in mat]
+        rep.nonzeros = cols, rows
+    return rep.nonzeros
+
+
 def _hom_system(ws: "_Workspace", X: Representation, Y: Representation):
     """Linear system whose kernel is Hom(X, Y); returns (rows, total, offsets).
 
     Unknown (i, k) of the map at vertex v is column offsets[v] + i * dim X_v + k.
     Equation (arrow src -> tgt, i, j) is entry (i, j) of f_tgt X_a - Y_a f_src,
     one ``{column: entry}`` dict of its nonzero entries, built from the
-    nonzeros of column j of X_a and row i of Y_a; zero equations are dropped.
+    nonzeros of column j of X_a and row i of Y_a (`_nonzeros`), so only the
+    arrows out of X's support into Y's support are visited; zero equations
+    are dropped.
     """
-    offsets = [0] * ws.n
-    total = 0
-    for v in range(ws.n):
-        offsets[v] = total
-        total += Y.dims[v] * X.dims[v]
+    offsets = list(accumulate(map(mul, Y.dims, X.dims), initial=0))
+    total = offsets.pop()
     rows = []
     if total == 0:  # no unknowns, so every equation is zero
         return rows, total, offsets
-    for src, tgt in ws.arrows:
-        dXs, dXt = X.dims[src - 1], X.dims[tgt - 1]
-        if not (dXs and Y.dims[tgt - 1]):  # no equations at this arrow
+    x_cols, _ = _nonzeros(ws, X)
+    _, y_rows = _nonzeros(ws, Y)
+    for src, (tgt, xcols) in x_cols.items():
+        yrows = y_rows.get(src)
+        if yrows is None:  # Y is zero at tgt: no equations at this arrow
             continue
+        dXs, dXt = X.dims[src - 1], X.dims[tgt - 1]
         src_at, tgt_at = offsets[src - 1], offsets[tgt - 1]
-        xcols = [[] for _ in range(dXs)]
-        for k, xrow in enumerate(X.maps[src]):
-            for j, x in enumerate(xrow):
-                if x:
-                    xcols[j].append((tgt_at + k, x))
-        for i, yrow in enumerate(Y.maps[src]):
-            ys = [(src_at + k * dXs, y) for k, y in enumerate(yrow) if y]
-            base = i * dXt
+        for i, yrow in enumerate(yrows):
+            ys = [(src_at + k * dXs, y) for k, y in yrow]
+            base = tgt_at + i * dXt
             for j, xcol in enumerate(xcols):
                 if not (xcol or ys):
                     continue
-                row = {col + base: x for col, x in xcol}
+                row = {base + k: x for k, x in xcol}
                 for col, y in ys:
                     col += j
                     x = row.get(col, 0) - y
@@ -171,17 +221,17 @@ def _hom_system(ws: "_Workspace", X: Representation, Y: Representation):
 
 
 def _rep_hom_dim(ws: "_Workspace", X: Representation, Y: Representation) -> int:
-    rows, total, _ = _hom_system(ws, X, Y)
-    if total == 0:
+    if not X.support & Y.support:  # no vertex where both are nonzero
         return 0
+    rows, total, _ = _hom_system(ws, X, Y)
     return total - linalg.rank(rows)
 
 
 def _rep_hom_basis(ws: "_Workspace", X: Representation, Y: Representation) -> list[list[Matrix]]:
     """Basis of Hom(X, Y), each element a list of per-vertex matrices."""
-    rows, total, offsets = _hom_system(ws, X, Y)
-    if total == 0:
+    if not X.support & Y.support:
         return []
+    rows, total, offsets = _hom_system(ws, X, Y)
     vectors = linalg.nullspace(rows, total)
     basis = []
     for vec in vectors:
@@ -231,19 +281,25 @@ def _kernel(ws: "_Workspace", X: Representation, f: list[Matrix]) -> tuple[Repre
 
     Returns the kernel representation and its per-vertex inclusion
     matrices into X (columns form a kernel basis).  f[v] is eliminated
-    once: basis vector k of `nullspace` is 1 at the k-th free column (its
-    last nonzero entry) and 0 at the other free columns, the one basis of
-    that shape, so the kernel's arrow matrix is the image's rows at the
-    free columns of the target.
+    once where X is nonzero: basis vector k of `nullspace` is 1 at the k-th
+    free column (its last nonzero entry) and 0 at the other free columns,
+    the one basis of that shape, so the kernel's arrow matrix is the
+    image's rows at the free columns of the target.  Where X is zero the
+    inclusion and free columns stay empty.
     """
-    incl = []
-    free = []
-    for v in range(ws.n):
-        basis = linalg.nullspace(f[v], X.dims[v])
-        incl.append(linalg.transpose(basis) if basis else [[] for _ in range(X.dims[v])])
-        free.append([max(i for i, x in enumerate(vec) if x) for vec in basis])
+    incl: list[Matrix] = [[] for _ in range(ws.n)]
+    free: list[list[int]] = [[] for _ in range(ws.n)]
+    for v, d in enumerate(X.dims):
+        if not d:  # the kernel is zero where X is
+            continue
+        basis = linalg.nullspace(f[v], d)
+        incl[v] = linalg.transpose(basis) if basis else [[] for _ in range(d)]
+        free[v] = [max(i for i, x in enumerate(vec) if x) for vec in basis]
     kmaps: dict[int, Matrix] = {}
     for src, tgt in ws.arrows:
+        if not free[src - 1]:  # a zero kernel at the source: no image to check
+            kmaps[src] = [[] for _ in free[tgt - 1]]
+            continue
         image = mat_mul(X.maps[src], incl[src - 1])
         if not linalg.is_zero_matrix(mat_mul(f[tgt - 1], image)):
             raise OracleError("kernel is not arrow-stable")
@@ -255,13 +311,15 @@ def _build_cover(ws: "_Workspace", M: IndecModule) -> CoverData:
     A = ws.A
     P0 = A.projective(M.top)
     # Cover map: layer k of P0 goes to layer k of M for k < len(M), else to 0.
-    p_pos, m_pos = _positions(A, P0), _positions(A, M)
-    g = []
-    for v in A.vertices:
-        mat = linalg.zero_matrix(len(m_pos[v]), len(p_pos[v]))
-        for k, row in m_pos[v].items():
-            mat[row][p_pos[v][k]] = 1
-        g.append(mat)
+    # M is a quotient of P0, so both are zero off P0's support: 0 x 0 there.
+    p_pos, m_pos = ws.positions(P0), ws.positions(M)
+    g: list[Matrix] = [[] for _ in range(ws.n)]
+    for v, p_at in p_pos.items():
+        m_at = m_pos.get(v, {})
+        mat = linalg.zero_matrix(len(m_at), len(p_at))
+        for k, row in m_at.items():
+            mat[row][p_at[k]] = 1
+        g[v - 1] = mat
     kernel_rep, incl = _kernel(ws, ws.rep(P0), g)
     return CoverData(P0, kernel_rep, incl, identify_module(A, kernel_rep))
 
@@ -272,20 +330,28 @@ def _build_cover(ws: "_Workspace", M: IndecModule) -> CoverData:
 class _Workspace:
     """What the oracle has built for one algebra, filled on first use.
 
-    `reps[M]`, `covers[M]` and `hom_dims[(M, N)]` are shared by every
-    caller; a module becomes a key only after `A.check_module` accepted it.
+    `layer_positions[M]`, `reps[M]`, `covers[M]` and `hom_dims[(M, N)]`
+    are shared by every caller; a module becomes a key only after
+    `A.check_module` accepted it, which building its positions does.
     """
 
-    __slots__ = ("A", "n", "arrows", "incoming", "reps", "covers", "hom_dims")
+    __slots__ = ("A", "n", "arrows", "incoming", "layer_positions", "reps", "covers", "hom_dims")
 
     def __init__(self, A: Algebra):
         self.A = A
         self.n = A.n
         self.arrows = [(src, A.down(src)) for src in arrow_sources(A)]
         self.incoming = {tgt: src for src, tgt in self.arrows}
+        self.layer_positions: dict[IndecModule, dict[int, dict[int, int]]] = {}
         self.reps: dict[IndecModule, Representation] = {}
         self.covers: dict[IndecModule, CoverData] = {}
         self.hom_dims: dict[tuple[IndecModule, IndecModule], int] = {}
+
+    def positions(self, M: IndecModule) -> dict[int, dict[int, int]]:
+        positions = self.layer_positions.get(M)
+        if positions is None:
+            positions = self.layer_positions[M] = _positions(self.A, M)
+        return positions
 
     def rep(self, M: IndecModule) -> Representation:
         rep = self.reps.get(M)
@@ -315,15 +381,20 @@ def _workspace(A: Algebra) -> _Workspace:
     return _Workspace(A)
 
 
-def _tops(ws: _Workspace, rep: Representation) -> list[list[int]]:
-    """Per vertex v, the basis indices of V_v completing the image of the
-    arrow into v; the unit vectors they index span a complement of the
-    radical there, so their number is the multiplicity of S(v) in the top."""
+def _tops(ws: _Workspace, rep: Representation) -> list[tuple[int, list[int]]]:
+    """Pairs (v, the basis indices of V_v completing the image of the arrow
+    into v) at each vertex v where rep has a top; the unit vectors they
+    index span a complement of the radical there, so their number is the
+    multiplicity of S(v) in the top.  A zero vertex has no top."""
     tops = []
-    for v in ws.A.vertices:
+    for v, d in enumerate(rep.dims, 1):
+        if not d:
+            continue
         u = ws.incoming.get(v)
         rad_vectors = linalg.transpose(rep.maps[u]) if u is not None else []
-        tops.append(linalg.extend_basis_indices(rad_vectors, rep.dims[v - 1]))
+        top = linalg.extend_basis_indices(rad_vectors, d)
+        if top:
+            tops.append((v, top))
     return tops
 
 
@@ -337,7 +408,7 @@ def identify_module(A: Algebra, rep) -> IndecModule | None:
     if total == 0:
         return None
     ws = _workspace(A)
-    tops = [(v, len(idx)) for v, idx in zip(A.vertices, _tops(ws, rep)) if idx]
+    tops = [(v, len(idx)) for v, idx in _tops(ws, rep)]
     if len(tops) != 1 or tops[0][1] != 1:
         raise OracleError(f"representation is not uniserial: tops {tops}")
     top = tops[0][0]
@@ -412,25 +483,30 @@ def tau_via_dtr(A: Algebra, M: IndecModule) -> IndecModule | None:
     K, incl = data.kernel_rep, data.incl
 
     # Generators of K: per vertex, the kernel basis columns spanning the top.
-    gens = [(v, [row[i] for row in incl[v - 1]]) for v, top in zip(A.vertices, _tops(ws, K)) for i in top]
+    gens = [(v, [row[i] for row in incl[v - 1]]) for v, top in _tops(ws, K) for i in top]
     if len(gens) != 1:
         raise OracleError(f"syzygy of a non-projective module has {len(gens)} generators, expected 1")
     [(v, coeffs)] = gens
 
     # Layer k of P0 at v is the path of length k from top M to v.
-    path_coeffs = {k: coeffs[i] for k, i in _positions(A, data.cover_module)[v].items() if coeffs[i]}
+    path_coeffs = {k: coeffs[i] for k, i in ws.positions(data.cover_module)[v].items() if coeffs[i]}
     nu1, nu0 = _nu_projective(A, v), _nu_projective(A, M.top)
-    pos1, pos0 = _positions(A, nu1), _positions(A, nu0)
-    Df: list[Matrix] = []
-    for s in A.vertices:
-        mat = linalg.zero_matrix(len(pos0[s]), len(pos1[s]))
-        for layer, row in pos0[s].items():
+    pos1, pos0 = ws.positions(nu1), ws.positions(nu0)
+    # 0 x 0 where both are zero; len x 0 where only nu P1 is.
+    Df: list[Matrix] = [[] for _ in range(ws.n)]
+    for s, at0 in pos0.items():
+        at1 = pos1.get(s)
+        if at1 is None:
+            Df[s - 1] = [[] for _ in at0]
+            continue
+        mat = linalg.zero_matrix(len(at0), len(at1))
+        for layer, row in at0.items():
             t = nu0.length - 1 - layer
             for k, coeff in path_coeffs.items():
-                col = pos1[s].get(nu1.length - 1 - t - k)
+                col = at1.get(nu1.length - 1 - t - k)
                 if col is not None:
                     mat[row][col] = coeff
-        Df.append(mat)
+        Df[s - 1] = mat
     dual, _ = _kernel(ws, ws.rep(nu1), Df)
     result = identify_module(A, dual)
     if result is None:

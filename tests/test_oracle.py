@@ -159,7 +159,7 @@ def test_nullspace_basis_is_unit_at_the_free_columns(case, weights):
 def test_oracle_is_independent_of_the_closed_forms():
     """The oracle road imports no closed-form module and calls no closed form."""
     closed_modules = {"homology", "tables", "tilting", "tau_tilting", "auslander"}
-    closed_forms = {"injective_env_vertex", "is_injective", "socle_vertex"}
+    closed_forms = {"injective_env_vertex", "injective_envelopes", "is_injective", "socle_vertex"}
     src = Path(oracle.__file__).parent
     for name in ("oracle.py", "linalg.py"):
         tree = ast.parse((src / name).read_text(encoding="utf-8"))
@@ -222,6 +222,17 @@ class TestRepresentations:
         ws = _workspace(A)
         with pytest.raises(OracleError, match="^kernel is not arrow-stable$"):
             oracle._kernel(ws, ws.rep(M(2, 2)), [[[1]], [[0]]])
+
+    def test_kernel_stability_is_checked_next_to_a_zero_vertex(self):
+        # P(3) of linear (1, 2, 2) is zero at vertex 1, which the kernel
+        # skips; f is zero at 3 and injective at 2, so the kernel at 3 still
+        # maps under the arrow 3 -> 2 outside the kernel at 2.
+        A = Algebra("linear", (1, 2, 2))
+        ws = _workspace(A)
+        X = ws.rep(M(3, 2))
+        assert X.dims == [0, 1, 1]
+        with pytest.raises(OracleError, match="^kernel is not arrow-stable$"):
+            oracle._kernel(ws, X, [[], [[1]], [[0]]])
 
 
 class TestOracleAgreement:
@@ -432,6 +443,34 @@ def test_hom_is_solved_only_on_module_representations(A, ext1_first, monkeypatch
     kernels = {id(data.kernel_rep) for data in ws.covers.values()}
     identified_ids = Counter(map(id, identified))
     assert set(identified_ids) <= kernels and max(identified_ids.values()) == 1
+
+
+def test_cover_work_does_not_grow_with_the_number_of_vertices(monkeypatch):
+    """Kernels and tops work only where a representation is nonzero: the
+    syzygy and tau of S(1) make as many linear-algebra calls on 50 vertices
+    as on 20."""
+    _workspace.cache_clear()
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(linalg, "nullspace", counted("nullspace", linalg.nullspace))
+    monkeypatch.setattr(linalg, "extend_basis_indices", counted("extend_basis_indices", linalg.extend_basis_indices))
+    monkeypatch.setattr(oracle, "mat_mul", counted("mat_mul", oracle.mat_mul))
+    counts = []
+    for n in (20, 50):
+        A = make_rsz_nakayama(n, "cyclic")
+        calls.clear()
+        assert syzygy_oracle(A, M(1, 1)) == M(n, 1)
+        assert tau_via_dtr(A, M(1, 1)) == M(n, 1)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert set(counts[0]) == {"nullspace", "extend_basis_indices", "mat_mul"}
 
 
 class TestWorkspaceScope:
