@@ -62,7 +62,7 @@ USAGE_ERROR = 2
 # 2n cyclic) before it is built.
 # Single runs at the limit on a 2-CPU Xeon VM whose speed drifts by up to
 # a factor of two, the enumerating verbs streamed to stdout: tilt
-# enumerate --n 14 --kind cyclic 1.0-1.1 s and 27 MiB peak RSS; tilt graph
+# enumerate --n 14 --kind cyclic 0.44-0.47 s and 26 MiB peak RSS; tilt graph
 # --n 10 --kind cyclic 0.5-0.8 s (--kind linear 0.2-0.3 s); sttilt enumerate
 # --n 15 --kind cyclic (2^15 kill sets, 168 MB of JSON) 3.4-6.2 s and
 # 167 MiB, and --n 14 (228,486 pairs) 1.9-2.8 s and 81 MiB, where holding
@@ -71,14 +71,14 @@ USAGE_ERROR = 2
 # profile --n 5000 --kind cyclic 0.2 s.
 # The worst files measured: for tilt, the path algebra linear (1, 2, ...,
 # N), with Catalan(N) tilting modules: tilt enumerate N=12 (208,012
-# modules) 5.1-5.6 s and 96 MiB, tilt graph N=8 (1,430 modules) 0.8 s;
+# modules) 3.7-4.0 s and 80 MiB, tilt graph N=8 (1,430 modules) 0.8 s;
 # for sttilt, the self-injective cyclic (N, ..., N), with C(2N, N) pairs:
 # N=10 (184,756 pairs, d = 100) 3.1-3.3 s and 85 MiB, N=11 (705,432
 # pairs) 7.2-7.7 s on the faster runs, and cyclic (909,)*11 (d = 9,999)
 # 10.0 s, so the limit stays at 10.  Every verb scans the d modules, and
 # cyclic (N, N+1, ..., N+k-1) has Catalan(k) tilting modules too, so the
 # worst files grow slowly with d.  At d ~ 10^4: tilt enumerate on cyclic
-# (827, ..., 838) 5.2-5.3 s and 98 MiB; tilt graph on (1246, ..., 1253)
+# (827, ..., 838) 2.9-3.5 s and 81 MiB; tilt graph on (1246, ..., 1253)
 # 0.8-1.0 s; sttilt enumerate on (1000,)*10 3.5-3.7 s and 128 MiB.
 # tilt graph makes k(k-1) Gen comparisons for k tilting modules, each
 # module's profile walked once and packed into one integer, so that a
@@ -101,8 +101,8 @@ def _json_dim(value) -> object:
 
 
 # The enumerating verbs stream their output in the bytes of
-# json.dumps(payload, indent=2, sort_keys=True) + "\n": each module is
-# rendered once per table index, then every record is joined from those.
+# json.dumps(payload, indent=2, sort_keys=True) + "\n": each module that
+# can be a summand is rendered once, then every record is joined from those.
 
 
 def _json_items(texts: Iterable[str], depth: int) -> list[str]:
@@ -204,9 +204,11 @@ def cmd_profile(A: Algebra, args) -> object:
 
 def cmd_tilt_enumerate(A: Algebra, args) -> object:
     tilting = enumerate_tilting(A)
-    at = A.tables.at
-    rows = ([at(m.top, m.length) for m in T] for T in tilting)
-    lits = [str(m) for m in A.tables.modules]
+    # Every summand of a tilting module is an Ext^1 candidate.
+    cands = [A.tables.modules[i] for i in A.tables.ext1_candidates]
+    index = {m: a for a, m in enumerate(cands)}
+    rows = ([index[m] for m in T] for T in tilting)
+    lits = [str(m) for m in cands]
     if args.format == "json":
         frags = _json_items(map(json.dumps, lits), 6)
         records = ("\n    " + _json_list([frags[i] for i in idx], 4) for idx in rows)

@@ -17,10 +17,15 @@ checks the kernels through the public functions.
 
 Modules entering from outside are validated once, by `indices`, which
 refuses a module that is not basic; code behind that line works on table
-indices only.  The enumerators in `tilting` and `tau_tilting` share one
-clique search, `cliques`; their n-clique searches take the vertices
-adjacent to every candidate as given and branch only on the rest, which
-is sound because neither graph has a clique of more than n vertices.
+indices, or on positions among the candidates, only.  The enumerators in
+`tilting` and `tau_tilting` share one clique search, `cliques`; their
+n-clique searches take the vertices adjacent to every candidate as given,
+branch only on the rest, and abandon a branch as soon as a vertex passed
+over is adjacent to every vertex still allowed, which is sound because
+neither graph has a clique of more than n vertices.  The cliques come out
+as candidate positions, and `enumerate_tilting` re-verifies each on those
+positions, one summand mask against `ext1_perp`, before it builds the
+module from them.
 """
 
 from __future__ import annotations
@@ -148,41 +153,86 @@ def cliques(adj: Sequence[int], allowed: int, size: int | None = None) -> list[t
     partial tilting module has at most n summands (Bongartz, Tilted
     algebras, LNM 903, 1981), and so has a tau-rigid module
     (Adachi-Iyama-Reiten, tau-tilting theory, Compos. Math. 150, 2014).
-    Under that bound a forced vertex, one adjacent to every other allowed
-    vertex, lies in every clique of `size` vertices, so the search takes
-    the forced vertices as given and branches only on the rest.  Adding
-    the same disjoint set to every clique keeps their lexicographic order.
-    The self bit `adj[i] >> i & 1` is ignored.  More forced vertices than
-    `size` form a larger clique, so they raise RuntimeError.
+    The search leans on that bound twice, and a caller who breaks it gets
+    no guarantee about what is returned.  First, a forced vertex, one
+    adjacent to every other allowed vertex, lies in every clique of
+    `size` vertices, so the search takes the forced vertices as given and
+    branches only on the rest.  Adding the same disjoint set to every
+    clique keeps their lexicographic order.  More forced vertices than
+    `size` form a larger clique, so they raise RuntimeError.  Second, the
+    passed-vertex rule of Bron-Kerbosch, without its pivot: a branch keeps
+    the vertices it has passed over that are adjacent to every chosen
+    vertex, and is abandoned as soon as one of them is adjacent to every
+    vertex still allowed, since any completion plus that vertex would be a
+    clique of `size` + 1 vertices.  Neither cut drops a clique, so the
+    order is that of the plain search.  The self bit `adj[i] >> i & 1` is
+    ignored.
     """
     found: list[tuple[int, ...]] = []
     chosen: list[int] = []
-    forced: list[int] = []
-    if size is not None:
-        forced = [i for i in range(allowed.bit_length()) if allowed >> i & 1 and not allowed & ~adj[i] & ~(1 << i)]
-        if len(forced) > size:
-            raise RuntimeError(
-                f"{len(forced)} vertices are adjacent to all others, but cliques were "
-                f"bounded by {size} vertices"
-            )
-        allowed &= ~mask(forced)
-        need = size - len(forced)
 
-    def extend(allowed: int) -> None:
-        if size is None:
-            found.append(tuple(chosen))
-        elif len(chosen) == need:
-            found.append(tuple(sorted(forced + chosen)))
-            return
+    def every(allowed: int) -> None:
+        found.append(tuple(chosen))
         while allowed:
-            if size is not None and allowed.bit_count() < need - len(chosen):
-                return
             low = allowed & -allowed
             allowed ^= low
             i = low.bit_length() - 1
             chosen.append(i)
-            extend(allowed & adj[i])
+            every(allowed & adj[i])
             chosen.pop()
 
-    extend(allowed)
+    if size is None:
+        every(allowed)
+        return found
+    forced = [i for i in range(allowed.bit_length()) if allowed >> i & 1 and not allowed & ~adj[i] & ~(1 << i)]
+    if len(forced) > size:
+        raise RuntimeError(
+            f"{len(forced)} vertices are adjacent to all others, but cliques were "
+            f"bounded by {size} vertices"
+        )
+    allowed &= ~mask(forced)
+    need = size - len(forced)
+
+    def extend(allowed: int, passed: int) -> None:
+        # `passed`: vertices passed over, each adjacent to every chosen one.
+        # For such a vertex x, allowed & ~adj[x] is the set of allowed
+        # vertices x is not adjacent to; the loop drops the lowest allowed
+        # vertex each step, so x is adjacent to all that is left once the
+        # lowest allowed bit, as an integer, exceeds that set.  `stop` is the
+        # least such set over the vertices passed so far.
+        left = need - len(chosen)
+        if left == 1:  # every allowed vertex completes a clique
+            base = forced + chosen
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
+                found.append(tuple(sorted(base + [low.bit_length() - 1])))
+            return
+        stop = allowed
+        rest = passed
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            r = allowed & ~adj[x.bit_length() - 1]
+            if r < stop:
+                stop = r
+        while allowed:
+            low = allowed & -allowed
+            if low > stop or allowed.bit_count() < left:
+                return
+            allowed ^= low
+            i = low.bit_length() - 1
+            a = adj[i]
+            chosen.append(i)
+            extend(allowed & a, passed & a)
+            chosen.pop()
+            passed |= low
+            r = allowed & ~a
+            if r < stop:
+                stop = r
+
+    if need:
+        extend(allowed, 0)
+    else:
+        found.append(tuple(forced))
     return found

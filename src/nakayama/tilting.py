@@ -7,10 +7,16 @@ modules).  Enumeration is exact: candidates are the indecomposables of
 projective dimension <= 1 without self-extensions, compatibility is
 Ext^1-vanishing in both directions, and tilting modules are the
 n-cliques of the compatibility graph, found by the shared clique search
-`tables.cliques` and re-verified one by one; each result is the verified
-`ModuleSet` itself.  A partial tilting module has at most n summands
-(Bongartz), so a candidate with no Ext^1 against any candidate is a
-summand of every tilting module, and the search takes it as given.
+`tables.cliques`.  Each clique is re-verified on its candidate positions
+(n summands, one summand mask against `ext1_perp`) and the `ModuleSet` is
+built straight from those positions; a clique that fails is mapped back
+to table indices only to name its violation.  A partial tilting module
+has at most n summands (Bongartz), so a candidate with no Ext^1 against
+any candidate is a summand of every tilting module, and the search takes
+it as given.  For the same reason a branch of the search dies as soon as
+a candidate it passed over has no Ext^1 against the summands chosen and
+every candidate still allowed: any completion plus that candidate would
+be partial tilting with n + 1 summands.
 `check_gen_minimum` tests the minimal tilting module against tilting
 modules already enumerated, so a caller holding them enumerates once.
 
@@ -21,7 +27,7 @@ kernel `_ext1`.  Both rest on the single copy of each closed form, the
 kernels in `homology`, which the tests hold to an independent reference
 and to the matrix oracle.  Modules are validated once, where they enter a
 public function; the enumerators, the re-verification of their results and
-mutation work on table indices behind that line.
+mutation work on table indices or candidate positions behind that line.
 
 The Gen order needs no table: Gen(T) holds a uniserial X iff X is a
 quotient of a summand, so Gen(T1) lies in Gen(T2) iff at every top the
@@ -98,13 +104,26 @@ def summand_shape_check(A: Algebra, ms: ModuleSet) -> list[IndecModule]:
 
 
 def enumerate_tilting(A: Algebra) -> list[ModuleSet]:
-    """All basic tilting modules, sorted by their canonical summand tuples."""
+    """All basic tilting modules, sorted by their canonical summand tuples.
+
+    Every clique is re-verified on its candidate positions, the check
+    `_violation` makes once it has mapped table indices to positions: n
+    summands, each orthogonal to the others in `ext1_perp` (whose self
+    bits are set).  A failing clique raises TiltingError with
+    `_violation`'s certificate."""
     tab = A.tables
     cands, perp = tab.ext1_candidates, tab.ext1_perp
-    return [
-        _record(A, tab.module_set(idx), idx)  # re-verifies every clique
-        for idx in ([cands[a] for a in at] for at in cliques(perp, (1 << len(perp)) - 1, A.n))
-    ]
+    mods = [tab.modules[i] for i in cands]
+    found = []
+    for at in cliques(perp, (1 << len(perp)) - 1, A.n):
+        summands, common = 0, -1
+        for a in at:
+            summands |= 1 << a
+            common &= perp[a]
+        if summands & ~common or len(at) != A.n:
+            raise TiltingError(f"not a tilting module: {_violation(A, [cands[a] for a in at])}")
+        found.append(ModuleSet([mods[a] for a in at]))
+    return found
 
 
 # -- the generation order ------------------------------------------------------

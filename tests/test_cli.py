@@ -1,15 +1,22 @@
 import json
+import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from nakayama import cli, tau_tilting
+from nakayama import cli, tau_tilting, tilting
 from nakayama.algebra import Algebra, IndecModule, ModuleSet, algebra_to_json, make_rsz_nakayama
 from nakayama.auslander import auslander_algebra
 from nakayama.tau_tilting import enumerate_sttilt
-from nakayama.tilting import enumerate_tilting
+from nakayama.tilting import TiltingError, enumerate_tilting
+
+
+# Child interpreters import the package from src/, as the test process does.
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
 
 def run_cli(capsys, *argv):
@@ -275,6 +282,21 @@ class TestStreamedListings:
             assert capsys.readouterr().out == ""
         assert not dest.exists()
 
+    def test_failed_tilting_enumeration_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        # A clique that fails re-verification raises before the first byte
+        # is written or the file opened.  On the path algebra of A_2 the
+        # candidates M(1,1), M(2,1), M(2,2) sit at positions 0, 1, 2.
+        path = tmp_path / "a2.json"
+        path.write_text(json.dumps({"kind": "linear", "kupisch": [1, 2]}))
+        dest = tmp_path / "out"
+        for bad, why in (((0, 1), "ext1_dim(M(2,1),M(1,1)) = 1 != 0"), ((2,), "|T| = 1 != 2")):
+            monkeypatch.setattr(tilting, "cliques", lambda adj, allowed, size, bad=bad: [(0, 2), bad])
+            for target in ((), ("--output", str(dest))):
+                with pytest.raises(TiltingError, match=f"^{re.escape(f'not a tilting module: {why}')}$"):
+                    cli.main(["tilt", "enumerate", "--algebra", str(path), *target])
+                assert capsys.readouterr().out == ""
+        assert not dest.exists()
+
     def test_sttilt_peak_memory_is_bounded(self, tmp_path):
         # The pairs are kept as index tuples and rendered as they are written,
         # so no payload of the whole output is held: 27 MiB against 124 MiB
@@ -288,7 +310,9 @@ class TestStreamedListings:
             "code = subprocess.run(sys.argv[1:]).returncode; "
             "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
         )
-        proc = subprocess.run([sys.executable, "-c", probe, *child], capture_output=True, text=True, timeout=60)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *child], capture_output=True, text=True, timeout=60, env=CHILD_ENV
+        )
         code, peak_kib = map(int, proc.stdout.split())
         assert code == 0
         assert json.loads(dest.read_text())["count"] == len(enumerate_sttilt(make_rsz_nakayama(12, "cyclic")))
@@ -490,13 +514,11 @@ class TestPlumbing:
         assert first == second
 
     def test_console_entry_point(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "nakayama.cli", "pd", "--n", "2", "--kind", "linear", "S(2)"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"pd": 1}

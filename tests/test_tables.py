@@ -2,7 +2,9 @@
 independent reference, and the clique engine."""
 
 import math
+import random
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,6 +239,48 @@ def test_forced_vertices_keep_the_n_cliques_and_their_order(clique_universe, gra
         adj = getattr(A.tables, f"{graph}_perp")
         allowed = mask(a for a in range(len(adj)) if adj[a] >> a & 1)
         assert cliques(adj, allowed, A.n) == unpruned_cliques(adj, allowed, A.n), A
+
+
+@st.composite
+def graphs_with_allowed(draw):
+    """A random symmetric graph on at most 12 vertices, as neighbour masks
+    with random self bits, and a random vertex mask.  Edges are drawn at a
+    random density, or (density None) as a union of a few cliques of one
+    size, which gives many overlapping largest cliques.  Hubs are adjacent
+    to every vertex, so an allowed hub is a forced vertex."""
+    n = draw(st.integers(0, 12))
+    density = draw(st.sampled_from((None, 0.2, 0.5, 0.8, 0.95)))
+    dropped = draw(st.sampled_from((0.0, 0.2, 0.5)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = {(u, v) for u, v in combinations(range(n), 2) if density is not None and rng.random() < density}
+    if density is None and n:
+        k = rng.randint(1, n)
+        for _ in range(rng.randint(1, 6)):
+            edges.update(combinations(sorted(rng.sample(range(n), k)), 2))
+    hubs = {v for v in range(n) if rng.random() < 0.15}
+    edges.update((u, v) for u, v in combinations(range(n), 2) if u in hubs or v in hubs)
+    adj = [int(rng.random() < 0.5) << v for v in range(n)]
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj, mask(v for v in range(n) if rng.random() >= dropped)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(graphs_with_allowed())
+def test_fixed_size_cliques_are_every_clique_of_the_clique_number(graph):
+    """With `size` the clique number inside `allowed`, so that no larger
+    clique exists, the search returns every clique of that size in
+    lexicographic order.  The reference extends each clique, in order, by
+    every larger allowed vertex adjacent to all of it."""
+    adj, allowed = graph
+    verts = [v for v in range(len(adj)) if allowed >> v & 1]
+    largest = [()]
+    while bigger := [
+        c + (v,) for c in largest for v in verts if v > (c[-1] if c else -1) and all(adj[u] >> v & 1 for u in c)
+    ]:
+        largest = bigger
+    assert cliques(adj, allowed, len(largest[0])) == largest
 
 
 def test_kernel_calls_grow_linearly_in_the_dimension(monkeypatch):

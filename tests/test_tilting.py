@@ -150,6 +150,20 @@ class TestEnumeration:
             for t in brute:
                 assert t in fast
 
+    # The path algebra of A_2: its candidates M(1,1), M(2,1), M(2,2) sit at
+    # positions 0, 1, 2, and Ext^1(M(2,1), M(1,1)) = 1.
+    @pytest.mark.parametrize(
+        "bad, why",
+        [((0, 1), "ext1_dim(M(2,1),M(1,1)) = 1 != 0"), ((2,), "|T| = 1 != 2")],
+        ids=["conflicting-pair", "n-1-summands"],
+    )
+    def test_every_clique_is_reverified(self, monkeypatch, bad, why):
+        A = Algebra("linear", (1, 2))
+        assert A.tables.ext1_candidates == [0, 1, 2]
+        monkeypatch.setattr(nakayama.tilting, "cliques", lambda adj, allowed, size: [(0, 2), bad])
+        with pytest.raises(TiltingError, match=f"^{re.escape(f'not a tilting module: {why}')}$"):
+            enumerate_tilting(A)
+
     def test_selfinjective_has_only_regular(self):
         A = make_rsz_nakayama(3, "cyclic")
         got = enumerate_tilting(A)
