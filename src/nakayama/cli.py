@@ -25,6 +25,7 @@ and `sttilt enumerate` enumerate first and then stream their listings
 record by record, in the bytes of one json.dumps of the whole payload, so
 a request that fails writes nothing and no copy of the output is held.
 Exit codes: 0 success, 1 failed verification, 2 usage or input error.
+`run` (the console entry) dies of SIGPIPE, silently, when a pipe reader quits.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import argparse
 import functools
 import json
 import math
+import signal
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
@@ -64,16 +66,16 @@ USAGE_ERROR = 2
 # a factor of two, the enumerating verbs streamed to stdout: tilt
 # enumerate --n 14 --kind cyclic 0.44-0.47 s and 26 MiB peak RSS; tilt graph
 # --n 10 --kind cyclic 0.5-0.8 s (--kind linear 0.2-0.3 s); sttilt enumerate
-# --n 15 --kind cyclic (2^15 kill sets, 168 MB of JSON) 3.4-6.2 s and
-# 167 MiB, and --n 14 (228,486 pairs) 1.9-2.8 s and 81 MiB, where holding
-# the whole listing took 7.1-9.6 s and 701 MiB; --n 16 took 8.5-10.5 s
-# on the faster runs, so the limit is 15; verify paper --max-n 12 0.75 s;
+# --n 15 --kind cyclic (2^15 kill sets, 168 MB of JSON) 4.7-5.3 s and
+# 155 MiB, and --n 14 (228,486 pairs) 1.9-2.3 s and 75 MiB, where holding
+# the whole listing took 7.1-9.6 s and 701 MiB; --n 16 took 13 s and
+# 349 MiB, so the limit is 15; verify paper --max-n 12 0.75 s;
 # profile --n 5000 --kind cyclic 0.2 s.
 # The worst files measured: for tilt, the path algebra linear (1, 2, ...,
 # N), with Catalan(N) tilting modules: tilt enumerate N=12 (208,012
 # modules) 3.7-4.0 s and 80 MiB, tilt graph N=8 (1,430 modules) 0.8 s;
 # for sttilt, the self-injective cyclic (N, ..., N), with C(2N, N) pairs:
-# N=10 (184,756 pairs, d = 100) 3.1-3.3 s and 85 MiB, N=11 (705,432
+# N=10 (184,756 pairs, d = 100) 2.2-3.0 s and 78 MiB, N=11 (705,432
 # pairs) 7.2-7.7 s on the faster runs, and cyclic (909,)*11 (d = 9,999)
 # 10.0 s, so the limit stays at 10.  Every verb scans the d modules, and
 # cyclic (N, N+1, ..., N+k-1) has Catalan(k) tilting modules too, so the
@@ -361,6 +363,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    if hasattr(signal, "SIGPIPE"):  # `| head` then ends the process as it does any Unix filter
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

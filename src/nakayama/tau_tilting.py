@@ -30,12 +30,13 @@ memos local to each call.  The first is keyed by the component `Algebra`
 (equal series hash alike), so `enumerate_tau_tilting` runs once per
 distinct series.  The second is keyed by the run, which fixes the
 component within one call: each run's tau-tilting modules are placed
-through its embedding as sorted tuples of parent table indices once per
-call.  The parent's tables index modules in (top, length) order, so
-sorted indices are the canonical `ModuleSet` order.  A kill set with one
-component takes its run's tuples as they are; one with several takes
-their product and sorts each choice.  All pairs of one kill set share a
-single frozenset of killed vertices, and pairs are sorted on integers.
+through its embedding once per call, as increasing parent table indices
+((top, length) order, the canonical `ModuleSet` order).  Runs come in
+order of their least vertex and only the first can wrap past vertex n
+(it then holds vertex 1), so a module part joins the first run's
+summands at tops up to its last vertex, the other runs' in order and the
+first run's at the tops above.  All pairs of one kill set share one
+frozenset of killed vertices, and all pairs are sorted once, on integers.
 Validation happens once, at entry (the base kill set); the quotient
 components and their modules come from tables, so they are valid by
 construction and nothing is re-checked per module.
@@ -48,7 +49,9 @@ items as they are, so it builds no `ModuleSet` per pair.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product
+from bisect import bisect_left
+from itertools import combinations, compress, count, islice, repeat
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .algebra import Algebra, ModuleSet, quotient_algebra
@@ -99,7 +102,8 @@ def enumerate_tau_rigid_sets(A: Algebra) -> list[ModuleSet]:
 def _sttilt_indices(A: Algebra, base_killed=frozenset()) -> list[tuple[tuple[int, ...], frozenset[int]]]:
     """Support tau-tilting pairs of A/(base_killed) as sorted
     (module part, kill set) items, the module part as increasing parent
-    table indices; see `enumerate_sttilt_over`, which builds from them."""
+    table indices; see `enumerate_sttilt_over`, which builds from them.
+    Module parts are joined in parent order, run by run, and sorted once."""
     base = frozenset(base_killed)
     for v in base:
         A.check_vertex(v)
@@ -107,39 +111,50 @@ def _sttilt_indices(A: Algebra, base_killed=frozenset()) -> list[tuple[tuple[int
     tab = A.tables
     # tau-tilting modules of each component series met in this call.
     series: dict[Algebra, list[ModuleSet]] = {}
-    # The same, placed on each run met in this call, as sorted tuples of
-    # parent table indices; within one call the run fixes the component.
-    placed: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    # Kill set of each module part, as parent table indices.
-    kill_of: dict[tuple[int, ...], frozenset[int]] = {}
+    # The same, placed on each run met in this call as increasing parent
+    # table indices split into lows and highs: the summands at tops up to
+    # the run's last vertex and those above, none unless the run wraps.
+    placed: dict[tuple[int, ...], tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = {}
+    items = []
     for r in range(len(ambient) + 1):
         for extra in combinations(ambient, r):
             q = quotient_algebra(A, base.union(extra))
-            per_component = []
+            per_run = []
             for comp, emb in zip(q.components, q.embeds):
-                parts = placed.get(emb)
-                if parts is None:
+                split = placed.get(emb)
+                if split is None:
                     local = series.get(comp)
                     if local is None:
                         local = series[comp] = enumerate_tau_tilting(comp)
                     if not local:
                         # The regular module is always tau-tilting, so this is a bug.
                         raise RuntimeError(f"component of {A}/{sorted(q.killed)} has no tau-tilting module")
-                    parts = placed[emb] = [tuple(sorted(tab.at(emb[m.top - 1], m.length) for m in ms)) for ms in local]
-                per_component.append(parts)
-            if len(per_component) == 1:
-                module_parts = per_component[0]
-            else:
-                module_parts = [tuple(sorted(chain.from_iterable(choice))) for choice in product(*per_component)]
-            killed = frozenset(extra)
-            for idx in module_parts:
-                if idx in kill_of:
-                    # The module part of a support pair fixes its kill set, so this is a bug.
-                    raise RuntimeError(f"kill sets {sorted(kill_of[idx])} and {sorted(killed)} share a module part")
-                kill_of[idx] = killed
+                    # Local M(t, l) is parent index offset[t - 1] + l; local
+                    # tops up to `wrap` lie above the run's last vertex.
+                    offset = [tab.at(v, 1) - 1 for v in emb]
+                    wrap = sum(v > emb[-1] for v in emb)
+                    split = placed[emb] = ([], [])
+                    for ms in local:
+                        idx = tuple([offset[t - 1] + length for t, length in ms])
+                        cut = bisect_left(ms, (wrap + 1,))
+                        split[0].append(idx[cut:])
+                        split[1].append(idx[:cut])
+                per_run.append(split)
+            (module_parts, highs), *rest = per_run or [([()], [()])]  # no run: the zero module
+            middles = [()]
+            for others, _ in rest:
+                middles = [m + low for m in middles for low in others]
+            if rest or any(highs):  # else a single run's parts stand as they are
+                module_parts = [low + m + high for low, high in zip(module_parts, highs) for m in middles]
+            items.extend(zip(module_parts, repeat(q.killed if not base else frozenset(extra))))
     # Table indices follow the (top, length) order of the modules, so this
     # is the order of SupportPair.sort_key.
-    return [(idx, kill_of[idx]) for idx in sorted(kill_of)]
+    items.sort(key=itemgetter(0))
+    later = islice(items, 1, None)
+    for k in compress(count(), map(eq, map(itemgetter(0), items), map(itemgetter(0), later))):
+        # The module part of a support pair fixes its kill set, so this is a bug.
+        raise RuntimeError(f"kill sets {sorted(items[k][1])} and {sorted(items[k + 1][1])} share a module part")
+    return items
 
 
 def enumerate_sttilt_over(A: Algebra, base_killed=frozenset()) -> list[SupportPair]:
@@ -149,9 +164,10 @@ def enumerate_sttilt_over(A: Algebra, base_killed=frozenset()) -> list[SupportPa
     vertices surviving base_killed.  With base_killed empty this is the
     support tau-tilting fan of A itself, zero pair included.
     """
+    # Bound to a name, so a full collection finds the items reachable at once.
     items = _sttilt_indices(A, base_killed)
-    module_set = A.tables.module_set
-    return [SupportPair(module_set(idx), killed) for idx, killed in items]
+    mods = A.tables.modules
+    return [SupportPair(ModuleSet([mods[i] for i in idx]), killed) for idx, killed in items]
 
 
 def enumerate_sttilt(A: Algebra) -> list[SupportPair]:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -522,3 +523,18 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"pd": 1}
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+    def test_closed_pipe_ends_a_listing_silently(self):
+        # About 1.5 MB of text, far past a pipe buffer, so the child is still
+        # writing when the reader closes its end after the first line.
+        argv = ["sttilt", "enumerate", "--n", "12", "--kind", "cyclic", "--format", "text"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nakayama.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV
+        )
+        assert proc.stdout.readline().startswith(b"# 39202 support tau-tilting pairs")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+        assert err == b""

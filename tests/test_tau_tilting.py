@@ -2,6 +2,7 @@ from itertools import chain, combinations, product
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nakayama import tau_tilting
 from nakayama.algebra import (
@@ -24,6 +25,7 @@ from nakayama.tau_tilting import (
     is_tau_rigid,
 )
 from nakayama.tilting import enumerate_tilting
+from test_tables import kupisch_algebras
 
 M = IndecModule
 
@@ -298,6 +300,26 @@ class TestKillSetMemo:
             for base in [()] + [(v,) for v in A.vertices]:
                 got = [(p.modules, p.killed) for p in enumerate_sttilt_over(A, base)]
                 assert got == _product_loop(A, frozenset(base)), (A, base)
+
+    # Cyclic series with kill sets that leave a wrapping run and two others:
+    # killing 2, 4 and 6 of eight vertices leaves (7, 8, 1), (3) and (5), and
+    # in parent order the summands at top 1 come first, those at 7 and 8 last.
+    @example((Algebra("cyclic", (2,) * 8), ()))
+    @example((Algebra("cyclic", (3, 3, 2, 3, 3, 2, 2, 3, 3)), (4,)))
+    @example((Algebra("cyclic", (2, 3, 3, 3, 2, 3, 3, 2, 3)), (2, 5)))
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(
+        kupisch_algebras(max_entry=3, max_n=9)
+        .filter(lambda A: A.n >= 5)
+        .flatmap(lambda A: st.tuples(st.just(A), st.lists(st.sampled_from(A.vertices), max_size=2, unique=True)))
+    )
+    def test_join_order_matches_the_product_loop(self, case):
+        A, base = case
+        pairs = enumerate_sttilt_over(A, base)
+        assert [(p.modules, p.killed) for p in pairs] == _product_loop(A, frozenset(base))
+        # Each quotient has its regular module, so every kill set occurs.
+        ambient = [v for v in A.vertices if v not in base]
+        assert {p.killed for p in pairs} == {frozenset(s) for r in range(len(ambient) + 1) for s in combinations(ambient, r)}
 
     def test_component_without_tau_tilting_module_raises(self, monkeypatch):
         monkeypatch.setattr(tau_tilting, "enumerate_tau_tilting", lambda B: [])
