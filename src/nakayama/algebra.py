@@ -351,7 +351,8 @@ def quotient_algebra(A: Algebra, killed: Iterable[int]) -> QuotientAlgebra:
     killed_set = frozenset(killed)
     c, n, cyclic = A.c, len(A.c), A.kind == CYCLIC
     for v in killed_set:
-        A.check_vertex(v)
+        if type(v) is not int or not 0 < v <= n:  # check_vertex's fast path, inline
+            A.check_vertex(v)
     if len(killed_set) == n:
         return QuotientAlgebra((), (), killed_set)
     if not killed_set and cyclic:
@@ -383,7 +384,8 @@ def quotient_algebra(A: Algebra, killed: Iterable[int]) -> QuotientAlgebra:
 
 # -- literals and serialization ----------------------------------------------
 
-_MODULE_RE = re.compile(r"^\s*([MPS])\s*\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)\s*$")
+# ASCII digits only: int() would also read other scripts' digits.
+_MODULE_RE = re.compile(r"^\s*([MPS])\s*\(\s*([0-9]+)\s*(?:,\s*([0-9]+)\s*)?\)\s*$")
 
 
 def module_literal(m: IndecModule | None) -> str:
@@ -395,11 +397,15 @@ def parse_module(A: Algebra, text: str) -> IndecModule:
     match = _MODULE_RE.match(text)
     if not match:
         raise AlgebraError(f"cannot parse module literal {text!r}")
-    head, a, b = match.group(1), int(match.group(2)), match.group(3)
+    head, a, b = match.groups()
+    try:
+        a, b = int(a), b and int(b)
+    except ValueError as exc:  # more digits than int() converts
+        raise AlgebraError(f"number too long in module literal: {exc}") from exc
     if head == "M":
         if b is None:
             raise AlgebraError(f"M literal needs top and length: {text!r}")
-        return A.module(a, int(b))
+        return A.module(a, b)
     if b is not None:
         raise AlgebraError(f"{head} literal takes a single vertex: {text!r}")
     return A.projective(a) if head == "P" else A.simple(a)
@@ -423,7 +429,8 @@ def load_algebra(path: str) -> Algebra:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # ValueError: malformed JSON, text not UTF-8, or an over-long integer.
+        except (ValueError, RecursionError) as exc:
             raise AlgebraError(f"invalid JSON in {path}: {exc}") from exc
     return algebra_from_json(obj)
 

@@ -66,22 +66,22 @@ USAGE_ERROR = 2
 # a factor of two, the enumerating verbs streamed to stdout: tilt
 # enumerate --n 14 --kind cyclic 0.44-0.47 s and 26 MiB peak RSS; tilt graph
 # --n 10 --kind cyclic 0.5-0.8 s (--kind linear 0.2-0.3 s); sttilt enumerate
-# --n 15 --kind cyclic (2^15 kill sets, 168 MB of JSON) 4.7-5.3 s and
-# 155 MiB, and --n 14 (228,486 pairs) 1.9-2.3 s and 75 MiB, where holding
-# the whole listing took 7.1-9.6 s and 701 MiB; --n 16 took 13 s and
-# 349 MiB, so the limit is 15; verify paper --max-n 12 0.75 s;
+# --n 15 --kind cyclic (2^15 kill sets, 168 MB of JSON) 5.1-5.4 s and
+# 146 MiB, and --n 14 (228,486 pairs) 1.8-2.6 s and 71 MiB, where holding
+# the whole listing took 7.1-9.6 s and 701 MiB; --n 16 took 12 s and
+# 329 MiB, so the limit is 15; verify paper --max-n 12 0.75 s;
 # profile --n 5000 --kind cyclic 0.2 s.
 # The worst files measured: for tilt, the path algebra linear (1, 2, ...,
 # N), with Catalan(N) tilting modules: tilt enumerate N=12 (208,012
 # modules) 3.7-4.0 s and 80 MiB, tilt graph N=8 (1,430 modules) 0.8 s;
 # for sttilt, the self-injective cyclic (N, ..., N), with C(2N, N) pairs:
-# N=10 (184,756 pairs, d = 100) 2.2-3.0 s and 78 MiB, N=11 (705,432
+# N=10 (184,756 pairs, d = 100) 3.0-3.4 s and 76 MiB, N=11 (705,432
 # pairs) 7.2-7.7 s on the faster runs, and cyclic (909,)*11 (d = 9,999)
 # 10.0 s, so the limit stays at 10.  Every verb scans the d modules, and
 # cyclic (N, N+1, ..., N+k-1) has Catalan(k) tilting modules too, so the
 # worst files grow slowly with d.  At d ~ 10^4: tilt enumerate on cyclic
 # (827, ..., 838) 2.9-3.5 s and 81 MiB; tilt graph on (1246, ..., 1253)
-# 0.8-1.0 s; sttilt enumerate on (1000,)*10 3.5-3.7 s and 128 MiB.
+# 0.8-1.0 s; sttilt enumerate on (1000,)*10 3.2-4.0 s and 119 MiB.
 # tilt graph makes k(k-1) Gen comparisons for k tilting modules, each
 # module's profile walked once and packed into one integer, so that a
 # comparison is three integer operations (about 0.3 us a call): cyclic
@@ -224,7 +224,8 @@ def cmd_tilt_graph(A: Algebra, args) -> object:
 
 
 def cmd_sttilt_enumerate(A: Algebra, args) -> object:
-    pairs = _sttilt_indices(A)
+    parts, kills = _sttilt_indices(A)
+    pairs = zip(parts, kills)  # read once, by the one format rendered
     lits = [str(m) for m in A.tables.modules]
     if args.format == "json":
         frags = _json_items(map(json.dumps, lits), 8)
@@ -234,9 +235,9 @@ def cmd_sttilt_enumerate(A: Algebra, args) -> object:
             + ',\n      "modules": ' + _json_list([frags[i] for i in idx], 6) + "\n    }"
             for idx, killed in pairs
         )
-        return _json_stream({"algebra": algebra_to_json(A), "count": len(pairs)}, "pairs", records)
+        return _json_stream({"algebra": algebra_to_json(A), "count": len(parts)}, "pairs", records)
     killed_as = functools.cache(lambda k: ",".join(map(str, sorted(k))) or "-")
-    header = f"# {len(pairs)} support tau-tilting pairs over {A}\n"
+    header = f"# {len(parts)} support tau-tilting pairs over {A}\n"
     return chain(
         (header,),
         ((" ".join([lits[i] for i in idx]) or "0") + " | killed " + killed_as(killed) + "\n" for idx, killed in pairs),

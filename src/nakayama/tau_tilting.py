@@ -41,17 +41,20 @@ Validation happens once, at entry (the base kill set); the quotient
 components and their modules come from tables, so they are valid by
 construction and nothing is re-checked per module.
 
-The kill-set road ends in a private sorted list of (index tuple, kill
-set) items, `_sttilt_indices`.  `enumerate_sttilt_over` turns each item
-into a `SupportPair`; `sttilt enumerate` on the command line renders the
-items as they are, so it builds no `ModuleSet` per pair.
+The kill-set road ends in `_sttilt_indices`: two private aligned lists,
+the module parts as plain tuples of table indices, ordered by one argsort,
+and the kill set of each, one frozenset shared per kill set.  The cyclic
+garbage collector stops tracking a tuple of ints at the first collection
+that sees it, where a (part, kill set) pair would stay tracked.
+`enumerate_sttilt_over` builds a `SupportPair` from each; `sttilt
+enumerate` renders the two lists as they are, with no `ModuleSet` per pair.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations, compress, count, islice, repeat
-from operator import eq, itemgetter
+from operator import eq
 from typing import NamedTuple
 
 from .algebra import Algebra, ModuleSet, quotient_algebra
@@ -99,10 +102,10 @@ def enumerate_tau_rigid_sets(A: Algebra) -> list[ModuleSet]:
     return [tab.module_set(cands[a] for a in at) for at in cliques(perp, (1 << len(perp)) - 1)]
 
 
-def _sttilt_indices(A: Algebra, base_killed=frozenset()) -> list[tuple[tuple[int, ...], frozenset[int]]]:
-    """Support tau-tilting pairs of A/(base_killed) as sorted
-    (module part, kill set) items, the module part as increasing parent
-    table indices; see `enumerate_sttilt_over`, which builds from them.
+def _sttilt_indices(A: Algebra, base_killed=frozenset()) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
+    """Support tau-tilting pairs of A/(base_killed) as two aligned sorted
+    lists: the module parts, as increasing parent table indices, and the
+    kill set of each; see `enumerate_sttilt_over`, which builds from them.
     Module parts are joined in parent order, run by run, and sorted once."""
     base = frozenset(base_killed)
     for v in base:
@@ -115,7 +118,7 @@ def _sttilt_indices(A: Algebra, base_killed=frozenset()) -> list[tuple[tuple[int
     # table indices split into lows and highs: the summands at tops up to
     # the run's last vertex and those above, none unless the run wraps.
     placed: dict[tuple[int, ...], tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = {}
-    items = []
+    parts, kills = [], []  # module parts and, aligned, their kill sets
     for r in range(len(ambient) + 1):
         for extra in combinations(ambient, r):
             q = quotient_algebra(A, base.union(extra))
@@ -146,15 +149,17 @@ def _sttilt_indices(A: Algebra, base_killed=frozenset()) -> list[tuple[tuple[int
                 middles = [m + low for m in middles for low in others]
             if rest or any(highs):  # else a single run's parts stand as they are
                 module_parts = [low + m + high for low, high in zip(module_parts, highs) for m in middles]
-            items.extend(zip(module_parts, repeat(q.killed if not base else frozenset(extra))))
+            parts += module_parts
+            kills += repeat(q.killed if not base else frozenset(extra), len(module_parts))
     # Table indices follow the (top, length) order of the modules, so this
     # is the order of SupportPair.sort_key.
-    items.sort(key=itemgetter(0))
-    later = islice(items, 1, None)
-    for k in compress(count(), map(eq, map(itemgetter(0), items), map(itemgetter(0), later))):
+    order = sorted(range(len(parts)), key=parts.__getitem__)
+    parts = [parts[k] for k in order]
+    kills = [kills[k] for k in order]
+    for k in compress(count(), map(eq, parts, islice(parts, 1, None))):
         # The module part of a support pair fixes its kill set, so this is a bug.
-        raise RuntimeError(f"kill sets {sorted(items[k][1])} and {sorted(items[k + 1][1])} share a module part")
-    return items
+        raise RuntimeError(f"kill sets {sorted(kills[k])} and {sorted(kills[k + 1])} share a module part")
+    return parts, kills
 
 
 def enumerate_sttilt_over(A: Algebra, base_killed=frozenset()) -> list[SupportPair]:
@@ -164,10 +169,10 @@ def enumerate_sttilt_over(A: Algebra, base_killed=frozenset()) -> list[SupportPa
     vertices surviving base_killed.  With base_killed empty this is the
     support tau-tilting fan of A itself, zero pair included.
     """
-    # Bound to a name, so a full collection finds the items reachable at once.
-    items = _sttilt_indices(A, base_killed)
-    mods = A.tables.modules
-    return [SupportPair(ModuleSet([mods[i] for i in idx]), killed) for idx, killed in items]
+    # tuple.__new__ skips the Python-level NamedTuple constructor.
+    parts, kills = _sttilt_indices(A, base_killed)
+    mods, new = A.tables.modules, tuple.__new__
+    return [new(SupportPair, (ModuleSet([mods[i] for i in idx]), killed)) for idx, killed in zip(parts, kills)]
 
 
 def enumerate_sttilt(A: Algebra) -> list[SupportPair]:

@@ -87,10 +87,10 @@ def test_08_bijection_onto_support_pairs(capsys):
 
 def test_09_oracle_equivalence_with_time_budget(capsys):
     start = time.perf_counter()
-    records = V.oracle_sweep_assertions(6, 4) + V.end_algebra_assertions(auslander_family(5))
+    records = V.oracle_sweep_assertions(6, 4) + V.end_algebra_assertions(auslander_family(16))
     report(
-        capsys, 9, "matrix oracle agrees on every series N<=6 entries<=4 and End quivers n<=5",
-        records, 11, time.perf_counter() - start, budget_s=300.0,
+        capsys, 9, "matrix oracle agrees on every series N<=6 entries<=4 and End quivers n<=16",
+        records, 33, time.perf_counter() - start, budget_s=300.0,
     )
 
 

@@ -54,6 +54,18 @@ class TestAlgebraVerbs:
         assert code == 0
         assert json.loads(out) == {"dim": 1}
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"kind": "cyclic", "kupisch": [' + "9" * 5000 + "]}", "[" * 100_000 + "]" * 100_000],
+        ids=["integer-past-digit-limit", "arrays-nested-100000-deep"],
+    )
+    def test_unreadable_algebra_file(self, capsys, tmp_path, text):
+        path = tmp_path / "a.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "algebra", "info", "--algebra", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: invalid JSON in {path}: ") and err.count("\n") == 1
+
     def test_algebra_and_shortcut_are_exclusive(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps(algebra_to_json(make_rsz_nakayama(2, "linear"))))
@@ -139,6 +151,17 @@ class TestHomologicalVerbs:
         code, _, err = run_cli(capsys, "tau", "--n", "3", "--kind", "linear", "M(9,1)")
         assert code == 2
         assert "vertex" in err or "module" in err
+
+    def test_non_ascii_digit_is_not_a_vertex(self, capsys):
+        # int() reads the Arabic-Indic digit three as 3.
+        code, out, err = run_cli(capsys, "pd", "S(\u0663)", "--n", "3", "--kind", "cyclic")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot parse module literal 'S(\u0663)'\n"
+
+    def test_literal_number_past_int_digit_limit(self, capsys):
+        code, out, err = run_cli(capsys, "pd", f"S({'1' * 5000})", "--n", "3", "--kind", "cyclic")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: number too long in module literal: ") and err.count("\n") == 1
 
 
 class TestTiltingVerbs:

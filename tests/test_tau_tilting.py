@@ -1,3 +1,4 @@
+import gc
 from itertools import chain, combinations, product
 from math import comb
 
@@ -17,6 +18,7 @@ from nakayama.algebra import (
 from nakayama.tables import cliques
 from nakayama.tau_tilting import (
     SupportPair,
+    _sttilt_indices,
     enumerate_sttilt,
     enumerate_sttilt_over,
     enumerate_tau_rigid_sets,
@@ -320,6 +322,28 @@ class TestKillSetMemo:
         # Each quotient has its regular module, so every kill set occurs.
         ambient = [v for v in A.vertices if v not in base]
         assert {p.killed for p in pairs} == {frozenset(s) for r in range(len(ambient) + 1) for s in combinations(ambient, r)}
+
+    @pytest.mark.parametrize(
+        "A",
+        [make_rsz_nakayama(6, "cyclic"), Algebra("cyclic", (3, 3, 2, 2, 2, 3, 2, 3, 3, 2))],
+        ids=["rsz-cyclic-6", "cyclic-3322232332"],
+    )
+    def test_indices_are_untracked_int_tuples_beside_shared_kill_sets(self, A):
+        parts, kills = _sttilt_indices(A)
+        assert type(parts) is list and type(kills) is list and len(parts) == len(kills)
+        assert all(type(p) is tuple and all(type(i) is int for i in p) for p in parts)
+        assert all(a < b for a, b in zip(parts, parts[1:]))
+        # One frozenset per kill set, shared by all of its pairs.
+        assert all(type(k) is frozenset for k in kills)
+        assert len(set(map(id, kills))) == len(set(kills)) == 2**A.n
+        # A tuple of ints is left untracked by the first collection that sees it.
+        gc.collect()
+        assert not any(map(gc.is_tracked, parts))
+        mods = A.tables.modules
+        rebuilt = [SupportPair(ModuleSet([mods[i] for i in p]), k) for p, k in zip(parts, kills)]
+        pairs = enumerate_sttilt_over(A)
+        assert pairs == rebuilt
+        assert all(type(p) is SupportPair and type(p.modules) is ModuleSet for p in pairs)
 
     def test_component_without_tau_tilting_module_raises(self, monkeypatch):
         monkeypatch.setattr(tau_tilting, "enumerate_tau_tilting", lambda B: [])
