@@ -35,7 +35,9 @@ through its embedding once per call, as increasing parent table indices
 order of their least vertex and only the first can wrap past vertex n
 (it then holds vertex 1), so a module part joins the first run's
 summands at tops up to its last vertex, the other runs' in order and the
-first run's at the tops above.  All pairs of one kill set share one
+first run's at the tops above.  When every run has a single tau-tilting
+module (a semisimple quotient, say), the kill set has one module part,
+joined as the runs are met.  All pairs of one kill set share one
 frozenset of killed vertices, and all pairs are sorted once, on integers.
 Validation happens once, at entry (the base kill set); the quotient
 components and their modules come from tables, so they are valid by
@@ -123,6 +125,9 @@ def _sttilt_indices(A: Algebra, base_killed=frozenset()) -> tuple[list[tuple[int
         for extra in combinations(ambient, r):
             q = quotient_algebra(A, base.union(extra))
             per_run = []
+            # While every run has a single tau-tilting module, `part` joins
+            # their low parts in run order: the kill set's one module part.
+            part, lone = (), True
             for comp, emb in zip(q.components, q.embeds):
                 split = placed.get(emb)
                 if split is None:
@@ -142,15 +147,24 @@ def _sttilt_indices(A: Algebra, base_killed=frozenset()) -> tuple[list[tuple[int
                         cut = bisect_left(ms, (wrap + 1,))
                         split[0].append(idx[cut:])
                         split[1].append(idx[:cut])
+                if lone and len(split[0]) == 1:
+                    part += split[0][0]
+                else:
+                    lone = False
                 per_run.append(split)
-            (module_parts, highs), *rest = per_run or [([()], [()])]  # no run: the zero module
+            killed = q.killed if not base else frozenset(extra)
+            if lone:  # the first run's high part closes it; no run: the zero module
+                parts.append(part + per_run[0][1][0] if per_run else part)
+                kills.append(killed)
+                continue
+            (module_parts, highs), *rest = per_run
             middles = [()]
             for others, _ in rest:
                 middles = [m + low for m in middles for low in others]
             if rest or any(highs):  # else a single run's parts stand as they are
                 module_parts = [low + m + high for low, high in zip(module_parts, highs) for m in middles]
             parts += module_parts
-            kills += repeat(q.killed if not base else frozenset(extra), len(module_parts))
+            kills += repeat(killed, len(module_parts))
     # Table indices follow the (top, length) order of the modules, so this
     # is the order of SupportPair.sort_key.
     order = sorted(range(len(parts)), key=parts.__getitem__)

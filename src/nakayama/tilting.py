@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet
-from .homology import _dim_along, _ext1, _syzygy, cosyzygy, regular_i0, regular_module
+from .homology import _dim_along, _envelope, _ext1, _syzygy, cosyzygy, regular_i0, regular_module
 from .tables import cliques, indices, mask
 
 
@@ -199,6 +199,13 @@ def mutation_at(A: Algebra, T: ModuleSet, X: IndecModule) -> ModuleSet | None:
     partner.  A T that is not tilting raises AlgebraError.  More than one
     partner would contradict the tilting exchange theory, so that raises
     TiltingError.
+
+    T is validated once, where it enters: `indices` checks its summands
+    and `_violation` the tilting conditions.  Behind that line the
+    exchange works on table indices and candidate positions, and the
+    mutated module is re-verified from its sorted indices by `_record`.
+    `verification.mutation_closure_assertions` checks, from the same
+    calls, that an enumeration is closed under mutation.
     """
     if X not in T:
         raise AlgebraError(f"{X} is not a summand of the given tilting module")
@@ -209,21 +216,23 @@ def mutation_at(A: Algebra, T: ModuleSet, X: IndecModule) -> ModuleSet | None:
         raise AlgebraError(f"not a tilting module: {why}")
     # T is tilting, so its summands are candidates, T/X is partial tilting
     # with n - 1 summands, and T/X + Y is tilting iff Y is a candidate
-    # (pd Y <= 1, no self-extension) with no Ext^1 against T/X.
+    # (pd Y <= 1, no self-extension) with no Ext^1 against T/X: a bit set in
+    # the `ext1_perp` mask of every kept summand (the masks are symmetric and
+    # hold their self bits, so the kept summands and X are taken out).
     cands, pos, perp = tab.ext1_candidates, tab.ext1_position, tab.ext1_perp
-    at = [pos[i] for i in idx]
-    x = at[T.index(X)]
-    rest_mask = mask(a for a in at if a != x)
-    partners = [
-        tab.modules[cands[b]]
-        for b, p in enumerate(perp)
-        if b != x and not rest_mask >> b & 1 and not (rest_mask | 1 << b) & ~p
-    ]
+    i = idx[T.index(X)]
+    kept = [j for j in idx if j != i]
+    common = (1 << len(perp)) - 1  # with nothing kept, every candidate
+    for j in kept:
+        common &= perp[pos[j]]
+    partners = common & ~mask(pos[j] for j in idx)
     if not partners:
         return None
-    if len(partners) > 1:
-        raise TiltingError(f"multiple exchange partners for {X}: {partners}")
-    return tilting_record(A, T.minus(X).plus(partners[0]))
+    if partners & partners - 1:
+        found = [tab.modules[cands[b]] for b in range(partners.bit_length()) if partners >> b & 1]
+        raise TiltingError(f"multiple exchange partners for {X}: {found}")
+    new = sorted(kept + [cands[partners.bit_length() - 1]])
+    return _record(A, tab.module_set(new), new)
 
 
 @dataclass(frozen=True)
@@ -242,14 +251,20 @@ class ProjMutation:
 
 
 def proj_mutation_sequence(A: Algebra, T: ModuleSet, P: IndecModule) -> ProjMutation:
+    """The envelope sequence of P and the mutation of T at P.
+
+    P is validated once; its projectivity, its envelope and the cokernel
+    are then read off its coordinates.  T is validated by `mutation_at`.
+    """
     if P not in T:
         raise AlgebraError(f"{P} is not a summand of the given tilting module")
-    if not A.is_projective(P):
+    A.check_module(P)
+    if P.length != A.c[P.top - 1]:
         raise AlgebraError(f"{P} is not projective")
-    if A.is_injective(P):
+    envelope = _envelope(A, P)
+    if envelope == P:
         raise AlgebraError(f"{P} is injective; the envelope sequence is trivial")
-    envelope = A.injective_env_vertex(A.socle_vertex(P))
-    coker = cosyzygy(A, P)
+    coker = IndecModule(envelope.top, envelope.length - P.length)
     mutated = mutation_at(A, T, P)
     if mutated is not None:
         added = next(m for m in mutated if m not in T)

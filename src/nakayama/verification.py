@@ -14,6 +14,7 @@ each Gamma is built, and its tilting modules enumerated and checked, once.
 from __future__ import annotations
 
 import itertools
+from typing import Iterable
 
 from .algebra import (
     Algebra,
@@ -32,8 +33,9 @@ from .auslander import (
     verify_bijection,
     verify_counts,
 )
+from .homology import regular_module
 from .tau_tilting import enumerate_sttilt
-from .tilting import TiltingError, proj_mutation_sequence
+from .tilting import TiltingError, enumerate_tilting, mutation_at, proj_mutation_sequence
 
 
 def _assertion(name: str, passed: bool, detail: str) -> dict:
@@ -159,11 +161,12 @@ def mutation_shape_assertions(family: list[AuslanderResult]) -> list[dict]:
     out = []
     for res in family:
         gamma = res.gamma
+        proj_noninj = {P for P in map(gamma.projective, gamma.vertices) if not gamma.is_injective(P)}
         violations = []
         checked = 0
         for T in res.tilting:
             for p in T:
-                if not gamma.is_projective(p) or gamma.is_injective(p):
+                if p not in proj_noninj:
                     continue
                 checked += 1
                 try:
@@ -182,6 +185,54 @@ def mutation_shape_assertions(family: list[AuslanderResult]) -> list[dict]:
             )
         )
     return out
+
+
+def mutation_closure_assertions(algebras: Iterable[Algebra]) -> list[dict]:
+    """Each enumeration of tilting modules is complete: closed under mutation.
+
+    A finite connected component of the tilting quiver is the whole quiver
+    (Happel-Unger, On the quiver of tilting modules, J. Algebra 284, 2005),
+    and a Nakayama algebra has finitely many tilting modules.
+    `enumerate_tilting` re-verifies every module it lists, so a list of
+    distinct modules that holds every `mutation_at(T, X)` of its members is
+    a union of components, and if it holds the regular module it holds
+    every tilting module.  The check needs no second enumeration;
+    `paper_report` does not run it.
+    """
+    out = []
+    for A in algebras:
+        tilting = enumerate_tilting(A)
+        problem, mutations = _closure_problem(A, tilting)
+        out.append(
+            _assertion(
+                f"tilting_mutation_closure_{A.kind}_{'_'.join(map(str, A.c))}",
+                problem is None,
+                problem or f"{len(tilting)} tilting modules, {mutations} mutations, all listed",
+            )
+        )
+    return out
+
+
+def _closure_problem(A: Algebra, tilting: list) -> tuple[str | None, int]:
+    """Why `tilting` is not a list closed under mutation (None if it is), and
+    the mutations met before that was found."""
+    listed = set()
+    for T in tilting:
+        if T in listed:
+            return f"{T} is listed twice", 0
+        listed.add(T)
+    if regular_module(A) not in listed:
+        return f"the regular module {regular_module(A)} is not listed", 0
+    mutations = 0
+    for T in tilting:
+        for X in T:
+            Y = mutation_at(A, T, X)
+            if Y is None:
+                continue
+            if Y not in listed:
+                return f"the mutation of {T} at {X} is {Y}, which is not listed", mutations
+            mutations += 1
+    return None, mutations
 
 
 def minimal_tilting_assertions(family: list[AuslanderResult]) -> list[dict]:

@@ -1,15 +1,18 @@
-"""Acceptance suite: ten end-to-end checks, one printed PASS/FAIL line each.
+"""Acceptance suite: eleven end-to-end checks, one printed PASS/FAIL line each.
 
 Each test runs the `nakayama.verification` battery behind one claim at
 the acceptance bounds (an `auslander_family(max_n)` for the checks on
 Auslander algebras) and asserts that every record passed and that the
 battery covered the whole range.  The verdict is printed through
 capsys.disabled() so the line is visible in a plain `pytest -v` run.
-The two long-running checks carry explicit wall-clock budgets
-(counts < 60 s, oracle < 300 s).
+The long-running checks carry explicit wall-clock budgets (counts < 60 s,
+oracle < 300 s, mutation closure < 5 s).
 """
 
+import random
 import time
+
+from nakayama.algebra import Algebra
 
 from nakayama import verification as V
 from nakayama.auslander import auslander_family
@@ -98,4 +101,33 @@ def test_10_gorenstein_profiles(capsys):
     report(
         capsys, 10, "Auslander profiles for Gamma; 1-Gorenstein infinite-gldim Lambda, n<=8",
         V.profile_assertions(auslander_family(8)), 24,
+    )
+
+
+def random_algebra(rng: random.Random, n: int, max_entry: int) -> Algebra:
+    """A seeded Kupisch series of either kind, N = n, entries <= max_entry.
+
+    Each entry is at most one more than the last; a cyclic series keeps
+    room to climb back to c[1] - 1 by its last vertex, which closes the
+    cycle."""
+    if rng.random() < 0.5:
+        c = [1]
+        for _ in range(1, n):
+            c.append(rng.randint(1, min(c[-1] + 1, max_entry)))
+        return Algebra("linear", tuple(c))
+    c = [rng.randint(2, max_entry)]
+    for i in range(1, n):
+        c.append(rng.randint(max(2, c[0] - n + i), min(c[-1] + 1, max_entry)))
+    return Algebra("cyclic", tuple(c))
+
+
+def test_11_tilting_lists_closed_under_mutation(capsys):
+    # Past the exhaustive universes of the unit tests (N <= 4, entries <= 4).
+    rng = random.Random(11)
+    algebras = [random_algebra(rng, rng.randint(7, 10), 10) for _ in range(60)]
+    start = time.perf_counter()
+    records = V.mutation_closure_assertions(algebras)
+    report(
+        capsys, 11, "tilting lists hold the regular module and are closed under mutation, 60 series N 7-10",
+        records, 60, time.perf_counter() - start, budget_s=5.0,
     )

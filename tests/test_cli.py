@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nakayama import cli, tau_tilting, tilting
 from nakayama.algebra import Algebra, IndecModule, ModuleSet, algebra_to_json, make_rsz_nakayama
@@ -561,3 +564,94 @@ class TestPlumbing:
         proc.stderr.close()
         assert proc.wait(timeout=60) == -signal.SIGPIPE
         assert err == b""
+
+
+# -- every draw of argv and algebra file ends in a documented exit code -------
+
+# Integers as argv words: small, negative, huge, past int()'s digit limit,
+# and words that are not ASCII integers.  --n and --max-n stay small enough
+# that an accepted request runs in milliseconds.
+INT_WORDS = st.one_of(
+    st.integers(-2, 4).map(str),
+    st.sampled_from(["16", str(10**30), "9" * 5000, "1.5", "x", "", "٣"]),
+)
+MODULE_WORDS = st.one_of(
+    st.builds("{}({},{})".format, st.sampled_from("MPS"), INT_WORDS, INT_WORDS),
+    st.builds("{}({})".format, st.sampled_from("MPS"), INT_WORDS),
+    st.text("MPS(),0123456789 x", max_size=8),
+)
+# Kupisch entries: small valid ones, and ones that no series takes or that
+# pass validation only to meet the dimension limit.
+ENTRIES = st.one_of(st.integers(1, 4), st.sampled_from([0, -1, 10**30, 2.0, 2.5, True, "2", None, [2]]))
+ALGEBRA_FILES = st.one_of(
+    st.builds(
+        lambda kind, kupisch: json.dumps({"kind": kind, "kupisch": kupisch}).encode(),
+        st.sampled_from(["linear", "cyclic", "circle", 3, None]),
+        st.one_of(st.lists(st.integers(1, 4), max_size=5), st.lists(ENTRIES, max_size=5), st.just("1,2")),
+    ),
+    st.sampled_from([
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"kind": "cyclic", "kupisch": [' + b"9" * 5000 + b"]}",
+        b'{"kind": "cyclic", "kupisch": [2, 2\xff]}',
+        b"[1, 2]",
+        b"",
+        b"not json",
+    ]),
+)
+
+
+@st.composite
+def cli_draws(draw):
+    """An argv from the command table's words and options, with the bytes
+    of the --algebra file when it names one (None: no file there)."""
+    words = list(draw(st.sampled_from([row[0] for row in cli.COMMANDS])))
+    if draw(st.integers(0, 9)) == 0:  # a broken command word
+        words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(["bogus", "", "--n"]))
+    options = draw(st.lists(st.sampled_from([
+        "--algebra", "--n", "--kind", "--format", "--degree", "--max-n", "--with-oracle", "--output", "--help", "module",
+    ]), max_size=6))
+    argv, content = words, None
+    for option in options:
+        if option == "module":
+            argv.append(draw(MODULE_WORDS))
+        elif option == "--algebra":
+            target = draw(st.sampled_from(["algebra.json", "missing.json", "."]))
+            if target == "algebra.json":
+                content = draw(ALGEBRA_FILES)
+            argv += [option, target]
+        elif option in ("--n", "--degree", "--max-n"):
+            argv += [option, draw(INT_WORDS)]
+        elif option == "--kind":
+            argv += [option, draw(st.sampled_from(["linear", "cyclic", "circle"]))]
+        elif option == "--format":
+            argv += [option, draw(st.sampled_from(["json", "text", "xml"]))]
+        elif option == "--output":
+            argv += [option, draw(st.sampled_from(["out.txt", "no-such-dir/out.txt", "."]))]
+        else:
+            argv.append(option)
+    return argv, content
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(draw=cli_draws())
+def test_every_cli_draw_exits_with_a_documented_code(tmp_path, monkeypatch, draw):
+    """Exit 0, or 2 with one `error:` line or argparse's usage text on
+    stderr, or 1 for `verify paper` alone; nothing escapes `main`."""
+    argv, content = draw
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "algebra.json"
+    path.unlink(missing_ok=True)
+    if content is not None:
+        path.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    err = err.getvalue()
+    if code == 2:
+        if err.startswith("usage: "):
+            assert re.search(r"^nakayama[\w -]*: error: ", err, re.MULTILINE), err
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert code == 0 or (code == 1 and argv[:2] == ["verify", "paper"]), (argv, code)
+        assert err == ""

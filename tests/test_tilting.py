@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from itertools import combinations
 
 import pytest
@@ -15,8 +16,10 @@ from nakayama.algebra import (
     make_rsz_nakayama,
 )
 from nakayama.auslander import auslander_algebra
-from nakayama.homology import ext1_dim, proj_dim, regular_i0
+from nakayama.homology import cosyzygy, ext1_dim, proj_dim, regular_i0
+from nakayama.tables import mask
 from nakayama.tilting import (
+    ProjMutation,
     TiltingError,
     check_gen_minimum,
     enumerate_tilting,
@@ -373,6 +376,110 @@ class TestMutation:
             if A.dimension() > 7:
                 continue
             assert mutation_closure(A) == enumerate_tilting(A)
+
+
+# The mutation road before it worked on table indices, kept as the
+# reference: a scan over every candidate, `minus`/`plus`, `tilting_record`,
+# and the envelope sequence from the validated public functions.
+
+
+def reference_mutation_at(A, T, X):
+    if X not in T:
+        raise AlgebraError(f"{X} is not a summand of the given tilting module")
+    ok, why = is_tilting(A, T)
+    if not ok:
+        raise AlgebraError(f"not a tilting module: {why}")
+    tab = A.tables
+    cands, pos, perp = tab.ext1_candidates, tab.ext1_position, tab.ext1_perp
+    at = [pos[tab.at(m.top, m.length)] for m in T]
+    x = at[T.index(X)]
+    rest_mask = mask(a for a in at if a != x)
+    partners = [
+        tab.modules[cands[b]]
+        for b, p in enumerate(perp)
+        if b != x and not rest_mask >> b & 1 and not (rest_mask | 1 << b) & ~p
+    ]
+    if not partners:
+        return None
+    if len(partners) > 1:
+        raise TiltingError(f"multiple exchange partners for {X}: {partners}")
+    return tilting_record(A, T.minus(X).plus(partners[0]))
+
+
+def reference_proj_mutation_sequence(A, T, P):
+    if P not in T:
+        raise AlgebraError(f"{P} is not a summand of the given tilting module")
+    if not A.is_projective(P):
+        raise AlgebraError(f"{P} is not projective")
+    if A.is_injective(P):
+        raise AlgebraError(f"{P} is injective; the envelope sequence is trivial")
+    envelope = A.injective_env_vertex(A.socle_vertex(P))
+    coker = cosyzygy(A, P)
+    mutated = reference_mutation_at(A, T, P)
+    if mutated is not None:
+        added = next(m for m in mutated if m not in T)
+        if added != coker:
+            raise TiltingError(f"mutation at {P} produced {added}, not the envelope cokernel {coker}")
+    return ProjMutation(removed=P, envelope=envelope, cokernel=coker, mutated=mutated)
+
+
+def outcome(call, *args):
+    """The result of a call, or the type and text of what it raised."""
+    try:
+        return call(*args)
+    except (AlgebraError, TiltingError) as exc:
+        return type(exc), str(exc)
+
+
+class TestMutationReference:
+    def test_every_mutation_matches_the_reference_road(self):
+        """Every (T, X) with X a summand of a tilting T over Gamma of the rsz
+        algebras n <= 5 and over iter_algebras(4, 4), which holds the
+        one-simple algebras; and, for the error texts, X outside T, T
+        without X (too few summands) and T with X swapped for the first
+        module outside T (mostly not tilting)."""
+        algebras = [
+            auslander_algebra(make_rsz_nakayama(n, kind)).gamma for kind in ("linear", "cyclic") for n in range(1, 6)
+        ] + list(iter_algebras(4, 4))
+        errors = set()
+        start = time.perf_counter()
+        for A in algebras:
+            mods = A.indecomposables()
+            for T in enumerate_tilting(A):
+                cases = [(T, X) for X in T]
+                outside = [m for m in mods if m not in T][:1]
+                cases += [(T, Y) for Y in outside]
+                for X in T:
+                    rest = T.minus(X)
+                    cases += [(rest, Y) for Y in rest[:1]]
+                    cases += [(rest.plus(Y), Y) for Y in outside]
+                for U, X in cases:
+                    for new, ref in (
+                        (mutation_at, reference_mutation_at),
+                        (proj_mutation_sequence, reference_proj_mutation_sequence),
+                    ):
+                        got = outcome(new, A, U, X)
+                        assert got == outcome(ref, A, U, X), (A, U, X)
+                        if isinstance(got, tuple) and isinstance(got[0], type):
+                            errors.add(re.sub(r"M\(\d+,\d+\)|: .*", "", got[1]))
+        # Over algebras that are not Auslander algebras a projective may
+        # also mutate to a module other than its envelope cokernel.
+        assert errors >= {
+            " is not a summand of the given tilting module",
+            "not a tilting module",
+            " is not projective",
+            " is injective; the envelope sequence is trivial",
+        }
+        assert time.perf_counter() - start < 3.0
+
+    def test_one_summand_keeps_nothing(self):
+        # With one simple, T/X is zero and every candidate other than X
+        # would complete it; over a local algebra the projective is the
+        # only candidate, so there is no partner.
+        for A in iter_algebras(1, 6):
+            P = A.projective(1)
+            assert [A.tables.modules[i] for i in A.tables.ext1_candidates] == [P]
+            assert mutation_at(A, ModuleSet.of([P]), P) is None
 
 
 class TestMinimalTilting:

@@ -137,3 +137,38 @@ def test_paper_report_checks_each_gamma_once(monkeypatch):
                     monkeypatch.setattr(mod, key, counting)
     V.paper_report(6)
     assert calls == expected
+
+
+CLOSURE_ALGEBRAS = [Algebra("linear", (1, 2, 2)), Algebra("cyclic", (3, 2, 3, 2))]
+
+
+def closure_verdicts_with(monkeypatch, fault):
+    real = V.enumerate_tilting
+    monkeypatch.setattr(V, "enumerate_tilting", lambda A: fault(A, real(A)))
+    return {r["name"]: (r["passed"], r["detail"]) for r in V.mutation_closure_assertions(CLOSURE_ALGEBRAS)}
+
+
+def test_mutation_closure_passes_on_the_enumeration():
+    assert [r["passed"] for r in V.mutation_closure_assertions(CLOSURE_ALGEBRAS)] == [True, True]
+
+
+def test_dropped_module_fails_the_closure(monkeypatch):
+    # Dropping the last listed module: one of its neighbours mutates to it.
+    records = closure_verdicts_with(monkeypatch, lambda A, tilting: tilting[:-1])
+    assert [passed for passed, _ in records.values()] == [False, False]
+    assert all("which is not listed" in detail for _, detail in records.values())
+
+
+def test_repeated_module_fails_the_closure(monkeypatch):
+    records = closure_verdicts_with(monkeypatch, lambda A, tilting: tilting + tilting[:1])
+    assert [detail for _, detail in records.values()] == [
+        f"{tilting.enumerate_tilting(A)[0]} is listed twice" for A in CLOSURE_ALGEBRAS
+    ]
+
+
+def test_list_without_the_regular_module_fails_the_closure(monkeypatch):
+    records = closure_verdicts_with(
+        monkeypatch, lambda A, tilting: [T for T in tilting if T != homology.regular_module(A)]
+    )
+    assert [passed for passed, _ in records.values()] == [False, False]
+    assert all(detail.startswith("the regular module ") for _, detail in records.values())
