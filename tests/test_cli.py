@@ -636,7 +636,8 @@ def cli_draws(draw):
 @given(draw=cli_draws())
 def test_every_cli_draw_exits_with_a_documented_code(tmp_path, monkeypatch, draw):
     """Exit 0, or 2 with one `error:` line or argparse's usage text on
-    stderr, or 1 for `verify paper` alone; nothing escapes `main`."""
+    stderr, or 1 for `verify paper` alone; nothing escapes `main`, and no
+    call runs long, because limits are checked before any work."""
     argv, content = draw
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "algebra.json"
@@ -644,8 +645,10 @@ def test_every_cli_draw_exits_with_a_documented_code(tmp_path, monkeypatch, draw
     if content is not None:
         path.write_bytes(content)
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
+    assert time.perf_counter() - start < 2.0, argv
     err = err.getvalue()
     if code == 2:
         if err.startswith("usage: "):
