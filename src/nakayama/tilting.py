@@ -37,8 +37,8 @@ so the test on all n tops is one subtraction and a mask.  A module keeps
 its packed profile for the Kupisch series that last validated it, so a
 module compared many times is walked once per series.  The exchange
 graph pairs the tilting modules that share a summand tuple with one
-summand left out, keyed on their table indices, and its Hasse diagram is
-read off per-module bitmasks of the Gen order (see `exchange_graph`).
+summand left out, keyed on their table indices; its Hasse diagram is
+that graph oriented by Gen.  Mutation and its closure share `_exchange`.
 """
 
 from __future__ import annotations
@@ -192,35 +192,19 @@ def leq_gen(A: Algebra, T1: ModuleSet, T2: ModuleSet) -> bool:
 # -- mutation ------------------------------------------------------------------
 
 
-def mutation_at(A: Algebra, T: ModuleSet, X: IndecModule) -> ModuleSet | None:
-    """Exchange X for the second complement of T/X, if one exists.
+def _exchange(A: Algebra, idx: Sequence[int], s: int) -> tuple[int, ...] | None:
+    """Table indices of the mutation at summand idx[s]; None without a partner.
 
-    Returns the mutated tilting module, or None when X has no exchange
-    partner.  A T that is not tilting raises AlgebraError.  More than one
-    partner would contradict the tilting exchange theory, so that raises
-    TiltingError.
-
-    T is validated once, where it enters: `indices` checks its summands
-    and `_violation` the tilting conditions.  Behind that line the
-    exchange works on table indices and candidate positions, and the
-    mutated module is re-verified from its sorted indices by `_record`.
-    `verification.mutation_closure_assertions` checks, from the same
-    calls, that an enumeration is closed under mutation.
-    """
-    if X not in T:
-        raise AlgebraError(f"{X} is not a summand of the given tilting module")
-    tab = A.tables
-    idx = indices(A, T)
-    why = _violation(A, idx)
-    if why is not None:
-        raise AlgebraError(f"not a tilting module: {why}")
+    idx are the increasing table indices of a module its caller verified as
+    tilting.  Several partners raise TiltingError, as in `mutation_at`."""
     # T is tilting, so its summands are candidates, T/X is partial tilting
     # with n - 1 summands, and T/X + Y is tilting iff Y is a candidate
     # (pd Y <= 1, no self-extension) with no Ext^1 against T/X: a bit set in
     # the `ext1_perp` mask of every kept summand (the masks are symmetric and
     # hold their self bits, so the kept summands and X are taken out).
+    tab = A.tables
     cands, pos, perp = tab.ext1_candidates, tab.ext1_position, tab.ext1_perp
-    i = idx[T.index(X)]
+    i = idx[s]
     kept = [j for j in idx if j != i]
     common = (1 << len(perp)) - 1  # with nothing kept, every candidate
     for j in kept:
@@ -230,9 +214,30 @@ def mutation_at(A: Algebra, T: ModuleSet, X: IndecModule) -> ModuleSet | None:
         return None
     if partners & partners - 1:
         found = [tab.modules[cands[b]] for b in range(partners.bit_length()) if partners >> b & 1]
-        raise TiltingError(f"multiple exchange partners for {X}: {found}")
-    new = sorted(kept + [cands[partners.bit_length() - 1]])
-    return _record(A, tab.module_set(new), new)
+        raise TiltingError(f"multiple exchange partners for {tab.modules[i]}: {found}")
+    return tuple(sorted(kept + [cands[partners.bit_length() - 1]]))
+
+
+def mutation_at(A: Algebra, T: ModuleSet, X: IndecModule) -> ModuleSet | None:
+    """Exchange X for the second complement of T/X, if one exists.
+
+    Returns the mutated tilting module, or None when X has no exchange
+    partner.  A T that is not tilting raises AlgebraError.  More than one
+    partner would contradict the tilting exchange theory, so that raises
+    TiltingError.
+
+    T is validated once, where it enters, by `indices` and `_violation`.
+    The partner step `_exchange` trusts it, and the mutated module is
+    re-verified from its table indices by `_record`.
+    """
+    if X not in T:
+        raise AlgebraError(f"{X} is not a summand of the given tilting module")
+    idx = indices(A, T)
+    why = _violation(A, idx)
+    if why is not None:
+        raise AlgebraError(f"not a tilting module: {why}")
+    new = _exchange(A, idx, T.index(X))
+    return None if new is None else _record(A, A.tables.module_set(new), new)
 
 
 @dataclass(frozen=True)
@@ -339,15 +344,15 @@ def exchange_graph(A: Algebra) -> ExchangeGraph:
     Order: `below[j]` is the bitmask of the nodes i != j with
     Gen(i) in Gen(j), from one `leq_gen` call per ordered pair, k(k-1) in
     all; each call is three integer operations on two kept packed
-    profiles, so every node is walked and validated once.  (The Hasse
-    diagram is the exchange graph oriented by Gen, so one call per edge
-    would do; the benchmark pins the k(k-1) count.)
+    profiles, so every node is walked and validated once.  (One call per
+    edge would do; the benchmark pins the k(k-1) count.)
 
-    Covers: i is covered by j when i is in `below[j]` but not in `below[m]`
-    for any m in `below[j]`.
+    Covers: the Hasse diagram is the exchange graph oriented by Gen
+    (Happel-Unger, Algebr. Represent. Theory 8, 2005): edge (i, j) is the
+    cover (i, j) when i is in `below[j]`, else (j, i).  A pair with neither
+    below the other contradicts the theorem and raises TiltingError.
     """
     nodes = enumerate_tilting(A)
-    k = len(nodes)
     tab = A.tables
     at = tab.at
     holders: dict[tuple[int, ...], list[int]] = {}
@@ -364,19 +369,15 @@ def exchange_graph(A: Algebra) -> ExchangeGraph:
             )
         if len(held) == 2:
             edges.append(tuple(held))
-    below = [0] * k
-    lower: list[list[int]] = [[] for _ in range(k)]
+    below = [0] * len(nodes)
     for j, Tj in enumerate(nodes):
         for i, Ti in enumerate(nodes):
             if i != j and leq_gen(A, Ti, Tj):
                 below[j] |= 1 << i
-                lower[j].append(i)
-    hasse = []
-    for j in range(k):
-        between = 0
-        for m in lower[j]:
-            between |= below[m]
-        hasse.extend((i, j) for i in lower[j] if not between >> i & 1)
+    for i, j in edges:
+        if not (below[j] >> i | below[i] >> j) & 1:
+            raise TiltingError(f"the exchange pair {nodes[i]} and {nodes[j]} is incomparable in the Gen order")
+    hasse = [(i, j) if below[j] >> i & 1 else (j, i) for i, j in edges]
     return ExchangeGraph(tuple(nodes), tuple(sorted(edges)), tuple(sorted(hasse)))
 
 
@@ -400,17 +401,19 @@ def mutation_closure(A: Algebra) -> list[ModuleSet]:
     """All tilting modules reachable from the regular module by mutation.
 
     Independent cross-check for enumerate_tilting: starts at A itself and
-    mutates at every summand until closure.
+    mutates at every summand until closure, by `_exchange` on table
+    indices; each module is verified once, when it is first reached.
     """
     start = regular_module(A)
-    _record(A, start, indices(A, start), "the regular module is not tilting")
-    seen = {start}
-    stack = [start]
+    idx = tuple(indices(A, start))
+    seen = {idx: _record(A, start, idx, "the regular module is not tilting")}
+    stack = [idx]
+    tab = A.tables
     while stack:
-        T = stack.pop()
-        for x in T:
-            nxt = mutation_at(A, T, x)
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return sorted(seen)
+        idx = stack.pop()
+        for s in range(len(idx)):
+            new = _exchange(A, idx, s)
+            if new is not None and new not in seen:
+                seen[new] = _record(A, tab.module_set(new), new)
+                stack.append(new)
+    return [seen[t] for t in sorted(seen)]

@@ -371,11 +371,25 @@ class TestMutation:
             mutation_closure(gamma_lin3)
         assert str(err.value) == f"the regular module is not tilting: {is_tilting(gamma_lin3, start)[1]}"
 
-    def test_closure_equals_enumeration_universe(self, small_universe):
-        for A in small_universe:
-            if A.dimension() > 7:
-                continue
+    def test_closure_equals_enumeration_universe(self):
+        for A in iter_algebras(6, 4):
             assert mutation_closure(A) == enumerate_tilting(A)
+
+    def test_closure_validates_once(self, gamma_cyc3, monkeypatch):
+        # One `indices` call for the regular module, and one `_violation`
+        # call per module reached: none per (module, summand) pair.
+        calls = {"indices": 0, "_violation": 0}
+        for name in calls:
+            real = getattr(nakayama.tilting, name)
+
+            def counting(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(nakayama.tilting, name, counting)
+        k = len(mutation_closure(gamma_cyc3))
+        assert k == 8
+        assert calls == {"indices": 1, "_violation": k}
 
 
 # The mutation road before it worked on table indices, kept as the
@@ -618,13 +632,16 @@ def _reference_graph(A):
 
 @pytest.fixture(scope="module")
 def graph_universe():
-    """Auslander algebras up to n = 6 of both kinds, then iter_algebras(5, 4)."""
+    """Auslander algebras up to n = 6 of both kinds, iter_algebras(5, 4), and
+    the path algebra (1, ..., 6), whose Gen order is the Tamari lattice: the
+    Auslander algebras give only Boolean cubes."""
     gammas = [
         auslander_algebra(make_rsz_nakayama(n, kind)).gamma
         for n in range(1, 7)
         for kind in ("linear", "cyclic")
     ]
-    return [(A, exchange_graph(A)) for A in gammas + list(iter_algebras(5, 4))]
+    path = Algebra("linear", tuple(range(1, 7)))
+    return [(A, exchange_graph(A)) for A in gammas + list(iter_algebras(5, 4)) + [path]]
 
 
 class TestExchangeGraphReference:
@@ -640,6 +657,15 @@ class TestExchangeGraphReference:
                 for i, j in g.edges
             )
             assert list(g.hasse) == oriented, A
+
+    def test_incomparable_exchange_pair_raises(self, gamma_lin3, monkeypatch):
+        g = exchange_graph(gamma_lin3)
+        pairs = {f"{g.nodes[i]} and {g.nodes[j]}" for i, j in g.edges}
+        monkeypatch.setattr(nakayama.tilting, "leq_gen", lambda A, T1, T2: False)
+        with pytest.raises(TiltingError) as err:
+            exchange_graph(gamma_lin3)
+        named = re.fullmatch(r"the exchange pair (.*) is incomparable in the Gen order", str(err.value))
+        assert named and named[1] in pairs
 
     def test_three_complements_raise(self, monkeypatch):
         A = Algebra("linear", (1, 2, 2))

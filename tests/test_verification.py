@@ -11,7 +11,7 @@ from dataclasses import replace
 
 from nakayama import auslander, homology, tilting
 from nakayama import verification as V
-from nakayama.algebra import Algebra
+from nakayama.algebra import Algebra, IndecModule as M, ModuleSet
 from nakayama.auslander import auslander_family
 
 
@@ -164,6 +164,12 @@ def test_repeated_module_fails_the_closure(monkeypatch):
     assert [detail for _, detail in records.values()] == [
         f"{tilting.enumerate_tilting(A)[0]} is listed twice" for A in CLOSURE_ALGEBRAS
     ]
+
+
+def test_listed_module_that_is_not_tilting_fails_the_closure(monkeypatch):
+    records = closure_verdicts_with(monkeypatch, lambda A, tilting: tilting + [ModuleSet.of([M(1, 1)])])
+    assert [passed for passed, _ in records.values()] == [False, False]
+    assert all(detail.endswith("is listed but not reached by mutation") for _, detail in records.values())
 
 
 def test_list_without_the_regular_module_fails_the_closure(monkeypatch):
