@@ -39,6 +39,9 @@ module compared many times is walked once per series.  The exchange
 graph pairs the tilting modules that share a summand tuple with one
 summand left out, keyed on their table indices; its Hasse diagram is
 that graph oriented by Gen.  Mutation and its closure share `_exchange`.
+`proj_mutation_sequence` validates its projective and its module, then
+hands them to the trusted core `_proj_mutation`, which the verification
+battery calls directly on the modules `enumerate_tilting` verified.
 """
 
 from __future__ import annotations
@@ -207,9 +210,12 @@ def _exchange(A: Algebra, idx: Sequence[int], s: int) -> tuple[int, ...] | None:
     i = idx[s]
     kept = [j for j in idx if j != i]
     common = (1 << len(perp)) - 1  # with nothing kept, every candidate
+    own = 1 << pos[i]
     for j in kept:
-        common &= perp[pos[j]]
-    partners = common & ~mask(pos[j] for j in idx)
+        a = pos[j]
+        common &= perp[a]
+        own |= 1 << a
+    partners = common & ~own
     if not partners:
         return None
     if partners & partners - 1:
@@ -258,21 +264,40 @@ class ProjMutation:
 def proj_mutation_sequence(A: Algebra, T: ModuleSet, P: IndecModule) -> ProjMutation:
     """The envelope sequence of P and the mutation of T at P.
 
-    P is validated once; its projectivity, its envelope and the cokernel
-    are then read off its coordinates.  T is validated by `mutation_at`.
+    P is validated once; its projectivity and its envelope are then read
+    off its coordinates.  T is validated once, as by `mutation_at`, and
+    the trusted core `_proj_mutation` does the rest.
     """
     if P not in T:
         raise AlgebraError(f"{P} is not a summand of the given tilting module")
     A.check_module(P)
     if P.length != A.c[P.top - 1]:
         raise AlgebraError(f"{P} is not projective")
-    envelope = _envelope(A, P)
-    if envelope == P:
+    if _envelope(A, P) == P:
         raise AlgebraError(f"{P} is injective; the envelope sequence is trivial")
+    idx = indices(A, T)
+    why = _violation(A, idx)
+    if why is not None:
+        raise AlgebraError(f"not a tilting module: {why}")
+    return _proj_mutation(A, T, idx, T.index(P))
+
+
+def _proj_mutation(A: Algebra, T: ModuleSet, idx: Sequence[int], s: int) -> ProjMutation:
+    """`proj_mutation_sequence` at the summand T[s], behind its checks.
+
+    idx are the increasing table indices of T, which its caller verified
+    as tilting, and T[s] is projective and not injective.  The mutated
+    module is re-verified from its table indices by `_record`; a partner
+    other than the envelope cokernel raises TiltingError."""
+    P = T[s]
+    envelope = _envelope(A, P)
     coker = IndecModule(envelope.top, envelope.length - P.length)
-    mutated = mutation_at(A, T, P)
-    if mutated is not None:
-        added = next(m for m in mutated if m not in T)
+    new = _exchange(A, idx, s)
+    mutated = None
+    if new is not None:
+        tab = A.tables
+        mutated = _record(A, tab.module_set(new), new)
+        added = tab.modules[next(i for i in new if i not in idx)]
         if added != coker:
             raise TiltingError(
                 f"mutation at {P} produced {added}, not the envelope cokernel {coker}"

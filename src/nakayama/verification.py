@@ -9,6 +9,10 @@ bounds and assert that every record passed.
 The checks on Auslander algebras take a list of `AuslanderResult`s, an
 `auslander_family` or part of one; `paper_report` builds one family, so
 each Gamma is built, and its tilting modules enumerated and checked, once.
+The enumeration verifies every module it lists, so the mutation check
+reads each listed module's table indices once and calls the trusted core
+of `proj_mutation_sequence`; the semisimple check counts support pairs on
+the index lists of the kill-set road, without building them.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from .auslander import (
     verify_counts,
 )
 from .homology import regular_module
-from .tau_tilting import enumerate_sttilt
-from .tilting import TiltingError, enumerate_tilting, mutation_closure, proj_mutation_sequence
+from .tau_tilting import _sttilt_indices
+from .tilting import TiltingError, _proj_mutation, enumerate_tilting, mutation_closure
 
 
 def _assertion(name: str, passed: bool, detail: str) -> dict:
@@ -157,20 +161,28 @@ def golden_list_assertions() -> list[dict]:
 
 
 def mutation_shape_assertions(family: list[AuslanderResult]) -> list[dict]:
-    """Projective non-injective summands mutate to the envelope cokernel, a simple."""
+    """Projective non-injective summands mutate to the envelope cokernel, a simple.
+
+    `enumerate_tilting` verified every listed module, so the battery calls
+    the trusted core of `proj_mutation_sequence` and reads a module's table
+    indices once, when it has a projective non-injective summand."""
     out = []
     for res in family:
         gamma = res.gamma
+        at = gamma.tables.at
         proj_noninj = {P for P in map(gamma.projective, gamma.vertices) if not gamma.is_injective(P)}
         violations = []
         checked = 0
         for T in res.tilting:
-            for p in T:
-                if p not in proj_noninj:
-                    continue
+            here = [s for s, p in enumerate(T) if p in proj_noninj]
+            if not here:
+                continue
+            idx = [at(m.top, m.length) for m in T]
+            for s in here:
+                p = T[s]
                 checked += 1
                 try:
-                    seq = proj_mutation_sequence(gamma, T, p)
+                    seq = _proj_mutation(gamma, T, idx, s)
                 except (AlgebraError, TiltingError) as exc:  # structural failure
                     violations.append(f"{T} at {p}: {exc}")
                     continue
@@ -241,19 +253,22 @@ def minimal_tilting_assertions(family: list[AuslanderResult]) -> list[dict]:
 
 
 def semisimple_sttilt_assertions(max_n: int) -> list[dict]:
-    """A semisimple algebra with n simples has exactly 2^n support pairs."""
+    """A semisimple algebra with n simples has exactly 2^n support pairs.
+
+    The pairs are counted on the index lists of `_sttilt_indices`; no
+    module is built for them."""
     out = []
     for n in range(1, max_n + 1):
         A = Algebra("linear", (1,) * n)
-        pairs = enumerate_sttilt(A)
+        parts, kills = _sttilt_indices(A)
         expected = 2 ** n
-        zero = [p for p in pairs if not p.modules]
-        zero_ok = len(zero) == 1 and zero[0].killed == frozenset(A.vertices)
+        zero = [killed for part, killed in zip(parts, kills) if not part]
+        zero_ok = len(zero) == 1 and zero[0] == frozenset(A.vertices)
         out.append(
             _assertion(
                 f"semisimple_sttilt_n{n}",
-                len(pairs) == expected and zero_ok,
-                f"count={len(pairs)} expected={expected} zero_pair={'yes' if zero_ok else 'missing'}",
+                len(parts) == expected and zero_ok,
+                f"count={len(parts)} expected={expected} zero_pair={'yes' if zero_ok else 'missing'}",
             )
         )
     return out

@@ -21,6 +21,7 @@ from nakayama.tables import mask
 from nakayama.tilting import (
     ProjMutation,
     TiltingError,
+    _proj_mutation,
     check_gen_minimum,
     enumerate_tilting,
     exchange_graph,
@@ -390,6 +391,22 @@ class TestMutation:
         k = len(mutation_closure(gamma_cyc3))
         assert k == 8
         assert calls == {"indices": 1, "_violation": k}
+
+    def test_proj_mutation_core_matches_the_public_function(self):
+        # The core, on the table indices of a verified module, gives what
+        # the validating public function gives at every projective
+        # non-injective summand.
+        checked = 0
+        for kind in ("linear", "cyclic"):
+            for n in range(1, 6):
+                A = auslander_algebra(make_rsz_nakayama(n, kind)).gamma
+                for T in enumerate_tilting(A):
+                    idx = [A.tables.at(m.top, m.length) for m in T]
+                    for s, P in enumerate(T):
+                        if A.is_projective(P) and not A.is_injective(P):
+                            checked += 1
+                            assert _proj_mutation(A, T, idx, s) == proj_mutation_sequence(A, T, P), (A, T, P)
+        assert checked > 0
 
 
 # The mutation road before it worked on table indices, kept as the

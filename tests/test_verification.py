@@ -20,12 +20,12 @@ def verdicts(records):
 
 
 def test_non_simple_cokernel_fails_even_without_a_mutation(monkeypatch):
-    real = V.proj_mutation_sequence
+    real = V._proj_mutation
 
-    def stub(gamma, T, P):
-        return replace(real(gamma, T, P), cokernel=P, mutated=None)
+    def stub(gamma, T, idx, s):
+        return replace(real(gamma, T, idx, s), cokernel=T[s], mutated=None)
 
-    monkeypatch.setattr(V, "proj_mutation_sequence", stub)
+    monkeypatch.setattr(V, "_proj_mutation", stub)
     # Linear n=1 has no projective non-injective summand; cyclic n=1 has M(2,2).
     assert verdicts(V.mutation_shape_assertions(auslander_family(1))) == {
         "proj_mutation_shape_linear_n1": True,
@@ -33,15 +33,36 @@ def test_non_simple_cokernel_fails_even_without_a_mutation(monkeypatch):
     }
 
 
+def test_mutation_check_validates_no_enumerated_module(monkeypatch):
+    # The listed modules were verified by the enumeration; the check reads
+    # their table indices without validating them again.
+    family = auslander_family(4)
+    for res in family:
+        res.tilting  # enumerate before counting
+    calls = 0
+    real = tilting.indices
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(tilting, "indices", counting)
+    records = V.mutation_shape_assertions(family)
+    assert all(r["passed"] for r in records)
+    assert calls == 0
+
+
 def test_duplicated_zero_pair_fails(monkeypatch):
-    real = V.enumerate_sttilt
+    real = V._sttilt_indices
 
     def stub(A):
-        pairs = real(A)
-        zero = next(p for p in pairs if not p.modules)
-        return [zero, zero] + [p for p in pairs if p.modules][1:]
+        parts, kills = real(A)
+        zero = parts.index(())
+        keep = [zero, zero] + [k for k in range(len(parts)) if k != zero][1:]
+        return [parts[k] for k in keep], [kills[k] for k in keep]
 
-    monkeypatch.setattr(V, "enumerate_sttilt", stub)
+    monkeypatch.setattr(V, "_sttilt_indices", stub)
     assert verdicts(V.semisimple_sttilt_assertions(2)) == {
         "semisimple_sttilt_n1": False,
         "semisimple_sttilt_n2": False,
