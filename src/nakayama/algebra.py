@@ -56,36 +56,30 @@ class Algebra:
             raise AlgebraError(f"unknown kind {self.kind!r}")
         c = tuple(self.c)
         object.__setattr__(self, "c", c)
-        n = len(c)
-        if n == 0:
+        if not c:
             raise AlgebraError("Kupisch series is empty")
-        if self.kind == LINEAR:
-            for i in range(n):
-                if not isinstance(c[i], int) or isinstance(c[i], bool):
-                    raise AlgebraError(f"c[{i + 1}] = {c[i]!r} is not an integer")
-                if i == 0:
-                    if c[0] != 1:
-                        raise AlgebraError(f"linear series must start with c[1] = 1, got c[1] = {c[0]}")
-                    continue
-                if c[i] < 1:
-                    raise AlgebraError(f"c[{i + 1}] = {c[i]} < 1")
-                if c[i - 1] < c[i] - 1:
-                    raise AlgebraError(
-                        f"Kupisch condition fails at i={i + 1}: c[{i}] = {c[i - 1]} < c[{i + 1}] - 1 = {c[i] - 1}"
-                    )
-        else:
-            for i, ci in enumerate(c):
-                if not isinstance(ci, int) or isinstance(ci, bool):
-                    raise AlgebraError(f"c[{i + 1}] = {ci!r} is not an integer")
+        linear = self.kind == LINEAR
+        for i, ci in enumerate(c):
+            if not isinstance(ci, int) or isinstance(ci, bool):
+                raise AlgebraError(f"c[{i + 1}] = {ci!r} is not an integer")
+            if not linear:
                 if ci < 2:
                     raise AlgebraError(f"cyclic series needs c[{i + 1}] >= 2, got {ci}")
-            for i in range(n):
-                prev = c[i - 1] if i > 0 else c[n - 1]
-                if prev < c[i] - 1:
-                    j = i if i > 0 else n
-                    raise AlgebraError(
-                        f"Kupisch condition fails at i={i + 1}: c[{j}] = {prev} < c[{i + 1}] - 1 = {c[i] - 1}"
-                    )
+            elif i == 0:
+                if ci != 1:
+                    raise AlgebraError(f"linear series must start with c[1] = 1, got c[1] = {ci}")
+            elif ci < 1:
+                raise AlgebraError(f"c[{i + 1}] = {ci} < 1")
+            elif c[i - 1] < ci - 1:
+                raise AlgebraError(
+                    f"Kupisch condition fails at i={i + 1}: c[{i}] = {c[i - 1]} < c[{i + 1}] - 1 = {ci - 1}"
+                )
+        # The cyclic Kupisch condition wraps around (c[0 - 1] is c[n]), once every entry is known.
+        for i in range(0 if linear else len(c)):
+            if c[i - 1] < c[i] - 1:
+                raise AlgebraError(
+                    f"Kupisch condition fails at i={i + 1}: c[{i or len(c)}] = {c[i - 1]} < c[{i + 1}] - 1 = {c[i] - 1}"
+                )
 
     # -- vertex arithmetic -------------------------------------------------
 
@@ -441,10 +435,10 @@ def load_algebra(path: str) -> Algebra:
 def iter_kupisch_series(kind: str, n: int, max_entry: int) -> Iterator[tuple[int, ...]]:
     """All valid Kupisch series of length n with entries <= max_entry, in
     lexicographic order."""
-    if n < 1:
-        return
     if kind not in KINDS:
         raise AlgebraError(f"unknown kind {kind!r}")
+    if n < 1:
+        return
     low = 1 if kind == LINEAR else 2
 
     def rec(prefix: list[int], bound: int) -> Iterator[tuple[int, ...]]:

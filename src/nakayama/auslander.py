@@ -30,9 +30,9 @@ from .homology import GorensteinProfile, gorenstein_profile
 from .tau_tilting import SupportPair, enumerate_sttilt_over
 from .tilting import (
     TiltingError,
+    _tilting_indices,
     check_gen_minimum,
     enumerate_tilting,
-    is_tilting,
     minimal_tilting,
     summand_shape_check,
 )
@@ -128,11 +128,10 @@ def thm25_map(res: AuslanderResult, ms: ModuleSet) -> SupportPair:
     Each summand maps to its largest quotient with no composition factor
     at a projective-injective vertex (possibly zero); the kill set is the
     complement of the surviving tops, i.e. the projective-injective
-    vertices together with the unused surviving vertices.
+    vertices together with the unused surviving vertices.  An ms that is
+    not tilting raises AlgebraError, from the entry check of `mutation_at`.
     """
-    ok, why = is_tilting(res.gamma, ms)
-    if not ok:
-        raise AlgebraError(f"not a tilting module: {why}")
+    _tilting_indices(res.gamma, ms)
     return _thm25_image(res, ms)
 
 

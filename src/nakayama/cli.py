@@ -18,12 +18,13 @@ Algebras come either from --algebra FILE (JSON: {"kind": ..., "kupisch":
 [...]}) or from the --n/--kind shortcut, which builds the connected
 radical-square-zero Nakayama algebra; `tilt` verbs then target its
 Auslander algebra.  Modules are literals like "M(4,3)", "P(2)", "S(1)".
-`main` checks the size limits, resolves the algebra and writes the
-handler's output, once for every command.  A handler returns a JSON
-payload, finished text, or an iterator of text chunks; `tilt enumerate`
-and `sttilt enumerate` enumerate first and then stream their listings
-record by record, in the bytes of one json.dumps of the whole payload, so
-a request that fails writes nothing and no copy of the output is held.
+`main` checks the --n/--max-n limit, has `_resolve_algebra` resolve the
+algebra within its limits and writes the handler's output, once for every
+command.  A handler returns a JSON payload, finished text, or an iterator
+of text chunks; `tilt enumerate` and `sttilt enumerate` enumerate first
+and then stream their listings record by record, in the bytes of one
+json.dumps of the whole payload, so a request that fails writes nothing
+and no copy of the output is held.
 Exit codes: 0 success, 1 failed verification, 2 usage or input error.
 `run` (the console entry) dies of SIGPIPE, silently, when a pipe reader quits.
 """
@@ -129,18 +130,21 @@ def _json_stream(head: dict, key: str, records: Iterable[str]) -> Iterator[str]:
     yield "\n  ]\n}\n" if sep == "," else sep + "]\n}\n"
 
 
-def _resolve_algebra(args, auslander: bool = False) -> Algebra:
-    """Algebra from --algebra or --n/--kind; tilt verbs target the Auslander algebra."""
-    if args.algebra and (args.n is not None or args.kind):
-        raise AlgebraError("give either --algebra or --n/--kind, not both")
+def _resolve_algebra(args, verb: str, file_limit: int | None) -> Algebra:
+    """The algebra of a request, from --algebra FILE or --n/--kind, within its
+    limits; `tilt` verbs target the Auslander algebra of the shortcut's."""
     if args.algebra:
-        return load_algebra(args.algebra)
+        if args.n is not None or args.kind:
+            raise AlgebraError("give either --algebra or --n/--kind, not both")
+        A = load_algebra(args.algebra)
+        _check_limit(verb, "number of simples", A.n, file_limit)
+        _check_limit(verb, "dimension", A.dimension(), MAX_DIMENSION)
+        return A
     if args.n is None or args.kind is None:
         raise AlgebraError("need --algebra FILE or both --n and --kind")
+    _check_limit(verb, "dimension", 2 * args.n - (args.kind == "linear"), MAX_DIMENSION)
     lam = make_rsz_nakayama(args.n, args.kind)
-    if auslander:
-        return auslander_algebra(lam).gamma
-    return lam
+    return auslander_algebra(lam).gamma if verb.startswith("tilt ") else lam
 
 
 def _check_limit(verb: str, what: str, value: int | None, limit: int | None) -> None:
@@ -337,14 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         flag, value = ("--max-n", args.max_n) if verify else ("--n", args.n)
         _check_limit(verb, flag, value, flag_limit)
-        A = None
-        if not verify:
-            if args.n is not None and args.kind and not args.algebra:
-                _check_limit(verb, "dimension", 2 * args.n - (args.kind == "linear"), MAX_DIMENSION)
-            A = _resolve_algebra(args, auslander=words[0] == "tilt")
-            if args.algebra:
-                _check_limit(verb, "number of simples", A.n, file_limit)
-                _check_limit(verb, "dimension", A.dimension(), MAX_DIMENSION)
+        A = None if verify else _resolve_algebra(args, verb, file_limit)
         out = handler(A, args)
         if isinstance(out, str):
             chunks = (out,)

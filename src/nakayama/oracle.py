@@ -475,7 +475,6 @@ def tau_via_dtr(A: Algebra, M: IndecModule) -> IndecModule | None:
     (`_nu_projective`): entry (path of length t at top M, path of length
     t + k at v) is the generator's coefficient at path length k.
     """
-    A.check_module(M)
     if A.is_projective(M):
         return None
     ws = _workspace(A)

@@ -26,8 +26,8 @@ summand that is not an Ext^1 candidate has its projective dimension walked
 kernel `_ext1`.  Both rest on the single copy of each closed form, the
 kernels in `homology`, which the tests hold to an independent reference
 and to the matrix oracle.  Modules are validated once, where they enter a
-public function; the enumerators, the re-verification of their results and
-mutation work on table indices or candidate positions behind that line.
+public function (a tilting module by the one check `_tilting_indices`); the
+enumerators, re-verification and mutation work on indices behind that line.
 
 The Gen order needs no table: Gen(T) holds a uniserial X iff X is a
 quotient of a summand, so Gen(T1) lies in Gen(T2) iff at every top the
@@ -77,6 +77,15 @@ def _violation(A: Algebra, idx: Sequence[int]) -> str | None:
     if len(idx) != A.n:
         return f"|T| = {len(idx)} != {A.n}"
     return None
+
+
+def _tilting_indices(A: Algebra, T: ModuleSet) -> list[int]:
+    """Table indices of T from outside, checked once: AlgebraError unless tilting."""
+    idx = indices(A, T)
+    why = _violation(A, idx)
+    if why is not None:
+        raise AlgebraError(f"not a tilting module: {why}")
+    return idx
 
 
 def is_tilting(A: Algebra, ms: ModuleSet) -> tuple[bool, str | None]:
@@ -232,17 +241,13 @@ def mutation_at(A: Algebra, T: ModuleSet, X: IndecModule) -> ModuleSet | None:
     partner would contradict the tilting exchange theory, so that raises
     TiltingError.
 
-    T is validated once, where it enters, by `indices` and `_violation`.
-    The partner step `_exchange` trusts it, and the mutated module is
+    T is validated once, where it enters, by `_tilting_indices`.  The
+    partner step `_exchange` trusts it, and the mutated module is
     re-verified from its table indices by `_record`.
     """
     if X not in T:
         raise AlgebraError(f"{X} is not a summand of the given tilting module")
-    idx = indices(A, T)
-    why = _violation(A, idx)
-    if why is not None:
-        raise AlgebraError(f"not a tilting module: {why}")
-    new = _exchange(A, idx, T.index(X))
+    new = _exchange(A, _tilting_indices(A, T), T.index(X))
     return None if new is None else _record(A, A.tables.module_set(new), new)
 
 
@@ -265,8 +270,8 @@ def proj_mutation_sequence(A: Algebra, T: ModuleSet, P: IndecModule) -> ProjMuta
     """The envelope sequence of P and the mutation of T at P.
 
     P is validated once; its projectivity and its envelope are then read
-    off its coordinates.  T is validated once, as by `mutation_at`, and
-    the trusted core `_proj_mutation` does the rest.
+    off its coordinates.  T is validated once, by `_tilting_indices` as in
+    `mutation_at`, and the trusted core `_proj_mutation` does the rest.
     """
     if P not in T:
         raise AlgebraError(f"{P} is not a summand of the given tilting module")
@@ -275,11 +280,7 @@ def proj_mutation_sequence(A: Algebra, T: ModuleSet, P: IndecModule) -> ProjMuta
         raise AlgebraError(f"{P} is not projective")
     if _envelope(A, P) == P:
         raise AlgebraError(f"{P} is injective; the envelope sequence is trivial")
-    idx = indices(A, T)
-    why = _violation(A, idx)
-    if why is not None:
-        raise AlgebraError(f"not a tilting module: {why}")
-    return _proj_mutation(A, T, idx, T.index(P))
+    return _proj_mutation(A, T, _tilting_indices(A, T), T.index(P))
 
 
 def _proj_mutation(A: Algebra, T: ModuleSet, idx: Sequence[int], s: int) -> ProjMutation:

@@ -88,6 +88,25 @@ class TestKupischValidation:
         with pytest.raises(AlgebraError, match=f"^{message} is not an integer$"):
             Algebra(kind, c)
 
+    @pytest.mark.parametrize(
+        "kind, c, message",
+        [
+            ("linear", (1, 5, "x"), "Kupisch condition fails at i=2: c[1] = 1 < c[2] - 1 = 4"),
+            ("linear", (0, "x"), "linear series must start with c[1] = 1, got c[1] = 0"),
+            ("linear", (1, 2, 0, "x"), "c[3] = 0 < 1"),
+            ("cyclic", (2, 5, "x"), "c[3] = 'x' is not an integer"),
+            ("cyclic", (5, 2, 1), "cyclic series needs c[3] >= 2, got 1"),
+            ("cyclic", (2, 1.5, 9), "c[2] = 1.5 is not an integer"),
+        ],
+    )
+    def test_first_of_two_faults_is_reported(self, kind, c, message):
+        # Entries are checked in order, each for being an integer and then for
+        # its bound (a linear one also against the entry before it); only the
+        # cyclic Kupisch condition, which wraps around, waits for every entry.
+        with pytest.raises(AlgebraError) as info:
+            Algebra(kind, c)
+        assert str(info.value) == message
+
 
 class TestModules:
     def test_projective_and_simple(self, gamma_lin3):
@@ -401,6 +420,11 @@ class TestUniverseGenerators:
         assert list(iter_kupisch_series("linear", 1, 4)) == [(1,)]
         assert list(iter_kupisch_series("cyclic", 1, 4)) == [(2,), (3,), (4,)]
         assert list(iter_kupisch_series("linear", 2, 4)) == [(1, 1), (1, 2)]
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_unknown_kind_is_refused_for_every_length(self, n):
+        with pytest.raises(AlgebraError, match="^unknown kind 'mixed'$"):
+            list(iter_kupisch_series("mixed", n, 3))
 
     def test_all_generated_series_are_valid(self, small_universe):
         # Construction validates; duplicates would be a generator bug.

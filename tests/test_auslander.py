@@ -8,8 +8,8 @@ from nakayama.auslander import (
     verify_counts,
 )
 from nakayama.homology import gorenstein_profile, hom_dim
-from nakayama import auslander, tilting
-from nakayama.tilting import TiltingError, enumerate_tilting, is_tilting
+from nakayama import tilting
+from nakayama.tilting import TiltingError, enumerate_tilting, mutation_at, proj_mutation_sequence
 
 M = IndecModule
 
@@ -131,6 +131,23 @@ class TestTheoremMap:
         with pytest.raises(AlgebraError):
             thm25_map(res, ModuleSet.of([M(1, 1)]))
 
+    def test_one_entry_check_for_a_tilting_module(self):
+        # thm25_map and both mutations check a tilting module from outside
+        # alike; P = M(3,2) is a projective, non-injective summand, so
+        # proj_mutation_sequence gets as far as checking T.
+        res = auslander_algebra(make_rsz_nakayama(3, "linear"))
+        T, P = ModuleSet.of([M(1, 1), M(3, 2)]), M(3, 2)
+        calls = [
+            lambda: mutation_at(res.gamma, T, P),
+            lambda: proj_mutation_sequence(res.gamma, T, P),
+            lambda: thm25_map(res, T),
+        ]
+        for call in calls:
+            with pytest.raises(AlgebraError) as info:
+                call()
+            assert type(info.value) is AlgebraError
+            assert str(info.value) == "not a tilting module: |T| = 2 != 5"
+
     def test_distinct_images(self):
         for kind in ("linear", "cyclic"):
             res = auslander_algebra(make_rsz_nakayama(3, kind))
@@ -151,14 +168,16 @@ class TestBijection:
         assert report.missing == () and report.extra == ()
 
     def test_bijection_does_not_recheck_tilting(self, monkeypatch):
+        # `_violation` is the one check behind every tilting test, the entry
+        # check of thm25_map included; is_tilting is its public face.
         calls = []
+        for name in ("_violation", "is_tilting"):
 
-        def counting(*args):
-            calls.append(args)
-            return is_tilting(*args)
+            def counting(*args, _original=getattr(tilting, name)):
+                calls.append(args)
+                return _original(*args)
 
-        for module in (auslander, tilting):
-            monkeypatch.setattr(module, "is_tilting", counting)
+            monkeypatch.setattr(tilting, name, counting)
         for kind in ("linear", "cyclic"):
             assert verify_bijection(auslander_algebra(make_rsz_nakayama(3, kind))).passed
         assert calls == []
