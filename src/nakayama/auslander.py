@@ -18,6 +18,8 @@ by the projective-injectives, and the tilting counts) is computed from
 the Kupisch model.  `auslander_family` builds the results for both kinds
 and n = 1..max_n; each enumerates its tilting modules once, on first use
 (`AuslanderResult.tilting`), for every report and check that reads them.
+The enumeration verified them, so the shape and Gen-minimum checks read
+their summand masks and validate none of them again.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ from .homology import GorensteinProfile, gorenstein_profile
 from .tau_tilting import SupportPair, enumerate_sttilt_over
 from .tilting import (
     TiltingError,
+    _gen_minimum,
+    _shape_offenders,
+    _summand_masks,
     _tilting_indices,
-    check_gen_minimum,
     enumerate_tilting,
     minimal_tilting,
-    summand_shape_check,
 )
 
 
@@ -58,9 +61,14 @@ class AuslanderResult:
         return enumerate_tilting(self.gamma)
 
     @cached_property
+    def _masks(self) -> list[int]:
+        """The `_summand_masks` of `tilting`, read once for both checks."""
+        return _summand_masks(self.gamma, self.tilting)
+
+    @cached_property
     def shape_offenders(self) -> list[tuple[ModuleSet, list[IndecModule]]]:
         """Each tilting module with the summands `summand_shape_check` flags."""
-        return [(T, bad) for T in self.tilting if (bad := summand_shape_check(self.gamma, T))]
+        return _shape_offenders(self.gamma, self.tilting, self._masks)
 
     @cached_property
     def minimum(self) -> tuple[ModuleSet | None, str | None]:
@@ -68,7 +76,7 @@ class AuslanderResult:
         `tilting`, else (None, the text of the error raised)."""
         try:
             ms = minimal_tilting(self.gamma)
-            check_gen_minimum(self.gamma, ms, self.tilting)
+            _gen_minimum(self.gamma, ms, self.tilting, self._masks)
         except (AlgebraError, TiltingError) as exc:
             return None, str(exc)
         return ms, None

@@ -19,6 +19,11 @@ every candidate still allowed: any completion plus that candidate would
 be partial tilting with n + 1 summands.
 `check_gen_minimum` tests the minimal tilting module against tilting
 modules already enumerated, so a caller holding them enumerates once.
+For modules it has verified, such as an enumeration's, a caller reads
+each module's summands once into a bitmask (`_summand_masks`) and runs the
+shape and Gen-minimum checks on the masks, `_shape_offenders` and
+`_gen_minimum`, which validate nothing: a few integer operations per
+module.
 
 The tilting conditions and mutation read the algebra's `Tables`; only a
 summand that is not an Ext^1 candidate has its projective dimension walked
@@ -113,6 +118,42 @@ def summand_shape_check(A: Algebra, ms: ModuleSet) -> list[IndecModule]:
     indices(A, ms)  # validates ms
     c, socles = A.c, A.tables.projinj_socles
     return [m for m in ms if not (m.length == c[m.top - 1] or (m.length == 1 and m.top in socles))]
+
+
+def _fields(A: Algebra) -> list[int]:
+    """Where each top's field starts in a `_summand_masks` mask: M(v, l) is
+    bit start[v - 1] + l - 1, and bit start[v - 1] + c(v), above the modules
+    at top v, is a guard that no module sets."""
+    start, bit = [], 0
+    for ci in A.c:
+        start.append(bit)
+        bit += ci + 1
+    return start
+
+
+def _summand_masks(A: Algebra, tilting: Sequence[ModuleSet]) -> list[int]:
+    """Each module's summands as one bitmask laid out by `_fields`, for
+    modules a caller has verified: a summand's bit is read off a dict keyed
+    by the modules, and nothing is validated."""
+    start = _fields(A)
+    bit = {m: 1 << start[m.top - 1] + m.length - 1 for m in A.tables.modules}
+    return [sum(map(bit.__getitem__, T)) for T in tilting]
+
+
+def _shape_offenders(
+    A: Algebra, tilting: Sequence[ModuleSet], masks: Sequence[int]
+) -> list[tuple[ModuleSet, list[IndecModule]]]:
+    """Each module of `tilting` with the summands `summand_shape_check`
+    flags, for modules a caller has verified, with their `_summand_masks`:
+    a module offends iff its mask leaves the one mask of the projectives
+    and the simple socles of the projective-injectives."""
+    start, c = _fields(A), A.c
+    good = mask([start[v - 1] + c[v - 1] - 1 for v in A.vertices] + [start[v - 1] for v in A.tables.projinj_socles])
+    return [
+        (T, [m for m in T if not good >> start[m.top - 1] + m.length - 1 & 1])
+        for T, bits in zip(tilting, masks)
+        if bits & ~good
+    ]
 
 
 def enumerate_tilting(A: Algebra) -> list[ModuleSet]:
@@ -341,6 +382,39 @@ def check_gen_minimum(A: Algebra, ms: ModuleSet, tilting: Sequence[ModuleSet]) -
             f"Gen-minimum mismatch: formula gave {ms}, enumeration gave "
             f"{[str(T) for T in minima]}"
         )
+
+
+def _gen_minimum(A: Algebra, ms: ModuleSet, tilting: Sequence[ModuleSet], masks: Sequence[int]) -> None:
+    """`check_gen_minimum` for modules a caller has verified, ms among them,
+    with the `_summand_masks` of `tilting`.
+
+    A mask is the unary form of the packed profile of `_gen_profile`: the
+    field of top v holds a bit per summand at v, by length.  T lies below
+    ms iff its mask has no bit `outside` the modules at each top no longer
+    than the longest summand of ms there.  ms lies below T iff each field
+    of T reaches `least`, the bit of the longest summand of ms there, which
+    one subtraction tests on every field: with the guard bits set, field v
+    keeps its guard bit iff it is at least `least`'s field, and no field
+    borrows from the next.  A failure runs `check_gen_minimum`, whose error
+    names the minima.
+    """
+    start, c = _fields(A), A.c
+    guard = mask(start[v - 1] + c[v - 1] for v in A.vertices)
+    own, longest = 0, {}
+    for top, length in ms:  # by top, then length: the longest at a top comes last
+        own |= 1 << start[top - 1] + length - 1
+        longest[top] = length
+    least = sum(1 << start[top - 1] + length - 1 for top, length in longest.items())
+    outside = ~sum(((1 << length) - 1) << start[top - 1] for top, length in longest.items())
+    below = [bits for bits in masks if not bits & outside]
+    if (
+        own in masks
+        and below.count(own) == len(below)
+        and all(((bits | guard) - least) & guard == guard for bits in masks)
+    ):
+        return
+    check_gen_minimum(A, ms, tilting)
+    raise RuntimeError(f"the Gen-minimum checks on masks and on profiles disagree on {ms}")
 
 
 # -- exchange graph and Hasse diagram ------------------------------------------

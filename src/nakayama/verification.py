@@ -9,10 +9,13 @@ bounds and assert that every record passed.
 The checks on Auslander algebras take a list of `AuslanderResult`s, an
 `auslander_family` or part of one; `paper_report` builds one family, so
 each Gamma is built, and its tilting modules enumerated and checked, once.
-The enumeration verifies every module it lists, so the mutation check
-reads each listed module's table indices once and calls the trusted core
-of `proj_mutation_sequence`; the semisimple check counts support pairs on
-the index lists of the kill-set road, without building them.
+The enumeration verifies every module it lists, so no check validates a
+listed module again.  The mutation check reads each listed module's table
+indices once and calls the trusted core of `proj_mutation_sequence`; the
+shape, count and Gen-minimum checks read one summand mask per module
+(`AuslanderResult.shape_offenders` and `.minimum`).  The semisimple check
+counts support pairs on the index lists of the support criterion,
+`tau_tilting._support_parts`, with no kill set, quotient or module built.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .auslander import (
     verify_counts,
 )
 from .homology import regular_module
-from .tau_tilting import _sttilt_indices
+from .tau_tilting import _support_parts
 from .tilting import TiltingError, _proj_mutation, enumerate_tilting, mutation_closure
 
 
@@ -255,12 +258,13 @@ def minimal_tilting_assertions(family: list[AuslanderResult]) -> list[dict]:
 def semisimple_sttilt_assertions(max_n: int) -> list[dict]:
     """A semisimple algebra with n simples has exactly 2^n support pairs.
 
-    The pairs are counted on the index lists of `_sttilt_indices`; no
-    module is built for them."""
+    The pairs are counted on the index lists of `_support_parts`, the
+    support criterion on the tau-rigid sets: no kill set is walked, no
+    quotient is built and no module is built for a pair."""
     out = []
     for n in range(1, max_n + 1):
         A = Algebra("linear", (1,) * n)
-        parts, kills = _sttilt_indices(A)
+        parts, kills = _support_parts(A)
         expected = 2 ** n
         zero = [killed for part, killed in zip(parts, kills) if not part]
         zero_ok = len(zero) == 1 and zero[0] == frozenset(A.vertices)

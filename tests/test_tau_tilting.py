@@ -19,6 +19,7 @@ from nakayama.tables import cliques
 from nakayama.tau_tilting import (
     SupportPair,
     _sttilt_indices,
+    _support_parts,
     enumerate_sttilt,
     enumerate_sttilt_over,
     enumerate_tau_rigid_sets,
@@ -95,7 +96,7 @@ class TestTauTiltingModules:
 
 class TestSupportPairs:
     def test_semisimple_counts(self):
-        for n in range(1, 7):
+        for n in range(1, 11):
             A = Algebra("linear", (1,) * n)
             pairs = enumerate_sttilt(A)
             assert len(pairs) == 2 ** n
@@ -147,6 +148,19 @@ class TestSupportPairs:
             pairs = enumerate_sttilt(A)
             parts = [p.modules for p in pairs]
             assert len(set(parts)) == len(parts)
+
+
+    def test_support_criterion_matches_the_kill_set_road(self):
+        # A third road to the same lists, order and kill sets included: the
+        # tau-rigid sets whose summands number their composition factors.
+        algebras = [
+            *iter_algebras(5, 4),
+            *(make_rsz_nakayama(n, kind) for kind in ("linear", "cyclic") for n in range(1, 11)),
+            *(Algebra("linear", (1,) * n) for n in range(1, 11)),
+            Algebra("cyclic", (3, 3, 2, 2, 2, 3, 2, 3, 3, 2)),
+        ]
+        for A in algebras:
+            assert _support_parts(A) == _sttilt_indices(A), A
 
 
 class TestPairFormEquivalence:

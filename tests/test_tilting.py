@@ -15,13 +15,16 @@ from nakayama.algebra import (
     iter_algebras,
     make_rsz_nakayama,
 )
-from nakayama.auslander import auslander_algebra
+from nakayama.auslander import auslander_algebra, auslander_family
 from nakayama.homology import cosyzygy, ext1_dim, proj_dim, regular_i0
 from nakayama.tables import mask
 from nakayama.tilting import (
     ProjMutation,
     TiltingError,
+    _gen_minimum,
     _proj_mutation,
+    _shape_offenders,
+    _summand_masks,
     check_gen_minimum,
     enumerate_tilting,
     exchange_graph,
@@ -581,6 +584,70 @@ class TestMinimalTilting:
         # Serial algebras are QF-3, so the formula applies to any of them;
         # over the linear radical-square-zero series it still checks out.
         assert set(minimal_tilting(make_rsz_nakayama(3, "linear"))) == {M(2, 1), M(2, 2), M(3, 2)}
+
+
+class TestMaskChecks:
+    """The checks on summand masks behind `AuslanderResult` equal the checks
+    for modules from outside, `summand_shape_check` and `check_gen_minimum`."""
+
+    @staticmethod
+    def gen_minimum_outcomes(A, ms, tilting):
+        outcomes = []
+        for check in (
+            lambda: _gen_minimum(A, ms, tilting, _summand_masks(A, tilting)),
+            lambda: check_gen_minimum(A, ms, tilting),
+        ):
+            try:
+                check()
+                outcomes.append(None)
+            except TiltingError as exc:
+                outcomes.append(str(exc))
+        return outcomes
+
+    def test_equal_on_the_auslander_family(self):
+        for res in auslander_family(8):
+            gamma, tilting = res.gamma, res.tilting
+            shapes = [(T, bad) for T in tilting if (bad := summand_shape_check(gamma, T))]
+            assert res.shape_offenders == shapes == []
+            ms = minimal_tilting(gamma)
+            assert res.minimum == (ms, None)
+            assert self.gen_minimum_outcomes(gamma, ms, tilting) == [None, None]
+
+    def test_shape_offenders_equal_on_modules_with_two_summands(self):
+        for res in auslander_family(4)[1:]:  # Gamma of linear n=1 has one module, a projective
+            gamma = res.gamma
+            modules = [ModuleSet(c) for r in (1, 2) for c in combinations(gamma.tables.modules, r)]
+            expected = [(T, bad) for T in modules if (bad := summand_shape_check(gamma, T))]
+            assert expected
+            assert _shape_offenders(gamma, modules, _summand_masks(gamma, modules)) == expected
+
+    def test_gen_minimum_outcomes_equal(self):
+        incomparable = 0
+        for res in auslander_family(4)[1:]:  # Gamma of linear n=1 has one tilting module
+            gamma, tilting = res.gamma, res.tilting
+            ms = minimal_tilting(gamma)
+            without = [T for T in tilting if T != ms]
+            failing = [(T, tilting) for T in without[:3]] + [(ms, without), (ms, [])]
+            quotient = next((M(m.top, l) for m in ms for l in range(1, m.length) if M(m.top, l) not in ms), None)
+            if quotient is not None:  # a second module of the same Gen class
+                failing.append((ms, tilting + [ModuleSet.of([*ms, quotient])]))
+            pair = next(((S, T) for S in tilting for T in tilting if not leq_gen(gamma, S, T) and not leq_gen(gamma, T, S)), None)
+            if pair is not None:  # nothing listed lies below S, which lies below nothing
+                incomparable += 1
+                failing.append((pair[0], list(pair)))
+            # A simple S at a top v with no summand of T is below nothing but
+            # itself; at a top v > 1 with one, S is the unique minimum of [S, T].
+            T = next(T for T in tilting if len({m.top for m in T}) < gamma.n)
+            tops = {m.top for m in T}
+            absent = ModuleSet.of([M(min(set(gamma.vertices) - tops), 1)])
+            present = ModuleSet.of([M(max(tops), 1)])
+            failing.append((absent, [absent, T]))
+            passing = [(ms, tilting), (present, [present, T])]
+            for (candidate, listed), passes in [(case, False) for case in failing] + [(case, True) for case in passing]:
+                mask_road, module_road = self.gen_minimum_outcomes(gamma, candidate, listed)
+                assert mask_road == module_road
+                assert (mask_road is None) == passes
+        assert incomparable
 
 
 class TestExchangeGraph:

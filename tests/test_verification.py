@@ -9,7 +9,7 @@ and checks that exactly the affected record fails.
 from collections import Counter
 from dataclasses import replace
 
-from nakayama import auslander, homology, tilting
+from nakayama import algebra, auslander, homology, tau_tilting, tilting
 from nakayama import verification as V
 from nakayama.algebra import Algebra, IndecModule as M, ModuleSet
 from nakayama.auslander import auslander_family
@@ -54,7 +54,7 @@ def test_mutation_check_validates_no_enumerated_module(monkeypatch):
 
 
 def test_duplicated_zero_pair_fails(monkeypatch):
-    real = V._sttilt_indices
+    real = V._support_parts
 
     def stub(A):
         parts, kills = real(A)
@@ -62,11 +62,44 @@ def test_duplicated_zero_pair_fails(monkeypatch):
         keep = [zero, zero] + [k for k in range(len(parts)) if k != zero][1:]
         return [parts[k] for k in keep], [kills[k] for k in keep]
 
-    monkeypatch.setattr(V, "_sttilt_indices", stub)
+    monkeypatch.setattr(V, "_support_parts", stub)
     assert verdicts(V.semisimple_sttilt_assertions(2)) == {
         "semisimple_sttilt_n1": False,
         "semisimple_sttilt_n2": False,
     }
+
+
+def test_dropped_pair_fails(monkeypatch):
+    real = V._support_parts
+
+    def stub(A):
+        parts, kills = real(A)
+        return parts[:-1], kills[:-1]
+
+    monkeypatch.setattr(V, "_support_parts", stub)
+    records = V.semisimple_sttilt_assertions(3)
+    assert verdicts(records) == {f"semisimple_sttilt_n{n}": False for n in (1, 2, 3)}
+    assert [r["detail"] for r in records] == [
+        f"count={2**n - 1} expected={2**n} zero_pair=yes" for n in (1, 2, 3)
+    ]
+
+
+def test_semisimple_check_builds_no_quotient(monkeypatch):
+    # The pairs come from the support criterion on the tau-rigid sets, so no
+    # kill set is walked and no quotient algebra is built.
+    calls = 0
+    real = algebra.quotient_algebra
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    for mod in (algebra, tau_tilting, V):
+        monkeypatch.setattr(mod, "quotient_algebra", counting)
+    records = V.semisimple_sttilt_assertions(10)
+    assert all(r["passed"] for r in records) and len(records) == 10
+    assert calls == 0
 
 
 def test_wrong_gamma_for_the_dual_numbers_fails(monkeypatch):
@@ -102,16 +135,92 @@ def test_missing_formula_module_fails_only_the_minimum(monkeypatch):
     assert all(detail.startswith("Gen-minimum mismatch") for detail in failed.values())
 
 
-def test_flagged_summand_fails_the_counts(monkeypatch):
-    monkeypatch.setattr("nakayama.auslander.summand_shape_check", lambda A, ms: list(ms)[:1])
-    records = V.count_assertions(auslander_family(2))
-    assert verdicts(records) == {
-        "tilting_count_linear_n1": False,
-        "tilting_count_linear_n2": False,
-        "tilting_count_cyclic_n1": False,
-        "tilting_count_cyclic_n2": False,
-    }
-    assert all("shapes=bad" in r["detail"] for r in records)
+def test_non_simple_non_projective_summand_fails_the_shape_checks(monkeypatch):
+    # The last listed module swaps its first summand for M(v, l), 1 < l < c(v),
+    # where Gamma has one: Gamma of linear n = 3 and of cyclic n >= 1.
+    real = auslander.enumerate_tilting
+    planted = {}
+
+    def stub(A):
+        tilting = real(A)
+        bad = next((M(v, l) for v in A.vertices for l in range(2, A.c[v - 1])), None)
+        if bad is None:
+            return tilting
+        T = ModuleSet.of([*tilting[-1][1:], bad])
+        planted[A] = (T, bad)
+        return tilting[:-1] + [T]
+
+    monkeypatch.setattr(auslander, "enumerate_tilting", stub)
+    family = auslander_family(3)
+    shapes = V.shape_assertions(family)
+    counts = V.count_assertions(family)
+    for res, shape, count in zip(family, shapes, counts):
+        if res.gamma not in planted:
+            assert res.lam.kind == "linear" and res.lam.n < 3
+            assert shape["passed"] and count["passed"]
+            continue
+        T, bad = planted[res.gamma]
+        assert res.shape_offenders == [(T, [bad])]
+        assert not shape["passed"] and shape["detail"].endswith(f"; first offender {T}: {bad}")
+        assert not count["passed"] and "shapes=bad" in count["detail"]
+    assert len(planted) == 4
+
+
+def test_second_gen_minimal_module_fails_the_minimum(monkeypatch):
+    # The formula module plus a proper quotient of one of its summands has
+    # the same Gen class, so the list holds two Gen-minimal modules.
+    real = auslander.enumerate_tilting
+    twins = {}
+
+    def stub(A):
+        ms = tilting.minimal_tilting(A)
+        extra = next((M(m.top, l) for m in ms for l in range(1, m.length) if M(m.top, l) not in ms), None)
+        if extra is None:
+            return real(A)
+        twins[A] = (ms, ModuleSet.of([*ms, extra]))
+        return real(A) + [twins[A][1]]
+
+    monkeypatch.setattr(auslander, "enumerate_tilting", stub)
+    family = auslander_family(3)
+    minimal = V.minimal_tilting_assertions(family)
+    counts = V.count_assertions(family)
+    assert len(twins) >= 4
+    for res, record, count in zip(family, minimal, counts):
+        if res.gamma not in twins:
+            assert record["passed"]
+            continue
+        ms, twin = twins[res.gamma]
+        assert record == {
+            "name": f"minimal_tilting_{res.lam.kind}_n{res.lam.n}",
+            "passed": False,
+            "detail": f"Gen-minimum mismatch: formula gave {ms}, enumeration gave {[str(ms), str(twin)]}",
+        }
+        assert not count["passed"] and "minimal=bad" in count["detail"]
+
+
+def test_count_check_validates_no_enumerated_module(monkeypatch):
+    # The listed modules were verified by the enumeration; the count check
+    # reads their summand masks and validates only what `minimal_tilting`
+    # validates when it builds the formula module.
+    family = auslander_family(6)
+    for res in family:
+        res.tilting  # enumerate before counting
+        res.gamma.tables.projinj_socles  # and read Gamma's own projectives
+    calls = 0
+    real = algebra.Algebra.check_module
+
+    def counting(self, m):
+        nonlocal calls
+        calls += 1
+        return real(self, m)
+
+    monkeypatch.setattr(algebra.Algebra, "check_module", counting)
+    for res in family:
+        tilting.minimal_tilting(res.gamma)
+    formula_calls, calls = calls, 0
+    records = V.count_assertions(family)
+    assert all(r["passed"] for r in records)
+    assert calls == formula_calls > 0
 
 
 def test_paper_report_enumerates_each_gamma_once(monkeypatch):
@@ -129,19 +238,21 @@ def test_paper_report_enumerates_each_gamma_once(monkeypatch):
 
 
 def test_paper_report_checks_each_gamma_once(monkeypatch):
-    """Two reports read each per-Gamma check; it runs once per tilting
-    module (the shape) or once per algebra (the minimum, the profile)."""
+    """Two reports read each per-Gamma check; it runs once per algebra (the
+    summand masks, the shape and minimum checks on them, the profile).  The
+    checks for modules from outside, `summand_shape_check` and
+    `check_gen_minimum`, do not run."""
     family = auslander_family(6)
+    names = ("_summand_masks", "_shape_offenders", "minimal_tilting", "_gen_minimum")
     expected = Counter(
-        [("summand_shape_check", res.gamma, T) for res in family for T in res.tilting]
-        + [(name, res.gamma) for name in ("minimal_tilting", "check_gen_minimum") for res in family]
+        [(name, res.gamma) for name in names for res in family]
         + [("gorenstein_profile", res.gamma) for res in family]
         + [("gorenstein_profile", res.lam) for res in family if res.lam.kind == "cyclic"]
     )
     calls = Counter()
     targets = (
+        *((tilting, name, 1) for name in names),
         (tilting, "summand_shape_check", 2),
-        (tilting, "minimal_tilting", 1),
         (tilting, "check_gen_minimum", 1),
         (homology, "gorenstein_profile", 1),
     )
