@@ -1,4 +1,4 @@
-"""Per-algebra candidate masks, and the clique engine.
+"""Per-algebra candidate masks, the clique engine and the partner step.
 
 `Tables` indexes the indecomposables of one algebra once, in the order of
 `Algebra.indecomposables()` (by top, then length), so an index is
@@ -18,14 +18,9 @@ checks the kernels through the public functions.
 Modules entering from outside are validated once, by `indices`, which
 refuses a module that is not basic; code behind that line works on table
 indices, or on positions among the candidates, only.  The enumerators in
-`tilting` and `tau_tilting` share one clique search, `cliques`; their
-n-clique searches take the vertices adjacent to every candidate as given,
-branch only on the rest, and abandon a branch as soon as a vertex passed
-over is adjacent to every vertex still allowed, which is sound because
-neither graph has a clique of more than n vertices.  The cliques come out
-as candidate positions, and `enumerate_tilting` re-verifies each on those
-positions, one summand mask against `ext1_perp`, before it builds the
-module from them.
+`tilting` and `tau_tilting` share one clique search, `cliques`, whose
+cliques come out as candidate positions, and every exchange in `tilting`
+reads `ext1_perp` through the one partner step, `partners`.
 """
 
 from __future__ import annotations
@@ -64,7 +59,7 @@ class Tables:
     def projinj_socles(self) -> frozenset[int]:
         """Socle vertices of the projective-injective indecomposables."""
         A = self.algebra
-        return frozenset(A.socle_vertex(A.projective(v)) for v in A.projective_injective_vertices())
+        return frozenset(A.down(v, A.c[v - 1] - 1) for v in A.projective_injective_vertices())
 
     @cached_property
     def ext1_candidates(self) -> list[int]:
@@ -236,3 +231,20 @@ def cliques(adj: Sequence[int], allowed: int, size: int | None = None) -> list[t
     else:
         found.append(tuple(forced))
     return found
+
+
+def partners(adj: Sequence[int], clique: Sequence[int]) -> list[int]:
+    """Entry s: the vertices outside `clique` (increasing) adjacent to every
+    member but clique[s], from one prefix and one suffix AND, about 3k mask
+    operations for k members; with one member, every other vertex."""
+    full = (1 << len(adj)) - 1
+    own, common, suffix = 0, full, []
+    for v in reversed(clique):  # suffix[-1 - s]: the AND over clique[s + 1:]
+        suffix.append(common)
+        common &= adj[v]
+        own |= 1 << v
+    prefix, out = full & ~own, []
+    for v in clique:
+        out.append(prefix & suffix.pop())
+        prefix &= adj[v]
+    return out

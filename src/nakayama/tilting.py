@@ -7,23 +7,13 @@ modules).  Enumeration is exact: candidates are the indecomposables of
 projective dimension <= 1 without self-extensions, compatibility is
 Ext^1-vanishing in both directions, and tilting modules are the
 n-cliques of the compatibility graph, found by the shared clique search
-`tables.cliques`.  Each clique is re-verified on its candidate positions
-(n summands, one summand mask against `ext1_perp`) and the `ModuleSet` is
-built straight from those positions; a clique that fails is mapped back
-to table indices only to name its violation.  A partial tilting module
-has at most n summands (Bongartz), so a candidate with no Ext^1 against
-any candidate is a summand of every tilting module, and the search takes
-it as given.  For the same reason a branch of the search dies as soon as
-a candidate it passed over has no Ext^1 against the summands chosen and
-every candidate still allowed: any completion plus that candidate would
-be partial tilting with n + 1 summands.
+`tables.cliques` (whose cuts rest on Bongartz's bound: a partial tilting
+module has at most n summands) and re-verified on their candidate
+positions.
 `check_gen_minimum` tests the minimal tilting module against tilting
-modules already enumerated, so a caller holding them enumerates once.
-For modules it has verified, such as an enumeration's, a caller reads
-each module's summands once into a bitmask (`_summand_masks`) and runs the
-shape and Gen-minimum checks on the masks, `_shape_offenders` and
-`_gen_minimum`, which validate nothing: a few integer operations per
-module.
+modules already enumerated, so a caller holding them enumerates once;
+for modules already verified, `_shape_offenders` and `_gen_minimum` run
+the shape and Gen-minimum checks on summand bitmasks (`_summand_masks`).
 
 The tilting conditions and mutation read the algebra's `Tables`; only a
 summand that is not an Ext^1 candidate has its projective dimension walked
@@ -40,10 +30,12 @@ longest summand of T1 is no longer than that of T2.  That per-top profile
 is packed into one integer, a field per top with a guard bit above it,
 so the test on all n tops is one subtraction and a mask.  A module keeps
 its packed profile for the Kupisch series that last validated it, so a
-module compared many times is walked once per series.  The exchange
-graph pairs the tilting modules that share a summand tuple with one
-summand left out, keyed on their table indices; its Hasse diagram is
-that graph oriented by Gen.  Mutation and its closure share `_exchange`.
+module compared many times is walked once per series.
+
+Every exchange reads the partner masks of all summands of a module at
+once, from `tables.partners` on candidate positions: mutation one entry,
+`mutation_closure` and the exchange graph one call per module.  The Hasse
+diagram is the exchange graph oriented by Gen.
 `proj_mutation_sequence` validates its projective and its module, then
 hands them to the trusted core `_proj_mutation`, which the verification
 battery calls directly on the modules `enumerate_tilting` verified.
@@ -56,7 +48,7 @@ from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet
 from .homology import _dim_along, _envelope, _ext1, _syzygy, cosyzygy, regular_i0, regular_module
-from .tables import cliques, indices, mask
+from .tables import cliques, indices, mask, partners
 
 
 class TiltingError(RuntimeError):
@@ -245,51 +237,47 @@ def leq_gen(A: Algebra, T1: ModuleSet, T2: ModuleSet) -> bool:
 # -- mutation ------------------------------------------------------------------
 
 
-def _exchange(A: Algebra, idx: Sequence[int], s: int) -> tuple[int, ...] | None:
-    """Table indices of the mutation at summand idx[s]; None without a partner.
+def _mutation(A: Algebra, at: Sequence[int], s: int, found: int) -> tuple[int, ...] | None:
+    """Candidate positions of the mutation at X = T[s], T tilting at positions
+    `at`, from X's `tables.partners` mask `found` (the Y with T/X + Y tilting);
+    None without one.  An almost complete tilting module has at most two
+    complements (Happel-Unger), so several raise TiltingError."""
+    if found & found - 1:
+        tab = A.tables
+        cands = tab.ext1_candidates
+        named = [tab.modules[cands[b]] for b in range(found.bit_length()) if found >> b & 1]
+        raise TiltingError(f"multiple exchange partners for {tab.modules[cands[at[s]]]}: {named}")
+    return tuple(sorted([*at[:s], *at[s + 1 :], found.bit_length() - 1])) if found else None
 
-    idx are the increasing table indices of a module its caller verified as
-    tilting.  Several partners raise TiltingError, as in `mutation_at`."""
-    # T is tilting, so its summands are candidates, T/X is partial tilting
-    # with n - 1 summands, and T/X + Y is tilting iff Y is a candidate
-    # (pd Y <= 1, no self-extension) with no Ext^1 against T/X: a bit set in
-    # the `ext1_perp` mask of every kept summand (the masks are symmetric and
-    # hold their self bits, so the kept summands and X are taken out).
+
+def _verified(A: Algebra, at: Sequence[int]) -> ModuleSet:
+    """The module at candidate positions `at`, re-verified by `_record`."""
     tab = A.tables
-    cands, pos, perp = tab.ext1_candidates, tab.ext1_position, tab.ext1_perp
-    i = idx[s]
-    kept = [j for j in idx if j != i]
-    common = (1 << len(perp)) - 1  # with nothing kept, every candidate
-    own = 1 << pos[i]
-    for j in kept:
-        a = pos[j]
-        common &= perp[a]
-        own |= 1 << a
-    partners = common & ~own
-    if not partners:
-        return None
-    if partners & partners - 1:
-        found = [tab.modules[cands[b]] for b in range(partners.bit_length()) if partners >> b & 1]
-        raise TiltingError(f"multiple exchange partners for {tab.modules[i]}: {found}")
-    return tuple(sorted(kept + [cands[partners.bit_length() - 1]]))
+    idx = [tab.ext1_candidates[a] for a in at]
+    return _record(A, tab.module_set(idx), idx)
+
+
+def _entry(A: Algebra, T: ModuleSet, X: IndecModule) -> tuple[list[int], int, int]:
+    """T's candidate positions, X's place in T and X's partner mask; T is checked once."""
+    tab = A.tables
+    at = [tab.ext1_position[i] for i in _tilting_indices(A, T)]
+    s = T.index(X)
+    return at, s, partners(tab.ext1_perp, at)[s]
 
 
 def mutation_at(A: Algebra, T: ModuleSet, X: IndecModule) -> ModuleSet | None:
     """Exchange X for the second complement of T/X, if one exists.
 
     Returns the mutated tilting module, or None when X has no exchange
-    partner.  A T that is not tilting raises AlgebraError.  More than one
-    partner would contradict the tilting exchange theory, so that raises
-    TiltingError.
-
-    T is validated once, where it enters, by `_tilting_indices`.  The
-    partner step `_exchange` trusts it, and the mutated module is
-    re-verified from its table indices by `_record`.
+    partner.  A T that is not tilting raises AlgebraError, once, where it
+    enters (`_tilting_indices`); the mutated module is re-verified.  More
+    than one partner would contradict the tilting exchange theory, so that
+    raises TiltingError.
     """
     if X not in T:
         raise AlgebraError(f"{X} is not a summand of the given tilting module")
-    new = _exchange(A, _tilting_indices(A, T), T.index(X))
-    return None if new is None else _record(A, A.tables.module_set(new), new)
+    new = _mutation(A, *_entry(A, T, X))
+    return None if new is None else _verified(A, new)
 
 
 @dataclass(frozen=True)
@@ -321,29 +309,25 @@ def proj_mutation_sequence(A: Algebra, T: ModuleSet, P: IndecModule) -> ProjMuta
         raise AlgebraError(f"{P} is not projective")
     if _envelope(A, P) == P:
         raise AlgebraError(f"{P} is injective; the envelope sequence is trivial")
-    return _proj_mutation(A, T, _tilting_indices(A, T), T.index(P))
+    return _proj_mutation(A, T, *_entry(A, T, P))
 
 
-def _proj_mutation(A: Algebra, T: ModuleSet, idx: Sequence[int], s: int) -> ProjMutation:
+def _proj_mutation(A: Algebra, T: ModuleSet, at: Sequence[int], s: int, found: int) -> ProjMutation:
     """`proj_mutation_sequence` at the summand T[s], behind its checks.
 
-    idx are the increasing table indices of T, which its caller verified
-    as tilting, and T[s] is projective and not injective.  The mutated
-    module is re-verified from its table indices by `_record`; a partner
-    other than the envelope cokernel raises TiltingError."""
+    T, at candidate positions `at`, is verified as tilting, T[s] is projective
+    and not injective, and `found` is its partner mask.  The mutated module is
+    re-verified; a partner other than the envelope cokernel raises TiltingError."""
     P = T[s]
     envelope = _envelope(A, P)
     coker = IndecModule(envelope.top, envelope.length - P.length)
-    new = _exchange(A, idx, s)
+    new = _mutation(A, at, s, found)
     mutated = None
     if new is not None:
-        tab = A.tables
-        mutated = _record(A, tab.module_set(new), new)
-        added = tab.modules[next(i for i in new if i not in idx)]
+        mutated = _verified(A, new)
+        added = A.tables.modules[A.tables.ext1_candidates[found.bit_length() - 1]]
         if added != coker:
-            raise TiltingError(
-                f"mutation at {P} produced {added}, not the envelope cokernel {coker}"
-            )
+            raise TiltingError(f"mutation at {P} produced {added}, not the envelope cokernel {coker}")
     return ProjMutation(removed=P, envelope=envelope, cokernel=coker, mutated=mutated)
 
 
@@ -436,10 +420,9 @@ class ExchangeGraph:
 def exchange_graph(A: Algebra) -> ExchangeGraph:
     """Exchange graph and Gen-order Hasse diagram of the tilting modules.
 
-    Edges: each tilting module is keyed by its n tuples of summand table
-    indices with one summand left out; two modules holding the same key
-    share n - 1 summands.  An almost complete tilting module has at most
-    two complements, so a key held by three modules raises TiltingError.
+    Edges: each module is keyed by its summand mask over the candidates,
+    and its neighbour at summand s swaps s for its `tables.partners` partner.
+    Several partners for a summand, or a neighbour not listed, raise TiltingError.
 
     Order: `below[j]` is the bitmask of the nodes i != j with
     Gen(i) in Gen(j), from one `leq_gen` call per ordered pair, k(k-1) in
@@ -454,21 +437,21 @@ def exchange_graph(A: Algebra) -> ExchangeGraph:
     """
     nodes = enumerate_tilting(A)
     tab = A.tables
-    at = tab.at
-    holders: dict[tuple[int, ...], list[int]] = {}
-    for i, T in enumerate(nodes):
-        idx = tuple([at(m.top, m.length) for m in T])
-        for p in range(len(idx)):
-            holders.setdefault(idx[:p] + idx[p + 1 :], []).append(i)
+    cands, pos, perp = tab.ext1_candidates, tab.ext1_position, tab.ext1_perp
+    clique = [[pos[tab.at(m.top, m.length)] for m in T] for T in nodes]
+    keys = [mask(at) for at in clique]
+    node = {bits: i for i, bits in enumerate(keys)}
     edges = []
-    for key, held in holders.items():
-        if len(held) > 2:
-            raise TiltingError(
-                f"{len(held)} complements of the almost complete tilting module "
-                f"{tab.module_set(key)}"
-            )
-        if len(held) == 2:
-            edges.append(tuple(held))
+    for i, (at, bits) in enumerate(zip(clique, keys)):
+        for s, found in enumerate(partners(perp, at)):
+            if not found:
+                continue
+            j = node.get(bits ^ 1 << at[s] | found)
+            if j is None:  # no key has more than n bits, so several partners raise here
+                missing = tab.module_set([cands[a] for a in _mutation(A, at, s, found)])
+                raise TiltingError(f"the mutation of {nodes[i]} at {nodes[i][s]}, {missing}, is not enumerated")
+            if i < j:
+                edges.append((i, j))
     below = [0] * len(nodes)
     for j, Tj in enumerate(nodes):
         for i, Ti in enumerate(nodes):
@@ -501,19 +484,21 @@ def mutation_closure(A: Algebra) -> list[ModuleSet]:
     """All tilting modules reachable from the regular module by mutation.
 
     Independent cross-check for enumerate_tilting: starts at A itself and
-    mutates at every summand until closure, by `_exchange` on table
-    indices; each module is verified once, when it is first reached.
+    mutates at every summand until closure, one `tables.partners` call per
+    module, keyed by summand masks; each module is verified once, when reached.
     """
     start = regular_module(A)
-    idx = tuple(indices(A, start))
-    seen = {idx: _record(A, start, idx, "the regular module is not tilting")}
-    stack = [idx]
-    tab = A.tables
+    idx = indices(A, start)
+    ms = _record(A, start, idx, "the regular module is not tilting")
+    at = tuple(A.tables.ext1_position[i] for i in idx)
+    seen, stack = {mask(at): (at, ms)}, [at]
     while stack:
-        idx = stack.pop()
-        for s in range(len(idx)):
-            new = _exchange(A, idx, s)
-            if new is not None and new not in seen:
-                seen[new] = _record(A, tab.module_set(new), new)
+        at = stack.pop()
+        bits = mask(at)
+        for s, found in enumerate(partners(A.tables.ext1_perp, at)):
+            # several partners give a key of n + 1 bits, never seen: `_mutation` raises
+            if found and (key := bits ^ 1 << at[s] | found) not in seen:
+                new = _mutation(A, at, s, found)
+                seen[key] = new, _verified(A, new)
                 stack.append(new)
-    return [seen[t] for t in sorted(seen)]
+    return [ms for _, ms in sorted(seen.values())]

@@ -41,6 +41,7 @@ from .auslander import (
     verify_counts,
 )
 from .homology import regular_module
+from .tables import partners
 from .tau_tilting import _support_parts
 from .tilting import TiltingError, _proj_mutation, enumerate_tilting, mutation_closure
 
@@ -167,12 +168,12 @@ def mutation_shape_assertions(family: list[AuslanderResult]) -> list[dict]:
     """Projective non-injective summands mutate to the envelope cokernel, a simple.
 
     `enumerate_tilting` verified every listed module, so the battery calls
-    the trusted core of `proj_mutation_sequence` and reads a module's table
-    indices once, when it has a projective non-injective summand."""
+    the trusted core of `proj_mutation_sequence` and reads a module's
+    positions and partner masks once, when it has a projective non-injective summand."""
     out = []
     for res in family:
         gamma = res.gamma
-        at = gamma.tables.at
+        tab = gamma.tables
         proj_noninj = {P for P in map(gamma.projective, gamma.vertices) if not gamma.is_injective(P)}
         violations = []
         checked = 0
@@ -180,12 +181,13 @@ def mutation_shape_assertions(family: list[AuslanderResult]) -> list[dict]:
             here = [s for s, p in enumerate(T) if p in proj_noninj]
             if not here:
                 continue
-            idx = [at(m.top, m.length) for m in T]
+            at = [tab.ext1_position[tab.at(m.top, m.length)] for m in T]
+            found = partners(tab.ext1_perp, at)
             for s in here:
                 p = T[s]
                 checked += 1
                 try:
-                    seq = _proj_mutation(gamma, T, idx, s)
+                    seq = _proj_mutation(gamma, T, at, s, found[s])
                 except (AlgebraError, TiltingError) as exc:  # structural failure
                     violations.append(f"{T} at {p}: {exc}")
                     continue

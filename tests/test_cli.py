@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -194,6 +195,28 @@ class TestTiltingVerbs:
         assert 't0 [label="M(1,1) M(1,3)"];' in out
         assert "t0 -> t1 [dir=none];" in out
         assert "t1 -> t0 [style=dashed];" in out
+
+    # SHA-256 of the DOT at the size limits, past the benchmark's digests:
+    # Gamma of rsz cyclic n = 10 (1,024 modules), linear n = 9 (256) and the
+    # path algebra with series (1, ..., 8) (1,430, a Tamari lattice).
+    GRAPH_DIGESTS = {
+        "cyclic 10": "d63fd2e1d5d054f17fe40fac006ff0d898568a0b087273b1cf791e7d6f052be1",
+        "linear 9": "dfac9d4f257459af4498a11ce400351dc818d71fcdd17de600b96678d0a1741d",
+        "path 8": "84ecc30d18ab3afb64595b5b597d060a372519ea4ce4a7fd2a6ee12ee175429c",
+    }
+
+    @pytest.mark.parametrize("case", GRAPH_DIGESTS)
+    def test_tilt_graph_dot_digest(self, capsys, tmp_path, case):
+        kind, n = case.split()
+        if kind == "path":
+            path = tmp_path / "path.json"
+            path.write_text(json.dumps(algebra_to_json(Algebra("linear", tuple(range(1, int(n) + 1))))))
+            argv = ("--algebra", str(path))
+        else:
+            argv = ("--n", n, "--kind", kind)
+        code, out, _ = run_cli(capsys, "tilt", "graph", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GRAPH_DIGESTS[case]
 
     def test_sttilt_enumerate(self, capsys):
         code, out, _ = run_cli(

@@ -283,6 +283,62 @@ def test_fixed_size_cliques_are_every_clique_of_the_clique_number(graph):
     assert cliques(adj, allowed, len(largest[0])) == largest
 
 
+def test_partners_are_the_and_over_the_other_members():
+    """The prefix/suffix partner step against the plain AND over the other
+    members, on seeded random symmetric graphs (random self bits) and random
+    cliques; a one-member clique keeps nothing, so every other vertex is a
+    partner."""
+    rng = random.Random(20)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        density = rng.choice((0.3, 0.6, 0.9))
+        adj = [int(rng.random() < 0.5) << v for v in range(n)]
+        for u, v in combinations(range(n), 2):
+            if rng.random() < density:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        full = (1 << n) - 1
+        clique: list[int] = []
+        for v in rng.sample(range(n), n):
+            if all(adj[u] >> v & 1 for u in clique) and rng.random() < 0.8:
+                clique.append(v)
+        clique.sort()
+        naive = []
+        for s in clique:
+            common = full & ~mask(clique)
+            for u in clique:
+                if u != s:
+                    common &= adj[u]
+            naive.append(common)
+        assert tables.partners(adj, clique) == naive, (adj, clique)
+        v = rng.randrange(n)
+        assert tables.partners(adj, [v]) == [full & ~(1 << v)]
+
+
+def test_projinj_socles_validate_nothing_more(monkeypatch):
+    """Reading the socles makes no `check_module` call beyond those of
+    `projective_injective_vertices`: each socle is Kupisch arithmetic."""
+    calls = 0
+    check = Algebra.check_module
+
+    def counted(self, m):
+        nonlocal calls
+        calls += 1
+        return check(self, m)
+
+    monkeypatch.setattr(Algebra, "check_module", counted)
+    for n in range(1, 7):
+        for kind in ("linear", "cyclic"):
+            gamma = auslander_algebra(make_rsz_nakayama(n, kind)).gamma
+            calls = 0
+            Algebra(gamma.kind, gamma.c).projective_injective_vertices()
+            expected, calls = calls, 0
+            A = Algebra(gamma.kind, gamma.c)
+            socles = A.tables.projinj_socles
+            assert calls == expected, A
+            assert socles == ref_projinj_socles(gamma)
+
+
 def test_kernel_calls_grow_linearly_in_the_dimension(monkeypatch):
     """The one simple of cyclic (d,) has d indecomposables but a single
     tilting and a single tau-rigid candidate, the projective, so the masks

@@ -17,7 +17,7 @@ from nakayama.algebra import (
 )
 from nakayama.auslander import auslander_algebra, auslander_family
 from nakayama.homology import cosyzygy, ext1_dim, proj_dim, regular_i0
-from nakayama.tables import mask
+from nakayama.tables import cliques, mask, partners
 from nakayama.tilting import (
     ProjMutation,
     TiltingError,
@@ -396,19 +396,20 @@ class TestMutation:
         assert calls == {"indices": 1, "_violation": k}
 
     def test_proj_mutation_core_matches_the_public_function(self):
-        # The core, on the table indices of a verified module, gives what
-        # the validating public function gives at every projective
-        # non-injective summand.
+        # The core, on the candidate positions and partner masks of a
+        # verified module, gives what the validating public function gives
+        # at every projective non-injective summand.
         checked = 0
         for kind in ("linear", "cyclic"):
             for n in range(1, 6):
                 A = auslander_algebra(make_rsz_nakayama(n, kind)).gamma
                 for T in enumerate_tilting(A):
-                    idx = [A.tables.at(m.top, m.length) for m in T]
+                    at = [A.tables.ext1_position[A.tables.at(m.top, m.length)] for m in T]
+                    found = partners(A.tables.ext1_perp, at)
                     for s, P in enumerate(T):
                         if A.is_projective(P) and not A.is_injective(P):
                             checked += 1
-                            assert _proj_mutation(A, T, idx, s) == proj_mutation_sequence(A, T, P), (A, T, P)
+                            assert _proj_mutation(A, T, at, s, found[s]) == proj_mutation_sequence(A, T, P), (A, T, P)
         assert checked > 0
 
 
@@ -751,14 +752,66 @@ class TestExchangeGraphReference:
         named = re.fullmatch(r"the exchange pair (.*) is incomparable in the Gen order", str(err.value))
         assert named and named[1] in pairs
 
-    def test_three_complements_raise(self, monkeypatch):
-        A = Algebra("linear", (1, 2, 2))
-        shared = [M(1, 1), M(2, 2)]
-        stub = [ModuleSet.of(shared + [extra]) for extra in (M(2, 1), M(3, 1), M(3, 2))]
-        monkeypatch.setattr(nakayama.tilting, "enumerate_tilting", lambda A: stub)
-        message = "3 complements of the almost complete tilting module M(1,1) M(2,2)"
-        with pytest.raises(TiltingError, match=f"^{re.escape(message)}$"):
-            exchange_graph(A)
+    def test_planted_third_complement_raises(self, monkeypatch):
+        """A third complement Z of an almost complete tilting module T/X,
+        planted in a copy of `ext1_perp` on one `Tables` instance: Z keeps
+        only T/X as neighbours, so no clique exceeds n vertices, and each of
+        the three complements has two partners at the summand outside T/X."""
+        for call in (exchange_graph, mutation_closure):
+            A = Algebra("linear", (1, 2, 2, 3, 2))  # Gamma of rsz linear n = 3, not shared
+            tab = A.tables
+            perp = list(tab.ext1_perp)
+            T = enumerate_tilting(A)[0]
+            at = [tab.ext1_position[tab.at(m.top, m.length)] for m in T]
+            s, found = next((s, f) for s, f in enumerate(partners(perp, at)) if f)
+            kept = at[:s] + at[s + 1 :]
+            z = next(z for z in range(len(perp)) if z not in at and not found >> z & 1)
+            perp = [bits & ~(1 << z) | (a in kept) << z for a, bits in enumerate(perp)]
+            perp[z] = mask(kept + [z])
+            assert max(map(len, cliques(perp, (1 << len(perp)) - 1))) == A.n
+            monkeypatch.setattr(tab, "ext1_perp", perp)
+            three = {tab.modules[tab.ext1_candidates[a]] for a in (at[s], found.bit_length() - 1, z)}
+            messages = {f"multiple exchange partners for {x}: {sorted(three - {x})}" for x in three}
+            with pytest.raises(TiltingError) as err:
+                call(A)
+            assert str(err.value) in messages, call
+
+    def test_unlisted_partner_raises(self, gamma_lin3, monkeypatch):
+        """An enumeration that leaves out a module's exchange partner: the
+        TiltingError names the missing module, and no KeyError escapes."""
+        g = exchange_graph(gamma_lin3)
+        dropped = len(g.nodes) // 2
+        listed = [T for i, T in enumerate(g.nodes) if i != dropped]
+        # (module, summand) pairs whose mutation is the dropped module
+        mutations = {
+            (str(g.nodes[a]), str(X))
+            for i, j in g.edges
+            if dropped in (i, j)
+            for a in (i + j - dropped,)
+            for X in g.nodes[a]
+            if X not in g.nodes[dropped]
+        }
+        monkeypatch.setattr(nakayama.tilting, "enumerate_tilting", lambda A: listed)
+        with pytest.raises(TiltingError) as err:
+            exchange_graph(gamma_lin3)
+        named = re.fullmatch(r"the mutation of (.*) at (M\(\d+,\d+\)), (.*), is not enumerated", str(err.value))
+        assert named and named[3] == str(g.nodes[dropped]) and (named[1], named[2]) in mutations, err.value
+
+    @pytest.mark.parametrize("call", [mutation_closure, exchange_graph], ids=["closure", "graph"])
+    def test_one_partner_step_per_tilting_module(self, monkeypatch, call):
+        """Gamma of rsz cyclic n = 4 has 16 tilting modules with 8 summands
+        each; both roads call the partner step once per module."""
+        A = auslander_algebra(make_rsz_nakayama(4, "cyclic")).gamma
+        calls = []
+
+        def counted(adj, clique):
+            calls.append(tuple(clique))
+            return partners(adj, clique)
+
+        monkeypatch.setattr(nakayama.tilting, "partners", counted)
+        result = call(A)
+        assert len(getattr(result, "nodes", result)) == 16
+        assert len(calls) == len(set(calls)) == 16
 
 
 class TestCounts:

@@ -22,8 +22,8 @@ def verdicts(records):
 def test_non_simple_cokernel_fails_even_without_a_mutation(monkeypatch):
     real = V._proj_mutation
 
-    def stub(gamma, T, idx, s):
-        return replace(real(gamma, T, idx, s), cokernel=T[s], mutated=None)
+    def stub(gamma, T, at, s, found):
+        return replace(real(gamma, T, at, s, found), cokernel=T[s], mutated=None)
 
     monkeypatch.setattr(V, "_proj_mutation", stub)
     # Linear n=1 has no projective non-injective summand; cyclic n=1 has M(2,2).
@@ -35,7 +35,7 @@ def test_non_simple_cokernel_fails_even_without_a_mutation(monkeypatch):
 
 def test_mutation_check_validates_no_enumerated_module(monkeypatch):
     # The listed modules were verified by the enumeration; the check reads
-    # their table indices without validating them again.
+    # their candidate positions without validating them again.
     family = auslander_family(4)
     for res in family:
         res.tilting  # enumerate before counting
