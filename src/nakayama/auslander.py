@@ -29,7 +29,8 @@ from functools import cached_property
 
 from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet, make_rsz_nakayama
 from .homology import GorensteinProfile, gorenstein_profile
-from .tau_tilting import SupportPair, enumerate_sttilt_over
+from .tables import mask
+from .tau_tilting import SupportPair, _support_parts
 from .tilting import (
     TiltingError,
     _gen_minimum,
@@ -140,23 +141,31 @@ def thm25_map(res: AuslanderResult, ms: ModuleSet) -> SupportPair:
     not tilting raises AlgebraError, from the entry check of `mutation_at`.
     """
     _tilting_indices(res.gamma, ms)
-    return _thm25_image(res, ms)
+    idx, tops = _thm25_image(res, ms)
+    return _pair(res.gamma, idx, ~tops)
 
 
-def _thm25_image(res: AuslanderResult, ms: ModuleSet) -> SupportPair:
-    """`thm25_map` of a module already known to be tilting, unvalidated."""
-    gamma = res.gamma
-    images = []
-    for m in ms:
+def _thm25_image(res: AuslanderResult, ms: ModuleSet) -> tuple[tuple[int, ...], int]:
+    """`thm25_map` of a module already known to be tilting, unvalidated, on
+    indices: the module part as increasing Gamma table indices and its tops
+    as a mask, vertex v at bit v - 1.  M(v, l) maps to M(v, k), k <= l the
+    most composition factors from the top that miss the projective-injective
+    vertices; images of summands in (top, length) order stay in order."""
+    gamma, projinj = res.gamma, res.projinj
+    idx, tops = {}, 0  # the keys: one per image, as two summands may share one
+    for top, length in ms:
         k = 0
-        while k < m.length and gamma.down(m.top, k) not in res.projinj:
+        while k < length and gamma.down(top, k) not in projinj:
             k += 1
         if k:
-            images.append(IndecModule(m.top, k))
-    modules = ModuleSet.of(images)
-    used_tops = {m.top for m in modules}
-    killed = frozenset(v for v in gamma.vertices if v not in used_tops)
-    return SupportPair(modules, killed)
+            idx[gamma.tables.at(top, k)] = None
+            tops |= 1 << top - 1
+    return tuple(idx), tops
+
+
+def _pair(gamma: Algebra, idx: tuple[int, ...], killed: int) -> SupportPair:
+    """The support pair of Gamma table indices idx and kill mask `killed`."""
+    return SupportPair(gamma.tables.module_set(idx), frozenset(v for v in gamma.vertices if killed >> v - 1 & 1))
 
 
 @dataclass(frozen=True)
@@ -175,33 +184,32 @@ class BijectionReport:
 def verify_bijection(res: AuslanderResult) -> BijectionReport:
     """Match tilt(gamma) against sttilt(gamma / projective-injectives).
 
-    Images are normalized to kill sets relative to the quotient, then
-    compared as sets against the independent support-pair enumeration.
+    Both sides are sets of (module part as Gamma table indices, kill mask
+    relative to the quotient): the targets from the support criterion,
+    `tau_tilting._support_parts` with the projective-injectives as base
+    kill set, and the images from `_thm25_image`.  No quotient, module or
+    pair is built, but for the `missing` and `extra` of a failing report.
     """
     gamma, profile = res.gamma, res.profile
     if not (profile.is_auslander and profile.is_1_gorenstein):
         raise AlgebraError("the bijection needs an Auslander 1-Gorenstein algebra")
     tilting = res.tilting
-    targets = enumerate_sttilt_over(gamma, res.projinj)
-    images = []
-    for T in tilting:
-        # enumerate_tilting has verified every module, so no re-check here.
-        pair = _thm25_image(res, T)
-        images.append(SupportPair(pair.modules, frozenset(pair.killed - res.projinj)))
-    image_set = set(images)
-    target_set = set(targets)
-    injective = len(image_set) == len(images)
-    surjective = image_set == target_set
-    missing = tuple(sorted(target_set - image_set, key=SupportPair.sort_key))
-    extra = tuple(sorted(image_set - target_set, key=SupportPair.sort_key))
+    base = mask(v - 1 for v in res.projinj)
+    surviving = (1 << gamma.n) - 1 & ~base
+    parts, supports = _support_parts(gamma, base)
+    targets = {(idx, surviving & ~bits) for idx, bits in zip(parts, supports)}
+    # enumerate_tilting has verified every module, so no re-check here.
+    images = {(idx, surviving & ~tops) for idx, tops in (_thm25_image(res, T) for T in tilting)}
+    injective = len(images) == len(tilting)
+    surjective = images == targets
     return BijectionReport(
         tilting_count=len(tilting),
-        sttilt_count=len(targets),
+        sttilt_count=len(parts),
         injective=injective,
         surjective=surjective,
-        passed=injective and surjective and len(tilting) == len(targets),
-        missing=missing,
-        extra=extra,
+        passed=injective and surjective and len(tilting) == len(parts),
+        missing=tuple(sorted((_pair(gamma, *key) for key in targets - images), key=SupportPair.sort_key)),
+        extra=tuple(sorted((_pair(gamma, *key) for key in images - targets), key=SupportPair.sort_key)),
     )
 
 

@@ -51,15 +51,19 @@ that sees it, where a (part, kill set) pair would stay tracked.
 `enumerate_sttilt_over` builds a `SupportPair` from each; `sttilt
 enumerate` renders the two lists as they are, with no `ModuleSet` per pair.
 
-A second road, `_support_parts`, returns the same two lists with no kill
-set and no quotient.  The module parts of the support tau-tilting pairs
-are exactly the tau-rigid sets C with as many summands as composition
-factors, |C| = |supp C|, and each kills the vertices outside supp C
-(Adachi-Iyama-Reiten, Prop 2.3; a tau-tilting module is sincere).  It
-walks every clique of `tau_perp` with the shared search, in DFS pre-order
-over increasing positions, which is lexicographic order, so the lists
-need no sort.  The semisimple support-pair check of the verification
-battery counts on it; the tests hold it to the kill-set road.
+A second road, `_support_parts`, returns the same module parts with no
+kill set and no quotient, and the support mask of each.  The module parts
+of the support tau-tilting pairs are exactly the tau-rigid sets C with as
+many summands as composition factors, |C| = |supp C|, and each kills the
+vertices outside supp C (Adachi-Iyama-Reiten, Prop 2.3; a tau-tilting
+module is sincere).  A base kill set B, given as a mask, only drops the
+candidates whose support meets B (AIR, Lemma 2.1).  It walks every clique
+of `tau_perp` with the shared search, in DFS pre-order over increasing
+positions, which is lexicographic order, so the lists need no sort.  The
+verification battery reads this road: the semisimple support-pair count,
+and the bijection check with the projective-injectives as B.
+`enumerate_sttilt` and `sttilt enumerate` read the kill-set road, and the
+tests hold the two roads to each other.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ from typing import NamedTuple
 
 from .algebra import Algebra, ModuleSet, quotient_algebra
 from .homology import _hom, _tau, hom_dim
-from .tables import cliques, indices
+from .tables import cliques, indices, mask
 
 
 class SupportPair(NamedTuple):
@@ -186,13 +190,14 @@ def _sttilt_indices(A: Algebra, base_killed=frozenset()) -> tuple[list[tuple[int
     return parts, kills
 
 
-def _support_parts(A: Algebra) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
-    """The lists of `_sttilt_indices(A)`, by the support criterion, with no
-    kill set and no quotient: the module parts are the tau-rigid sets C with
-    |C| = |supp C| (Adachi-Iyama-Reiten, Prop 2.3), each killing the
-    vertices outside supp C.  Every clique of `tau_perp` is walked in DFS
-    pre-order over increasing positions, which is lexicographic order, so
-    the lists come out sorted."""
+def _support_parts(A: Algebra, base: int = 0) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The module parts of `_sttilt_indices(A, B)` and the support mask of
+    each, B the vertices of the mask `base` (vertex v at bit v - 1), with no
+    kill set and no quotient: the tau-rigid sets C with |C| = |supp C|
+    (Adachi-Iyama-Reiten, Prop 2.3) among the candidates with support off
+    B (AIR, Lemma 2.1), each killing the vertices outside B and supp C.
+    Every clique of `tau_perp` is walked in DFS pre-order over increasing
+    positions, which is lexicographic order, so the lists come out sorted."""
     tab, n = A.tables, A.n
     cands = tab.tau_candidates
     supp = []  # composition factors of each candidate, vertex v at bit v - 1
@@ -202,19 +207,15 @@ def _support_parts(A: Algebra) -> tuple[list[tuple[int, ...]], list[frozenset[in
         for k in range(min(length, n)):
             bits |= 1 << A.down(top, k) - 1
         supp.append(bits)
-    killed: dict[int, frozenset[int]] = {}  # one kill set per support
-    parts, kills = [], []
-    for at in cliques(tab.tau_perp, (1 << len(cands)) - 1):
+    parts, supports = [], []
+    for at in cliques(tab.tau_perp, mask(a for a, bits in enumerate(supp) if not bits & base)):
         bits = 0
         for a in at:
             bits |= supp[a]
         if len(at) == bits.bit_count():
             parts.append(tuple([cands[a] for a in at]))
-            kill = killed.get(bits)
-            if kill is None:
-                kill = killed[bits] = frozenset(v for v in A.vertices if not bits >> v - 1 & 1)
-            kills.append(kill)
-    return parts, kills
+            supports.append(bits)
+    return parts, supports
 
 
 def enumerate_sttilt_over(A: Algebra, base_killed=frozenset()) -> list[SupportPair]:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet
-from .homology import _dim_along, _envelope, _ext1, _syzygy, cosyzygy, regular_i0, regular_module
+from .homology import _cosyzygy, _dim_along, _envelope, _ext1, _syzygy, regular_module
 from .tables import cliques, indices, mask, partners
 
 
@@ -339,13 +339,14 @@ def minimal_tilting(A: Algebra) -> ModuleSet:
     c(i) + j - i, so I0 is projective.  `check_gen_minimum` checks that the
     result is the unique Gen-minimum of an enumeration.
     """
-    parts = list(regular_i0(A))
-    for i in A.vertices:
-        cos = cosyzygy(A, A.projective(i))
-        if cos is not None:
-            parts.append(cos)
-    ms = ModuleSet.of(parts)
-    return _record(A, ms, indices(A, ms), "minimal tilting candidate fails")
+    parts = set()
+    for v, ci in enumerate(A.c, 1):  # the kernels build both from P(v): no module is validated
+        P = IndecModule(v, ci)
+        parts.add(_envelope(A, P))
+        parts.add(_cosyzygy(A, P))
+    parts.discard(None)
+    idx = sorted(A.tables.at(*m) for m in parts)
+    return _record(A, A.tables.module_set(idx), idx, "minimal tilting candidate fails")
 
 
 def check_gen_minimum(A: Algebra, ms: ModuleSet, tilting: Sequence[ModuleSet]) -> None:

@@ -13,9 +13,12 @@ The enumeration verifies every module it lists, so no check validates a
 listed module again.  The mutation check reads each listed module's table
 indices once and calls the trusted core of `proj_mutation_sequence`; the
 shape, count and Gen-minimum checks read one summand mask per module
-(`AuslanderResult.shape_offenders` and `.minimum`).  The semisimple check
-counts support pairs on the index lists of the support criterion,
-`tau_tilting._support_parts`, with no kill set, quotient or module built.
+(`AuslanderResult.shape_offenders` and `.minimum`).  The semisimple and
+bijection checks read support pairs off the index lists of the support
+criterion, `tau_tilting._support_parts`, the bijection check with the
+projective-injectives as base kill set, so no kill set is walked and no
+quotient, module or pair is built; the construction check reads the
+quotient by the projective-injectives off Gamma's Kupisch series.
 """
 
 from __future__ import annotations
@@ -23,14 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .algebra import (
-    Algebra,
-    AlgebraError,
-    IndecModule,
-    iter_algebras,
-    make_rsz_nakayama,
-    quotient_algebra,
-)
+from .algebra import Algebra, AlgebraError, IndecModule, iter_algebras, make_rsz_nakayama
 from . import homology as H
 from . import oracle as O
 from .auslander import (
@@ -68,12 +64,14 @@ def construction_assertions(family: list[AuslanderResult]) -> list[dict]:
             if (v in res.projinj) != lam.is_injective(res.dictionary[v]):
                 problems.append(f"projective-injective flag wrong at vertex {v}")
                 break
-        q = quotient_algebra(gamma, res.projinj)
-        simples = sum(comp.n for comp in q.components)
+        # Gamma/<e> keeps the vertices off the projective-injectives, and its
+        # projective at v is the top of P(v) down to the first killed vertex.
+        surviving = [v for v in gamma.vertices if v not in res.projinj]
+        simples = len(surviving)
         expected_simples = lam.n if lam.kind == "cyclic" else lam.n - 1
         if simples != expected_simples:
             problems.append(f"quotient has {simples} simples, expected {expected_simples}")
-        if any(comp.c != (1,) * comp.n for comp in q.components):
+        if any(gamma.c[v - 1] > 1 and gamma.down(v) not in res.projinj for v in surviving):
             problems.append("quotient by the projective-injectives is not semisimple")
         out.append(
             _assertion(
@@ -261,15 +259,16 @@ def semisimple_sttilt_assertions(max_n: int) -> list[dict]:
     """A semisimple algebra with n simples has exactly 2^n support pairs.
 
     The pairs are counted on the index lists of `_support_parts`, the
-    support criterion on the tau-rigid sets: no kill set is walked, no
-    quotient is built and no module is built for a pair."""
+    support criterion on the tau-rigid sets, and the zero pair is the empty
+    part with support 0: no kill set is walked, no quotient is built and no
+    module is built for a pair."""
     out = []
     for n in range(1, max_n + 1):
         A = Algebra("linear", (1,) * n)
-        parts, kills = _support_parts(A)
+        parts, supports = _support_parts(A)
         expected = 2 ** n
-        zero = [killed for part, killed in zip(parts, kills) if not part]
-        zero_ok = len(zero) == 1 and zero[0] == frozenset(A.vertices)
+        zero = [bits for part, bits in zip(parts, supports) if not part]
+        zero_ok = zero == [0]
         out.append(
             _assertion(
                 f"semisimple_sttilt_n{n}",

@@ -1,13 +1,16 @@
 import pytest
 
+from nakayama import algebra, auslander, tau_tilting
 from nakayama.algebra import Algebra, AlgebraError, IndecModule, ModuleSet, make_rsz_nakayama
 from nakayama.auslander import (
     auslander_algebra,
+    auslander_family,
     thm25_map,
     verify_bijection,
     verify_counts,
 )
 from nakayama.homology import gorenstein_profile, hom_dim
+from nakayama.tau_tilting import SupportPair, enumerate_sttilt_over
 from nakayama import tilting
 from nakayama.tilting import TiltingError, enumerate_tilting, mutation_at, proj_mutation_sequence
 
@@ -181,6 +184,68 @@ class TestBijection:
         for kind in ("linear", "cyclic"):
             assert verify_bijection(auslander_algebra(make_rsz_nakayama(3, kind))).passed
         assert calls == []
+
+    @staticmethod
+    def stubbed_targets(monkeypatch, edit):
+        """Replace the targets of `verify_bijection` by `edit(parts, supports)`."""
+        real = auslander._support_parts
+        monkeypatch.setattr(auslander, "_support_parts", lambda A, base: edit(*real(A, base)))
+
+    def test_dropped_target_is_the_one_extra_image(self, monkeypatch):
+        # The tilting module that maps onto the dropped pair has no target.
+        res = auslander_algebra(make_rsz_nakayama(3, "cyclic"))
+        dropped = enumerate_sttilt_over(res.gamma, res.projinj)[2]
+        self.stubbed_targets(monkeypatch, lambda parts, supports: (parts[:2] + parts[3:], supports[:2] + supports[3:]))
+        report = verify_bijection(res)
+        assert (report.injective, report.surjective, report.passed) == (True, False, False)
+        assert (report.tilting_count, report.sttilt_count) == (8, 7)
+        assert report.missing == () and report.extra == (dropped,)
+
+    def test_foreign_and_dropped_targets_are_listed_in_sort_key_order(self, monkeypatch):
+        # Two foreign targets, a simple at a surviving vertex with support 0,
+        # are missing from the images; two dropped targets leave extra images.
+        res = auslander_algebra(make_rsz_nakayama(3, "cyclic"))
+        gamma = res.gamma
+        pairs = enumerate_sttilt_over(gamma, res.projinj)
+        surviving = frozenset(gamma.vertices) - res.projinj
+        foreign = [SupportPair(ModuleSet([M(v, 1)]), surviving) for v in sorted(surviving, reverse=True)[:2]]
+
+        def edit(parts, supports):
+            keep = range(2, len(parts))
+            return (
+                [parts[k] for k in keep] + [(gamma.tables.at(*p.modules[0]),) for p in foreign],
+                [supports[k] for k in keep] + [0, 0],
+            )
+
+        self.stubbed_targets(monkeypatch, edit)
+        report = verify_bijection(res)
+        assert (report.injective, report.surjective, report.passed) == (True, False, False)
+        assert report.missing == tuple(sorted(foreign, key=SupportPair.sort_key)) == tuple(foreign[::-1])
+        assert report.extra == tuple(sorted(pairs[:2], key=SupportPair.sort_key))
+
+    def test_repeated_tilting_module_is_not_injective(self, monkeypatch):
+        real = auslander.enumerate_tilting
+        monkeypatch.setattr(auslander, "enumerate_tilting", lambda A: real(A) + real(A)[:1])
+        report = verify_bijection(auslander_algebra(make_rsz_nakayama(3, "linear")))
+        assert (report.injective, report.surjective, report.passed) == (False, True, False)
+        assert (report.tilting_count, report.sttilt_count) == (5, 4)
+        assert report.missing == () and report.extra == ()
+
+    def test_bijection_builds_no_quotient(self, monkeypatch):
+        # The targets come from the support criterion with the
+        # projective-injectives as base kill set, so no kill set is walked.
+        calls = 0
+        real = algebra.quotient_algebra
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        for mod in (algebra, tau_tilting, auslander):  # auslander imports none
+            monkeypatch.setattr(mod, "quotient_algebra", counting, raising=False)
+        assert all(verify_bijection(res).passed for res in auslander_family(6))
+        assert calls == 0
 
     def test_bijection_counts_n3(self):
         lin = verify_bijection(auslander_algebra(make_rsz_nakayama(3, "linear")))

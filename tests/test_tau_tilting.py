@@ -152,15 +152,24 @@ class TestSupportPairs:
 
     def test_support_criterion_matches_the_kill_set_road(self):
         # A third road to the same lists, order and kill sets included: the
-        # tau-rigid sets whose summands number their composition factors.
+        # tau-rigid sets whose summands number their composition factors,
+        # with a base kill set B given as a mask.  Each relative kill set is
+        # rebuilt from its support mask: the vertices off B and off the support.
         algebras = [
             *iter_algebras(5, 4),
             *(make_rsz_nakayama(n, kind) for kind in ("linear", "cyclic") for n in range(1, 11)),
             *(Algebra("linear", (1,) * n) for n in range(1, 11)),
             Algebra("cyclic", (3, 3, 2, 2, 2, 3, 2, 3, 3, 2)),
         ]
+        cases = 0
         for A in algebras:
-            assert _support_parts(A) == _sttilt_indices(A), A
+            for base in (set(), {1}, {A.n}, set(A.vertices[::2])):
+                bits = sum(1 << v - 1 for v in base)
+                parts, supports = _support_parts(A, bits)
+                kills = [frozenset(v for v in A.vertices if v not in base and not s >> v - 1 & 1) for s in supports]
+                assert (parts, kills) == _sttilt_indices(A, base), (A, base)
+                cases += 1
+        assert cases == 1168
 
 
 class TestPairFormEquivalence:

@@ -557,7 +557,7 @@ class TestMinimalTilting:
 
     def test_non_tilting_candidate_names_the_violation(self, gamma_lin3, monkeypatch):
         # Without the cosyzygies the candidate is I0 alone, which is not tilting.
-        monkeypatch.setattr(nakayama.tilting, "cosyzygy", lambda A, P: None)
+        monkeypatch.setattr(nakayama.tilting, "_cosyzygy", lambda A, P: None)
         ok, why = is_tilting(gamma_lin3, regular_i0(gamma_lin3))
         assert not ok
         with pytest.raises(TiltingError) as err:
@@ -575,6 +575,33 @@ class TestMinimalTilting:
         monkeypatch.setattr(nakayama.tilting, "_violation", counting)
         minimal_tilting(gamma_cyc3)
         assert len(calls) == 1
+
+    def test_formula_from_the_kernels_equals_the_public_road(self):
+        # I0 and the cosyzygies of the projectives, built by the public
+        # functions, which validate every module they touch.
+        for A in iter_algebras(5, 4):
+            cosyzygies = (cosyzygy(A, A.projective(v)) for v in A.vertices)
+            expected = ModuleSet.of([*regular_i0(A), *(m for m in cosyzygies if m is not None)])
+            assert minimal_tilting(A) == expected, A
+
+    def test_formula_validates_no_module(self, monkeypatch):
+        # The algebra builds the formula module from its own Kupisch series,
+        # so nothing is validated; `_record` re-verifies it on table indices.
+        family = auslander_family(6)
+        for res in family:
+            res.gamma.tables  # build the tables before counting
+        calls = 0
+        real = nakayama.algebra.Algebra.check_module
+
+        def counting(self, m):
+            nonlocal calls
+            calls += 1
+            return real(self, m)
+
+        monkeypatch.setattr(nakayama.algebra.Algebra, "check_module", counting)
+        for res in family:
+            minimal_tilting(res.gamma)
+        assert calls == 0
 
     def test_i0_is_projective_for_every_nakayama_algebra(self):
         # Why minimal_tilting needs no 1-Gorenstein guard.
