@@ -52,7 +52,7 @@ from .algebra import (
 from . import homology as H
 from .auslander import auslander_algebra
 from .tau_tilting import _sttilt_indices
-from .tilting import enumerate_tilting, exchange_graph, exchange_graph_dot
+from .tilting import _tilting_cliques, exchange_graph, exchange_graph_dot
 from .verification import paper_report
 
 USAGE_ERROR = 2
@@ -65,7 +65,7 @@ USAGE_ERROR = 2
 # 2n cyclic) before it is built.
 # Single runs at the limit on a 2-CPU Xeon VM whose speed drifts by up to
 # a factor of two, the enumerating verbs streamed to stdout: tilt
-# enumerate --n 14 --kind cyclic 0.44-0.47 s and 26 MiB peak RSS; tilt graph
+# enumerate --n 14 --kind cyclic 0.22-0.23 s and 21.5 MiB peak RSS; tilt graph
 # --n 10 --kind cyclic 0.5-0.8 s (--kind linear 0.2-0.3 s); sttilt enumerate
 # --n 15 --kind cyclic (2^15 kill sets, 168 MB of JSON) 5.1-5.4 s and
 # 146 MiB, and --n 14 (228,486 pairs) 1.8-2.6 s and 71 MiB, where holding
@@ -212,18 +212,14 @@ def cmd_profile(A: Algebra, args) -> object:
 
 
 def cmd_tilt_enumerate(A: Algebra, args) -> object:
-    tilting = enumerate_tilting(A)
-    # Every summand of a tilting module is an Ext^1 candidate.
-    cands = [A.tables.modules[i] for i in A.tables.ext1_candidates]
-    index = {m: a for a, m in enumerate(cands)}
-    rows = ([index[m] for m in T] for T in tilting)
-    lits = [str(m) for m in cands]
+    rows = _tilting_cliques(A)  # verified, as Ext^1 candidate positions
+    lits = [str(A.tables.modules[i]) for i in A.tables.ext1_candidates]
     if args.format == "json":
         frags = _json_items(map(json.dumps, lits), 6)
-        records = ("\n    " + _json_list([frags[i] for i in idx], 4) for idx in rows)
-        return _json_stream({"algebra": algebra_to_json(A), "count": len(tilting)}, "tilting", records)
-    header = f"# {len(tilting)} tilting modules over {A}\n"
-    return chain((header,), (" ".join([lits[i] for i in idx]) + "\n" for idx in rows))
+        records = ("\n    " + _json_list([frags[a] for a in at], 4) for at in rows)
+        return _json_stream({"algebra": algebra_to_json(A), "count": len(rows)}, "tilting", records)
+    header = f"# {len(rows)} tilting modules over {A}\n"
+    return chain((header,), (" ".join([lits[a] for a in at]) + "\n" for at in rows))
 
 
 def cmd_tilt_graph(A: Algebra, args) -> object:

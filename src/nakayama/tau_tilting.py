@@ -35,9 +35,7 @@ through its embedding once per call, as increasing parent table indices
 order of their least vertex and only the first can wrap past vertex n
 (it then holds vertex 1), so a module part joins the first run's
 summands at tops up to its last vertex, the other runs' in order and the
-first run's at the tops above.  When every run has a single tau-tilting
-module (a semisimple quotient, say), the kill set has one module part,
-joined as the runs are met.  All pairs of one kill set share one
+first run's at the tops above.  All pairs of one kill set share one
 frozenset of killed vertices, and all pairs are sorted once, on integers.
 Validation happens once, at entry (the base kill set); the quotient
 components and their modules come from tables, so they are valid by
@@ -139,9 +137,6 @@ def _sttilt_indices(A: Algebra, base_killed=frozenset()) -> tuple[list[tuple[int
         for extra in combinations(ambient, r):
             q = quotient_algebra(A, base.union(extra))
             per_run = []
-            # While every run has a single tau-tilting module, `part` joins
-            # their low parts in run order: the kill set's one module part.
-            part, lone = (), True
             for comp, emb in zip(q.components, q.embeds):
                 split = placed.get(emb)
                 if split is None:
@@ -161,17 +156,9 @@ def _sttilt_indices(A: Algebra, base_killed=frozenset()) -> tuple[list[tuple[int
                         cut = bisect_left(ms, (wrap + 1,))
                         split[0].append(idx[cut:])
                         split[1].append(idx[:cut])
-                if lone and len(split[0]) == 1:
-                    part += split[0][0]
-                else:
-                    lone = False
                 per_run.append(split)
             killed = q.killed if not base else frozenset(extra)
-            if lone:  # the first run's high part closes it; no run: the zero module
-                parts.append(part + per_run[0][1][0] if per_run else part)
-                kills.append(killed)
-                continue
-            (module_parts, highs), *rest = per_run
+            (module_parts, highs), *rest = per_run or [([()], [()])]  # no run: the zero module
             middles = [()]
             for others, _ in rest:
                 middles = [m + low for m in middles for low in others]

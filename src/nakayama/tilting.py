@@ -9,7 +9,8 @@ Ext^1-vanishing in both directions, and tilting modules are the
 n-cliques of the compatibility graph, found by the shared clique search
 `tables.cliques` (whose cuts rest on Bongartz's bound: a partial tilting
 module has at most n summands) and re-verified on their candidate
-positions.
+positions by `_tilting_cliques`.  `tilt enumerate` renders those positions
+as they are; `enumerate_tilting` builds a `ModuleSet` from each.
 `check_gen_minimum` tests the minimal tilting module against tilting
 modules already enumerated, so a caller holding them enumerates once;
 for modules already verified, `_shape_offenders` and `_gen_minimum` run
@@ -148,8 +149,9 @@ def _shape_offenders(
     ]
 
 
-def enumerate_tilting(A: Algebra) -> list[ModuleSet]:
-    """All basic tilting modules, sorted by their canonical summand tuples.
+def _tilting_cliques(A: Algebra) -> list[tuple[int, ...]]:
+    """All basic tilting modules as increasing Ext^1 candidate positions,
+    sorted as their canonical summand tuples: the `tables.cliques` order.
 
     Every clique is re-verified on its candidate positions, the check
     `_violation` makes once it has mapped table indices to positions: n
@@ -158,17 +160,22 @@ def enumerate_tilting(A: Algebra) -> list[ModuleSet]:
     `_violation`'s certificate."""
     tab = A.tables
     cands, perp = tab.ext1_candidates, tab.ext1_perp
-    mods = [tab.modules[i] for i in cands]
-    found = []
-    for at in cliques(perp, (1 << len(perp)) - 1, A.n):
+    found = cliques(perp, (1 << len(perp)) - 1, A.n)
+    for at in found:
         summands, common = 0, -1
         for a in at:
             summands |= 1 << a
             common &= perp[a]
         if summands & ~common or len(at) != A.n:
             raise TiltingError(f"not a tilting module: {_violation(A, [cands[a] for a in at])}")
-        found.append(ModuleSet([mods[a] for a in at]))
     return found
+
+
+def enumerate_tilting(A: Algebra) -> list[ModuleSet]:
+    """All basic tilting modules, sorted: the verified cliques of `_tilting_cliques` as modules."""
+    tab = A.tables
+    mods = [tab.modules[i] for i in tab.ext1_candidates]
+    return [ModuleSet([mods[a] for a in at]) for at in _tilting_cliques(A)]
 
 
 # -- the generation order ------------------------------------------------------

@@ -167,12 +167,14 @@ def mutation_shape_assertions(family: list[AuslanderResult]) -> list[dict]:
 
     `enumerate_tilting` verified every listed module, so the battery calls
     the trusted core of `proj_mutation_sequence` and reads a module's
-    positions and partner masks once, when it has a projective non-injective summand."""
+    positions and partner masks once, when it has a projective non-injective
+    summand (read off `res.projinj` and the Kupisch series); a cokernel is
+    simple iff its length is 1.  No module is validated."""
     out = []
     for res in family:
         gamma = res.gamma
         tab = gamma.tables
-        proj_noninj = {P for P in map(gamma.projective, gamma.vertices) if not gamma.is_injective(P)}
+        proj_noninj = {IndecModule(v, gamma.c[v - 1]) for v in gamma.vertices if v not in res.projinj}
         violations = []
         checked = 0
         for T in res.tilting:
@@ -189,7 +191,7 @@ def mutation_shape_assertions(family: list[AuslanderResult]) -> list[dict]:
                 except (AlgebraError, TiltingError) as exc:  # structural failure
                     violations.append(f"{T} at {p}: {exc}")
                     continue
-                if not gamma.is_simple(seq.cokernel):
+                if seq.cokernel.length != 1:
                     violations.append(f"{T} at {p}: cokernel {seq.cokernel} not simple")
         out.append(
             _assertion(

@@ -496,3 +496,69 @@ class TestPublicSurface:
             used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
         assert unused == []
+
+    @staticmethod
+    def _swallowed_or_unbounded(source: str) -> list[str]:
+        """Handlers that swallow every error (a bare `except:`, or one naming
+        Exception or BaseException) anywhere, and module-level functions
+        with parameters cached by `functools.cache`, or by `lru_cache` with
+        maxsize None: module-global state that grows with every argument."""
+        tree = ast.parse(source)
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler):
+                if node.type is None:
+                    found.append(f"{node.lineno} except")
+                    continue
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if {ast.unparse(t).rpartition(".")[2] for t in caught} & {"Exception", "BaseException"}:
+                    found.append(f"{node.lineno} except {ast.unparse(node.type)}")
+        for fn in tree.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            if not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+                continue  # its cache holds one entry at most
+            for dec in fn.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                name = ast.unparse(call.func if call else dec).rpartition(".")[2]
+                # lru_cache's maxsize is its first argument; left out, it is 128.
+                given = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"] if call else []
+                if name == "cache" or name == "lru_cache" and given and ast.unparse(given[0]) == "None":
+                    found.append(f"{fn.lineno} {fn.name} cached without a bound")
+        return found
+
+    def test_no_error_is_swallowed_and_no_cache_is_unbounded(self):
+        import nakayama
+
+        found = []
+        for path in sorted(Path(nakayama.__file__).parent.glob("*.py")):
+            found += [f"{path.name}:{hit}" for hit in self._swallowed_or_unbounded(path.read_text(encoding="utf-8"))]
+        assert found == []
+
+    def test_the_source_scan_flags_planted_faults(self):
+        planted = (
+            "import functools\n"
+            "from functools import cache, lru_cache\n"
+            "try:\n    pass\nexcept:\n    pass\n"
+            "try:\n    pass\nexcept (ValueError, Exception):\n    pass\n"
+            "def f(x):\n    try:\n        return x\n    except builtins.BaseException:\n        return None\n"
+            "@functools.cache\ndef g(x):\n    return x\n"
+            "@cache\ndef h(*xs):\n    return xs\n"
+            "@functools.lru_cache(maxsize=None)\ndef k(x):\n    return x\n"
+            "@lru_cache(None)\ndef m(*, x):\n    return x\n"
+            "@functools.cache\ndef once():\n    return 1\n"
+            "@functools.lru_cache(maxsize=8)\ndef bounded(x):\n    return x\n"
+            "@lru_cache\ndef default(x):\n    return x\n"
+            "def outer(x):\n    @functools.cache\n    def inner(y):\n        return y\n    return inner(x)\n"
+            "try:\n    pass\nexcept ValueError:\n    pass\n"
+        )
+        assert self._swallowed_or_unbounded(planted) == [
+            "5 except",
+            "9 except (ValueError, Exception)",
+            "14 except builtins.BaseException",
+            "17 g cached without a bound",
+            "20 h cached without a bound",
+            "23 k cached without a bound",
+            "26 m cached without a bound",
+        ]

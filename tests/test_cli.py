@@ -205,18 +205,57 @@ class TestTiltingVerbs:
         "path 8": "84ecc30d18ab3afb64595b5b597d060a372519ea4ce4a7fd2a6ee12ee175429c",
     }
 
+    @staticmethod
+    def _algebra_argv(tmp_path, kind, n):
+        """--n/--kind, or for "path" a file with the path algebra's series (1, ..., n)."""
+        if kind != "path":
+            return ("--n", n, "--kind", kind)
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(algebra_to_json(Algebra("linear", tuple(range(1, int(n) + 1))))))
+        return ("--algebra", str(path))
+
     @pytest.mark.parametrize("case", GRAPH_DIGESTS)
     def test_tilt_graph_dot_digest(self, capsys, tmp_path, case):
-        kind, n = case.split()
-        if kind == "path":
-            path = tmp_path / "path.json"
-            path.write_text(json.dumps(algebra_to_json(Algebra("linear", tuple(range(1, int(n) + 1))))))
-            argv = ("--algebra", str(path))
-        else:
-            argv = ("--n", n, "--kind", kind)
-        code, out, _ = run_cli(capsys, "tilt", "graph", *argv)
+        code, out, _ = run_cli(capsys, "tilt", "graph", *self._algebra_argv(tmp_path, *case.split()))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GRAPH_DIGESTS[case]
+
+    # SHA-256 of the listings at the limits, both formats, past the
+    # benchmark's digests (JSON on Gamma for n <= 10): Gamma of rsz cyclic
+    # n = 14 (16,384 modules), linear n = 13 (4,096) and the path algebra
+    # with series (1, ..., 9) (4,862, Catalan(9)).
+    ENUMERATE_DIGESTS = {
+        "cyclic 14 json": "ebc5384ac38381c0c62cc8e30d5511ecf8584b69050a2a801617fa31637ac760",
+        "cyclic 14 text": "25ac99e4d9f2bb4b9f08630ddc12755555f994645c08c07131ae7ea88b89fb33",
+        "linear 13 json": "410ab94c55ac026c47635abc16fa04a557f07a086844ce21a81ff68146162b7a",
+        "linear 13 text": "19fb92b79ffca100be182705b3488a902d937139699ae86ee71cdfa7ef655fdd",
+        "path 9 json": "c2171e93011aa7163e5fcdae756ef3e9e1b9bff092a9f69317875ceca79f2052",
+        "path 9 text": "8e81eb78abe38d0f099540ab562ef8e16c4aa5e5bde27a33884e9a7c212ffdf0",
+    }
+
+    def _enumerate_argv(self, tmp_path, kind, n, fmt):
+        return ("tilt", "enumerate", *self._algebra_argv(tmp_path, kind, n), "--format", fmt)
+
+    @pytest.mark.parametrize("case", ENUMERATE_DIGESTS)
+    def test_tilt_enumerate_digest(self, capsys, tmp_path, case):
+        code, out, _ = run_cli(capsys, *self._enumerate_argv(tmp_path, *case.split()))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.ENUMERATE_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", ["linear 4 json", "cyclic 3 text", "path 5 json", "path 5 text"])
+    def test_tilt_enumerate_builds_no_module(self, capsys, tmp_path, monkeypatch, case):
+        # The listing renders the verified candidate positions, so it reads
+        # the same bytes when the module-building enumeration is gone.
+        argv = self._enumerate_argv(tmp_path, *case.split())
+        expected = run_cli(capsys, *argv)
+
+        def gone(A):
+            raise AssertionError("tilt enumerate built the tilting modules")
+
+        monkeypatch.setattr(tilting, "enumerate_tilting", gone)
+        monkeypatch.setattr(cli, "enumerate_tilting", gone, raising=False)
+        assert run_cli(capsys, *argv) == expected
+        assert expected[0] == 0
 
     def test_sttilt_enumerate(self, capsys):
         code, out, _ = run_cli(

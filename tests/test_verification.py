@@ -36,22 +36,25 @@ def test_non_simple_cokernel_fails_even_without_a_mutation(monkeypatch):
 
 def test_mutation_check_validates_no_enumerated_module(monkeypatch):
     # The listed modules were verified by the enumeration; the check reads
-    # their candidate positions without validating them again.
-    family = auslander_family(4)
+    # their candidate positions without validating them again, and reads the
+    # projective non-injectives and the simple cokernels off coordinates.
+    family = auslander_family(6)
     for res in family:
         res.tilting  # enumerate before counting
-    calls = 0
-    real = tilting.indices
+    calls = Counter()
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(tilting, "indices", counting)
+        return wrapper
+
+    monkeypatch.setattr(tilting, "indices", counting("indices", tilting.indices))
+    monkeypatch.setattr(algebra.Algebra, "check_module", counting("check_module", algebra.Algebra.check_module))
     records = V.mutation_shape_assertions(family)
     assert all(r["passed"] for r in records)
-    assert calls == 0
+    assert calls == Counter()
 
 
 def test_duplicated_zero_pair_fails(monkeypatch):
