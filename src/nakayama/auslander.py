@@ -16,16 +16,20 @@ The closed form is asserted against the matrix oracle (`end_algebra` /
 downstream (the bijection onto support tau-tilting pairs of the quotient
 by the projective-injectives, and the tilting counts) is computed from
 the Kupisch model.  `auslander_family` builds the results for both kinds
-and n = 1..max_n; each enumerates its tilting modules once, on first use
-(`AuslanderResult.tilting`), for every report and check that reads them.
-The enumeration verified them, so the shape and Gen-minimum checks read
-their summand masks and validate none of them again.
+and n = 1..max_n; each enumerates its tilting modules once, on first use,
+as the Ext^1 candidate positions of `tilting._tilting_cliques`
+(`AuslanderResult.cliques`), for every report and check that reads them.
+The enumeration verified them, so the shape, Gen-minimum, count and
+bijection checks read those positions and validate none of them again;
+`AuslanderResult.tilting` builds the modules only for a caller that
+reads modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, IndecModule, ModuleSet, make_rsz_nakayama
 from .homology import GorensteinProfile, gorenstein_profile
@@ -34,10 +38,10 @@ from .tau_tilting import SupportPair, _support_parts
 from .tilting import (
     TiltingError,
     _gen_minimum,
+    _modules,
     _shape_offenders,
-    _summand_masks,
+    _tilting_cliques,
     _tilting_indices,
-    enumerate_tilting,
     minimal_tilting,
 )
 
@@ -49,7 +53,8 @@ class AuslanderResult:
     `dictionary[v]` is the L-module whose Hom-functor is the projective of
     gamma at vertex v; `projinj` are the gamma-vertices whose projective
     is also injective (computed intrinsically from the Kupisch model).
-    `tilting` and the checks of gamma below each run once, on first use.
+    `cliques` and the checks of gamma below each run once, on first use;
+    `tilting` builds the modules only for a caller that reads them.
     """
 
     lam: Algebra
@@ -58,18 +63,25 @@ class AuslanderResult:
     projinj: frozenset[int]
 
     @cached_property
-    def tilting(self) -> list[ModuleSet]:
-        return enumerate_tilting(self.gamma)
+    def cliques(self) -> list[tuple[int, ...]]:
+        """The tilting modules of gamma, verified, as `_tilting_cliques`
+        positions over its Ext^1 candidates, in `enumerate_tilting` order."""
+        return _tilting_cliques(self.gamma)
 
     @cached_property
-    def _masks(self) -> list[int]:
-        """The `_summand_masks` of `tilting`, read once for both checks."""
-        return _summand_masks(self.gamma, self.tilting)
+    def tilting(self) -> list[ModuleSet]:
+        """`cliques` as modules."""
+        return _modules(self.gamma, self.cliques)
+
+    @cached_property
+    def _keys(self) -> list[int]:
+        """The `tables.mask` of each of `cliques`, read once for both checks."""
+        return [mask(at) for at in self.cliques]
 
     @cached_property
     def shape_offenders(self) -> list[tuple[ModuleSet, list[IndecModule]]]:
         """Each tilting module with the summands `summand_shape_check` flags."""
-        return _shape_offenders(self.gamma, self.tilting, self._masks)
+        return _shape_offenders(self.gamma, self.cliques, self._keys)
 
     @cached_property
     def minimum(self) -> tuple[ModuleSet | None, str | None]:
@@ -77,7 +89,7 @@ class AuslanderResult:
         `tilting`, else (None, the text of the error raised)."""
         try:
             ms = minimal_tilting(self.gamma)
-            _gen_minimum(self.gamma, ms, self.tilting, self._masks)
+            _gen_minimum(self.gamma, ms, self.cliques, self._keys)
         except (AlgebraError, TiltingError) as exc:
             return None, str(exc)
         return ms, None
@@ -138,22 +150,26 @@ def thm25_map(res: AuslanderResult, ms: ModuleSet) -> SupportPair:
     at a projective-injective vertex (possibly zero); the kill set is the
     complement of the surviving tops, i.e. the projective-injective
     vertices together with the unused surviving vertices.  An ms that is
-    not tilting raises AlgebraError, from the entry check of `mutation_at`.
+    not tilting raises AlgebraError, from the one entry check for a
+    tilting module, `tilting._tilting_indices`.
     """
-    _tilting_indices(res.gamma, ms)
-    idx, tops = _thm25_image(res, ms)
+    pos = res.gamma.tables.ext1_position
+    idx, tops = _thm25_image(res, [pos[i] for i in _tilting_indices(res.gamma, ms)])
     return _pair(res.gamma, idx, ~tops)
 
 
-def _thm25_image(res: AuslanderResult, ms: ModuleSet) -> tuple[tuple[int, ...], int]:
-    """`thm25_map` of a module already known to be tilting, unvalidated, on
-    indices: the module part as increasing Gamma table indices and its tops
-    as a mask, vertex v at bit v - 1.  M(v, l) maps to M(v, k), k <= l the
-    most composition factors from the top that miss the projective-injective
-    vertices; images of summands in (top, length) order stay in order."""
+def _thm25_image(res: AuslanderResult, at: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """`thm25_map` of a tilting module at Ext^1 candidate positions `at`,
+    unvalidated, on indices: the module part as increasing Gamma table
+    indices and its tops as a mask, vertex v at bit v - 1.  M(v, l) maps to
+    M(v, k), k <= l the most composition factors from the top that miss the
+    projective-injective vertices; images of summands in (top, length)
+    order, the order of positions, stay in order."""
     gamma, projinj = res.gamma, res.projinj
+    tab = gamma.tables
     idx, tops = {}, 0  # the keys: one per image, as two summands may share one
-    for top, length in ms:
+    for a in at:
+        top, length = tab.modules[tab.ext1_candidates[a]]
         k = 0
         while k < length and gamma.down(top, k) not in projinj:
             k += 1
@@ -193,13 +209,13 @@ def verify_bijection(res: AuslanderResult) -> BijectionReport:
     gamma, profile = res.gamma, res.profile
     if not (profile.is_auslander and profile.is_1_gorenstein):
         raise AlgebraError("the bijection needs an Auslander 1-Gorenstein algebra")
-    tilting = res.tilting
+    tilting = res.cliques
     base = mask(v - 1 for v in res.projinj)
     surviving = (1 << gamma.n) - 1 & ~base
     parts, supports = _support_parts(gamma, base)
     targets = {(idx, surviving & ~bits) for idx, bits in zip(parts, supports)}
-    # enumerate_tilting has verified every module, so no re-check here.
-    images = {(idx, surviving & ~tops) for idx, tops in (_thm25_image(res, T) for T in tilting)}
+    # _tilting_cliques has verified every module, so no re-check here.
+    images = {(idx, surviving & ~tops) for idx, tops in (_thm25_image(res, at) for at in tilting)}
     injective = len(images) == len(tilting)
     surjective = images == targets
     return BijectionReport(
@@ -234,7 +250,7 @@ def verify_counts(res: AuslanderResult) -> CountReport:
     minimal tilting module is the unique Gen-minimum of the same
     enumeration (`res.minimum`).
     """
-    n, kind, tilting = res.lam.n, res.lam.kind, res.tilting
+    n, kind, tilting = res.lam.n, res.lam.kind, res.cliques
     expected = 2 ** (n - 1) if kind == "linear" else 2 ** n
     shape_ok = not res.shape_offenders
     minimal_ok = res.minimum[1] is None

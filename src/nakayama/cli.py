@@ -71,9 +71,9 @@ USAGE_ERROR = 2
 # 146 MiB, and --n 14 (228,486 pairs) 1.8-2.6 s and 71 MiB, where holding
 # the whole listing took 7.1-9.6 s and 701 MiB; --n 16 took 12 s and
 # 329 MiB, so the limit is 15; verify paper --max-n 15 (98,301 tilting
-# modules over 30 Auslander algebras, each enumerated once) 1.3-1.6 s and
-# 60 MiB, and --max-n 16 2.8-3.8 s and 103 MiB, past the 2 s in which the
-# CLI property test holds any call it draws, so the limit is 15;
+# modules over 30 Auslander algebras, each enumerated once) 0.86-0.93 s and
+# 47 MiB, and --max-n 16 1.7-2.0 s and 80 MiB, not well inside the 2 s in
+# which the CLI property test holds any call it draws, so the limit is 15;
 # profile --n 5000 --kind cyclic 0.2 s.
 # The worst files measured: for tilt, the path algebra linear (1, 2, ...,
 # N), with Catalan(N) tilting modules: tilt enumerate N=12 (208,012

@@ -9,12 +9,14 @@ Ext^1-vanishing in both directions, and tilting modules are the
 n-cliques of the compatibility graph, found by the shared clique search
 `tables.cliques` (whose cuts rest on Bongartz's bound: a partial tilting
 module has at most n summands) and re-verified on their candidate
-positions by `_tilting_cliques`.  `tilt enumerate` renders those positions
-as they are; `enumerate_tilting` builds a `ModuleSet` from each.
+positions by `_tilting_cliques`.  Behind that line a verified tilting
+module is its positions and their `tables.mask`, the key the exchange
+graph and `mutation_closure` use: `tilt enumerate` renders the positions
+as they are, `_modules` (and so `enumerate_tilting`) builds a `ModuleSet`
+from each, and `_shape_offenders` and `_gen_minimum` run the shape and
+Gen-minimum checks on the masks, one mask of candidates per check.
 `check_gen_minimum` tests the minimal tilting module against tilting
-modules already enumerated, so a caller holding them enumerates once;
-for modules already verified, `_shape_offenders` and `_gen_minimum` run
-the shape and Gen-minimum checks on summand bitmasks (`_summand_masks`).
+modules already enumerated, so a caller holding them enumerates once.
 
 The tilting conditions and mutation read the algebra's `Tables`; only a
 summand that is not an Ext^1 candidate has its projective dimension walked
@@ -39,7 +41,7 @@ once, from `tables.partners` on candidate positions: mutation one entry,
 diagram is the exchange graph oriented by Gen.
 `proj_mutation_sequence` validates its projective and its module, then
 hands them to the trusted core `_proj_mutation`, which the verification
-battery calls directly on the modules `enumerate_tilting` verified.
+battery calls directly on the modules `_tilting_cliques` verified.
 """
 
 from __future__ import annotations
@@ -113,42 +115,6 @@ def summand_shape_check(A: Algebra, ms: ModuleSet) -> list[IndecModule]:
     return [m for m in ms if not (m.length == c[m.top - 1] or (m.length == 1 and m.top in socles))]
 
 
-def _fields(A: Algebra) -> list[int]:
-    """Where each top's field starts in a `_summand_masks` mask: M(v, l) is
-    bit start[v - 1] + l - 1, and bit start[v - 1] + c(v), above the modules
-    at top v, is a guard that no module sets."""
-    start, bit = [], 0
-    for ci in A.c:
-        start.append(bit)
-        bit += ci + 1
-    return start
-
-
-def _summand_masks(A: Algebra, tilting: Sequence[ModuleSet]) -> list[int]:
-    """Each module's summands as one bitmask laid out by `_fields`, for
-    modules a caller has verified: a summand's bit is read off a dict keyed
-    by the modules, and nothing is validated."""
-    start = _fields(A)
-    bit = {m: 1 << start[m.top - 1] + m.length - 1 for m in A.tables.modules}
-    return [sum(map(bit.__getitem__, T)) for T in tilting]
-
-
-def _shape_offenders(
-    A: Algebra, tilting: Sequence[ModuleSet], masks: Sequence[int]
-) -> list[tuple[ModuleSet, list[IndecModule]]]:
-    """Each module of `tilting` with the summands `summand_shape_check`
-    flags, for modules a caller has verified, with their `_summand_masks`:
-    a module offends iff its mask leaves the one mask of the projectives
-    and the simple socles of the projective-injectives."""
-    start, c = _fields(A), A.c
-    good = mask([start[v - 1] + c[v - 1] - 1 for v in A.vertices] + [start[v - 1] for v in A.tables.projinj_socles])
-    return [
-        (T, [m for m in T if not good >> start[m.top - 1] + m.length - 1 & 1])
-        for T, bits in zip(tilting, masks)
-        if bits & ~good
-    ]
-
-
 def _tilting_cliques(A: Algebra) -> list[tuple[int, ...]]:
     """All basic tilting modules as increasing Ext^1 candidate positions,
     sorted as their canonical summand tuples: the `tables.cliques` order.
@@ -171,11 +137,35 @@ def _tilting_cliques(A: Algebra) -> list[tuple[int, ...]]:
     return found
 
 
-def enumerate_tilting(A: Algebra) -> list[ModuleSet]:
-    """All basic tilting modules, sorted: the verified cliques of `_tilting_cliques` as modules."""
+def _modules(A: Algebra, found: Sequence[Sequence[int]]) -> list[ModuleSet]:
+    """The module at each entry of `found`, increasing Ext^1 candidate positions."""
     tab = A.tables
     mods = [tab.modules[i] for i in tab.ext1_candidates]
-    return [ModuleSet([mods[a] for a in at]) for at in _tilting_cliques(A)]
+    return [ModuleSet([mods[a] for a in at]) for at in found]
+
+
+def enumerate_tilting(A: Algebra) -> list[ModuleSet]:
+    """All basic tilting modules, sorted: the verified cliques of `_tilting_cliques` as modules."""
+    return _modules(A, _tilting_cliques(A))
+
+
+def _shape_offenders(
+    A: Algebra, found: Sequence[Sequence[int]], keys: Sequence[int]
+) -> list[tuple[ModuleSet, list[IndecModule]]]:
+    """Each module with the summands `summand_shape_check` flags, for modules
+    a caller has verified, at candidate positions `found` with their
+    `tables.mask` keys: a module offends iff its key leaves the one mask of
+    the candidates that are projective or the simple socle of a
+    projective-injective."""
+    tab, c = A.tables, A.c
+    mods = [tab.modules[i] for i in tab.ext1_candidates]
+    socles = tab.projinj_socles
+    good = mask(a for a, (top, length) in enumerate(mods) if length == c[top - 1] or length == 1 and top in socles)
+    return [
+        (ModuleSet([mods[a] for a in at]), [mods[a] for a in at if not good >> a & 1])
+        for at, bits in zip(found, keys)
+        if bits & ~good
+    ]
 
 
 # -- the generation order ------------------------------------------------------
@@ -376,37 +366,28 @@ def check_gen_minimum(A: Algebra, ms: ModuleSet, tilting: Sequence[ModuleSet]) -
         )
 
 
-def _gen_minimum(A: Algebra, ms: ModuleSet, tilting: Sequence[ModuleSet], masks: Sequence[int]) -> None:
+def _gen_minimum(A: Algebra, ms: ModuleSet, found: Sequence[Sequence[int]], keys: Sequence[int]) -> None:
     """`check_gen_minimum` for modules a caller has verified, ms among them,
-    with the `_summand_masks` of `tilting`.
+    at candidate positions `found` with their `tables.mask` keys.
 
-    A mask is the unary form of the packed profile of `_gen_profile`: the
-    field of top v holds a bit per summand at v, by length.  T lies below
-    ms iff its mask has no bit `outside` the modules at each top no longer
-    than the longest summand of ms there.  ms lies below T iff each field
-    of T reaches `least`, the bit of the longest summand of ms there, which
-    one subtraction tests on every field: with the guard bits set, field v
-    keeps its guard bit iff it is at least `least`'s field, and no field
-    borrows from the next.  A failure runs `check_gen_minimum`, whose error
-    names the minima.
+    T lies below ms iff its key is inside `gen`, the candidates no longer
+    than the longest summand of ms at their top.  ms lies below T iff T's
+    key meets each of `runs`: at each top of ms, the candidates at least as
+    long as its longest summand there, one run of positions, which come in
+    (top, length) order.  A failure runs `check_gen_minimum` on the
+    modules, whose error names the minima.
     """
-    start, c = _fields(A), A.c
-    guard = mask(start[v - 1] + c[v - 1] for v in A.vertices)
-    own, longest = 0, {}
-    for top, length in ms:  # by top, then length: the longest at a top comes last
-        own |= 1 << start[top - 1] + length - 1
-        longest[top] = length
-    least = sum(1 << start[top - 1] + length - 1 for top, length in longest.items())
-    outside = ~sum(((1 << length) - 1) << start[top - 1] for top, length in longest.items())
-    below = [bits for bits in masks if not bits & outside]
-    if (
-        own in masks
-        and below.count(own) == len(below)
-        and all(((bits | guard) - least) & guard == guard for bits in masks)
-    ):
+    tab = A.tables
+    mods = [tab.modules[i] for i in tab.ext1_candidates]
+    longest = dict(ms)  # by top, then length: the longest at a top comes last
+    own = mask(tab.ext1_position[tab.at(top, length)] for top, length in ms)
+    gen = mask(a for a, (top, length) in enumerate(mods) if length <= longest.get(top, 0))
+    runs = [mask(a for a, (v, l) in enumerate(mods) if v == top and l >= length) for top, length in longest.items()]
+    below = [bits for bits in keys if not bits & ~gen]
+    if own in keys and below.count(own) == len(below) and all(all(bits & run for run in runs) for bits in keys):
         return
-    check_gen_minimum(A, ms, tilting)
-    raise RuntimeError(f"the Gen-minimum checks on masks and on profiles disagree on {ms}")
+    check_gen_minimum(A, ms, _modules(A, found))
+    raise RuntimeError(f"the Gen-minimum checks on positions and on profiles disagree on {ms}")
 
 
 # -- exchange graph and Hasse diagram ------------------------------------------
@@ -443,10 +424,10 @@ def exchange_graph(A: Algebra) -> ExchangeGraph:
     cover (i, j) when i is in `below[j]`, else (j, i).  A pair with neither
     below the other contradicts the theorem and raises TiltingError.
     """
-    nodes = enumerate_tilting(A)
+    clique = _tilting_cliques(A)
+    nodes = _modules(A, clique)
     tab = A.tables
-    cands, pos, perp = tab.ext1_candidates, tab.ext1_position, tab.ext1_perp
-    clique = [[pos[tab.at(m.top, m.length)] for m in T] for T in nodes]
+    cands, perp = tab.ext1_candidates, tab.ext1_perp
     keys = [mask(at) for at in clique]
     node = {bits: i for i, bits in enumerate(keys)}
     edges = []

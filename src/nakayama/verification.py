@@ -10,10 +10,11 @@ The checks on Auslander algebras take a list of `AuslanderResult`s, an
 `auslander_family` or part of one; `paper_report` builds one family, so
 each Gamma is built, and its tilting modules enumerated and checked, once.
 The enumeration verifies every module it lists, so no check validates a
-listed module again.  The mutation check reads each listed module's table
-indices once and calls the trusted core of `proj_mutation_sequence`; the
-shape, count and Gen-minimum checks read one summand mask per module
-(`AuslanderResult.shape_offenders` and `.minimum`).  The semisimple and
+listed module again, and each reads the module's Ext^1 candidate positions
+(`AuslanderResult.cliques`): the mutation check calls the trusted core of
+`proj_mutation_sequence` on them; the shape, count and Gen-minimum checks
+read one `tables.mask` of them per module (`AuslanderResult.shape_offenders`
+and `.minimum`) and build no module.  The semisimple and
 bijection checks read support pairs off the index lists of the support
 criterion, `tau_tilting._support_parts`, the bijection check with the
 projective-injectives as base kill set, so no kill set is walked and no
@@ -37,7 +38,7 @@ from .auslander import (
     verify_counts,
 )
 from .homology import regular_module
-from .tables import partners
+from .tables import mask, partners
 from .tau_tilting import _support_parts
 from .tilting import TiltingError, _proj_mutation, enumerate_tilting, mutation_closure
 
@@ -92,7 +93,7 @@ def shape_assertions(family: list[AuslanderResult]) -> list[dict]:
             _assertion(
                 f"tilting_summand_shape_{_label(res)}",
                 not offenders,
-                f"checked {len(res.tilting)} tilting modules"
+                f"checked {len(res.cliques)} tilting modules"
                 + (f"; first offender {offenders[0]}" if offenders else ""),
             )
         )
@@ -165,23 +166,23 @@ def golden_list_assertions() -> list[dict]:
 def mutation_shape_assertions(family: list[AuslanderResult]) -> list[dict]:
     """Projective non-injective summands mutate to the envelope cokernel, a simple.
 
-    `enumerate_tilting` verified every listed module, so the battery calls
-    the trusted core of `proj_mutation_sequence` and reads a module's
-    positions and partner masks once, when it has a projective non-injective
-    summand (read off `res.projinj` and the Kupisch series); a cokernel is
-    simple iff its length is 1.  No module is validated."""
+    `_tilting_cliques` verified every listed module, so the battery calls
+    the trusted core of `proj_mutation_sequence` on a module's candidate
+    positions and reads its partner masks once, when it has a projective
+    non-injective summand (one mask of positions, read off `res.projinj`
+    and the Kupisch series); a cokernel is simple iff its length is 1.  No
+    module is validated."""
     out = []
     for res in family:
         gamma = res.gamma
         tab = gamma.tables
-        proj_noninj = {IndecModule(v, gamma.c[v - 1]) for v in gamma.vertices if v not in res.projinj}
+        proj_noninj = mask(tab.ext1_position[tab.at(v, gamma.c[v - 1])] for v in gamma.vertices if v not in res.projinj)
         violations = []
         checked = 0
-        for T in res.tilting:
-            here = [s for s, p in enumerate(T) if p in proj_noninj]
+        for at, T in zip(res.cliques, res.tilting):
+            here = [s for s, a in enumerate(at) if proj_noninj >> a & 1]
             if not here:
                 continue
-            at = [tab.ext1_position[tab.at(m.top, m.length)] for m in T]
             found = partners(tab.ext1_perp, at)
             for s in here:
                 p = T[s]

@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -535,6 +536,51 @@ class TestPublicSurface:
         for path in sorted(Path(nakayama.__file__).parent.glob("*.py")):
             found += [f"{path.name}:{hit}" for hit in self._swallowed_or_unbounded(path.read_text(encoding="utf-8"))]
         assert found == []
+
+    @staticmethod
+    def _defined_names(sources: list[str]) -> set[str]:
+        """Every name a def, a class or an assignment binds in `sources`,
+        attributes (`self._x = ...`) included."""
+        names = set()
+        for source in sources:
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+                    for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                        for leaf in ast.walk(target):
+                            if isinstance(leaf, ast.Name):
+                                names.add(leaf.id)
+                            elif isinstance(leaf, ast.Attribute):
+                                names.add(leaf.attr)
+        return names
+
+    @staticmethod
+    def _stale_private_names(texts: dict[str, str], defined: set[str]) -> list[str]:
+        """Backticked private names, `_name` or `module._name` (a call's
+        arguments allowed), that nothing in `defined` binds."""
+        stale = []
+        for where, text in texts.items():
+            for span in re.findall(r"`([^`\n]+)`", text):
+                named = re.fullmatch(r"(?:\w+\.)*(_\w+)(?:\(.*\))?", span)
+                if named and not named[1].endswith("__") and named[1] not in defined:
+                    stale.append(f"{where}: `{span}`")
+        return stale
+
+    def test_no_doc_names_a_private_name_that_is_gone(self):
+        import nakayama
+
+        package = Path(nakayama.__file__).parent
+        sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+        readme = Path(__file__).parents[1] / "README.md"
+        texts = {**sources, "README.md": readme.read_text(encoding="utf-8")}
+        assert self._stale_private_names(texts, self._defined_names(list(sources.values()))) == []
+
+    def test_the_name_scan_flags_a_missing_name(self):
+        defined = self._defined_names(["def _kept(x):\n    y._attr = x\n\n\nclass _Kind:\n    _slot: int = 0\n"])
+        assert {"_kept", "_attr", "_Kind", "_slot"} <= defined
+        text = "`_kept`, `tables._attr`, `_Kind._slot`, `_kept(A)`, `_gone`, `tilting._gone(A)`, `__init__`, `x_y`"
+        assert self._stale_private_names({"doc": text}, defined) == ["doc: `_gone`", "doc: `tilting._gone(A)`"]
 
     def test_the_source_scan_flags_planted_faults(self):
         planted = (

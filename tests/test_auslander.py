@@ -224,8 +224,8 @@ class TestBijection:
         assert report.extra == tuple(sorted(pairs[:2], key=SupportPair.sort_key))
 
     def test_repeated_tilting_module_is_not_injective(self, monkeypatch):
-        real = auslander.enumerate_tilting
-        monkeypatch.setattr(auslander, "enumerate_tilting", lambda A: real(A) + real(A)[:1])
+        real = auslander._tilting_cliques
+        monkeypatch.setattr(auslander, "_tilting_cliques", lambda A: real(A) + real(A)[:1])
         report = verify_bijection(auslander_algebra(make_rsz_nakayama(3, "linear")))
         assert (report.injective, report.surjective, report.passed) == (False, True, False)
         assert (report.tilting_count, report.sttilt_count) == (5, 4)

@@ -1,6 +1,7 @@
 import random
 import re
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -22,9 +23,9 @@ from nakayama.tilting import (
     ProjMutation,
     TiltingError,
     _gen_minimum,
+    _modules,
     _proj_mutation,
     _shape_offenders,
-    _summand_masks,
     check_gen_minimum,
     enumerate_tilting,
     exchange_graph,
@@ -614,15 +615,23 @@ class TestMinimalTilting:
         assert set(minimal_tilting(make_rsz_nakayama(3, "linear"))) == {M(2, 1), M(2, 2), M(3, 2)}
 
 
-class TestMaskChecks:
-    """The checks on summand masks behind `AuslanderResult` equal the checks
-    for modules from outside, `summand_shape_check` and `check_gen_minimum`."""
+def positions(A, T):
+    """The Ext^1 candidate positions of the summands of T, each a candidate."""
+    tab = A.tables
+    return tuple(tab.ext1_position[tab.at(*m)] for m in T)
+
+
+class TestPositionChecks:
+    """The checks on candidate positions behind `AuslanderResult` equal the
+    checks for modules from outside, `summand_shape_check` and
+    `check_gen_minimum`."""
 
     @staticmethod
     def gen_minimum_outcomes(A, ms, tilting):
+        found = [positions(A, T) for T in tilting]
         outcomes = []
         for check in (
-            lambda: _gen_minimum(A, ms, tilting, _summand_masks(A, tilting)),
+            lambda: _gen_minimum(A, ms, found, [mask(at) for at in found]),
             lambda: check_gen_minimum(A, ms, tilting),
         ):
             try:
@@ -634,48 +643,54 @@ class TestMaskChecks:
 
     def test_equal_on_the_auslander_family(self):
         for res in auslander_family(8):
-            gamma, tilting = res.gamma, res.tilting
-            shapes = [(T, bad) for T in tilting if (bad := summand_shape_check(gamma, T))]
+            gamma = res.gamma
+            assert res.cliques == [positions(gamma, T) for T in res.tilting]
+            shapes = [(T, bad) for T in res.tilting if (bad := summand_shape_check(gamma, T))]
             assert res.shape_offenders == shapes == []
             ms = minimal_tilting(gamma)
             assert res.minimum == (ms, None)
-            assert self.gen_minimum_outcomes(gamma, ms, tilting) == [None, None]
+            assert self.gen_minimum_outcomes(gamma, ms, res.tilting) == [None, None]
 
-    def test_shape_offenders_equal_on_modules_with_two_summands(self):
-        for res in auslander_family(4)[1:]:  # Gamma of linear n=1 has one module, a projective
-            gamma = res.gamma
-            modules = [ModuleSet(c) for r in (1, 2) for c in combinations(gamma.tables.modules, r)]
-            expected = [(T, bad) for T in modules if (bad := summand_shape_check(gamma, T))]
-            assert expected
-            assert _shape_offenders(gamma, modules, _summand_masks(gamma, modules)) == expected
+    def test_equal_on_cliques_of_one_or_two_candidates(self):
+        """Both checks, with every clique as ms, against all the cliques of
+        an algebra; some candidates there leave the shape mask."""
+        offending, minima = 0, 0
+        for A in iter_algebras(4, 4):
+            perp = A.tables.ext1_perp
+            found = [(a,) for a in range(len(perp))]
+            found += [(a, b) for a, b in combinations(range(len(perp)), 2) if perp[a] >> b & 1]
+            modules = _modules(A, found)
+            expected = [(T, bad) for T in modules if (bad := summand_shape_check(A, T))]
+            assert _shape_offenders(A, found, [mask(at) for at in found]) == expected, A
+            offending += len(expected)
+            for ms in modules:
+                position_road, module_road = self.gen_minimum_outcomes(A, ms, modules)
+                assert position_road == module_road, (A, ms)
+                minima += position_road is None
+        assert offending and minima
 
     def test_gen_minimum_outcomes_equal(self):
-        incomparable = 0
+        cases = Counter()
         for res in auslander_family(4)[1:]:  # Gamma of linear n=1 has one tilting module
             gamma, tilting = res.gamma, res.tilting
             ms = minimal_tilting(gamma)
             without = [T for T in tilting if T != ms]
             failing = [(T, tilting) for T in without[:3]] + [(ms, without), (ms, [])]
-            quotient = next((M(m.top, l) for m in ms for l in range(1, m.length) if M(m.top, l) not in ms), None)
-            if quotient is not None:  # a second module of the same Gen class
-                failing.append((ms, tilting + [ModuleSet.of([*ms, quotient])]))
+            # ms without a summand shorter than another at its top: a second
+            # module of the same Gen class, at candidate positions
+            shorter = next((m for m in ms if any(x.top == m.top and x.length > m.length for x in ms)), None)
+            if shorter is not None:
+                cases["twin"] += 1
+                failing.append((ms, tilting + [ms.minus(shorter)]))
             pair = next(((S, T) for S in tilting for T in tilting if not leq_gen(gamma, S, T) and not leq_gen(gamma, T, S)), None)
             if pair is not None:  # nothing listed lies below S, which lies below nothing
-                incomparable += 1
+                cases["incomparable"] += 1
                 failing.append((pair[0], list(pair)))
-            # A simple S at a top v with no summand of T is below nothing but
-            # itself; at a top v > 1 with one, S is the unique minimum of [S, T].
-            T = next(T for T in tilting if len({m.top for m in T}) < gamma.n)
-            tops = {m.top for m in T}
-            absent = ModuleSet.of([M(min(set(gamma.vertices) - tops), 1)])
-            present = ModuleSet.of([M(max(tops), 1)])
-            failing.append((absent, [absent, T]))
-            passing = [(ms, tilting), (present, [present, T])]
-            for (candidate, listed), passes in [(case, False) for case in failing] + [(case, True) for case in passing]:
-                mask_road, module_road = self.gen_minimum_outcomes(gamma, candidate, listed)
-                assert mask_road == module_road
-                assert (mask_road is None) == passes
-        assert incomparable
+            for (candidate, listed), passes in [(case, False) for case in failing] + [((ms, tilting), True)]:
+                position_road, module_road = self.gen_minimum_outcomes(gamma, candidate, listed)
+                assert position_road == module_road
+                assert (position_road is None) == passes
+        assert cases["twin"] and cases["incomparable"]
 
 
 class TestExchangeGraph:
@@ -808,7 +823,7 @@ class TestExchangeGraphReference:
         TiltingError names the missing module, and no KeyError escapes."""
         g = exchange_graph(gamma_lin3)
         dropped = len(g.nodes) // 2
-        listed = [T for i, T in enumerate(g.nodes) if i != dropped]
+        listed = [positions(gamma_lin3, T) for i, T in enumerate(g.nodes) if i != dropped]
         # (module, summand) pairs whose mutation is the dropped module
         mutations = {
             (str(g.nodes[a]), str(X))
@@ -818,7 +833,7 @@ class TestExchangeGraphReference:
             for X in g.nodes[a]
             if X not in g.nodes[dropped]
         }
-        monkeypatch.setattr(nakayama.tilting, "enumerate_tilting", lambda A: listed)
+        monkeypatch.setattr(nakayama.tilting, "_tilting_cliques", lambda A: listed)
         with pytest.raises(TiltingError) as err:
             exchange_graph(gamma_lin3)
         named = re.fullmatch(r"the mutation of (.*) at (M\(\d+,\d+\)), (.*), is not enumerated", str(err.value))

@@ -2,8 +2,9 @@
 
 Each case swaps one name for a stub that produces the fault, in the
 `nakayama.verification` namespace or, for the tilting modules, in
-`nakayama.auslander`, where `AuslanderResult.tilting` enumerates them,
-and checks that exactly the affected record fails.
+`nakayama.auslander`, where `AuslanderResult.cliques` enumerates them as
+Ext^1 candidate positions (`_tilting_cliques`), and checks that exactly
+the affected record fails.
 """
 
 from collections import Counter
@@ -152,15 +153,16 @@ def test_construction_check_reads_the_quotient_off_the_series():
 
 def test_wrong_gamma_for_the_dual_numbers_fails(monkeypatch):
     right, wrong = Algebra("cyclic", (3, 2)), Algebra("cyclic", (2, 3))
-    real_auslander, real_enumerate = V.auslander_algebra, auslander.enumerate_tilting
+    real_auslander, real_cliques, real_modules = V.auslander_algebra, auslander._tilting_cliques, auslander._modules
 
     def auslander_stub(lam):
         res = real_auslander(lam)
         return replace(res, gamma=wrong) if res.gamma == right else res
 
     monkeypatch.setattr(V, "auslander_algebra", auslander_stub)
-    # The tilting list stays the right one; only Gamma is wrong.
-    monkeypatch.setattr(auslander, "enumerate_tilting", lambda A: real_enumerate(right if A == wrong else A))
+    # The tilting list stays the right one, positions and modules; only Gamma is wrong.
+    monkeypatch.setattr(auslander, "_tilting_cliques", lambda A: real_cliques(right if A == wrong else A))
+    monkeypatch.setattr(auslander, "_modules", lambda A, found: real_modules(right if A == wrong else A, found))
     assert verdicts(V.golden_list_assertions()) == {
         "golden_tilting_list_linear_n3": True,
         "golden_tilting_list_cyclic_n3": True,
@@ -168,9 +170,19 @@ def test_wrong_gamma_for_the_dual_numbers_fails(monkeypatch):
     }
 
 
+def positions(A, T):
+    """The Ext^1 candidate positions of the summands of T, each a candidate."""
+    tab = A.tables
+    return tuple(tab.ext1_position[tab.at(*m)] for m in T)
+
+
 def test_missing_formula_module_fails_only_the_minimum(monkeypatch):
-    real = auslander.enumerate_tilting
-    monkeypatch.setattr(auslander, "enumerate_tilting", lambda A: [T for T in real(A) if T != auslander.minimal_tilting(A)])
+    real = auslander._tilting_cliques
+
+    def stub(A):
+        return [at for at in real(A) if at != positions(A, auslander.minimal_tilting(A))]
+
+    monkeypatch.setattr(auslander, "_tilting_cliques", stub)
     family = auslander_family(2)
     records = V.shape_assertions(family) + V.mutation_shape_assertions(family) + V.minimal_tilting_assertions(family)
     failed = {r["name"]: r["detail"] for r in records if not r["passed"]}
@@ -184,21 +196,31 @@ def test_missing_formula_module_fails_only_the_minimum(monkeypatch):
 
 
 def test_non_simple_non_projective_summand_fails_the_shape_checks(monkeypatch):
-    # The last listed module swaps its first summand for M(v, l), 1 < l < c(v),
-    # where Gamma has one: Gamma of linear n = 3 and of cyclic n >= 1.
-    real = auslander.enumerate_tilting
+    # A position names an Ext^1 candidate, and every candidate of Gamma is
+    # projective or a simple socle, so the fault goes into Gamma's candidate
+    # list: it gains M(v, l), 1 < l < c(v), where Gamma has one (Gamma of
+    # linear n = 3 and of cyclic n >= 1), and the last listed module swaps
+    # its first summand for it.
+    real = auslander._tilting_cliques
     planted = {}
 
     def stub(A):
-        tilting = real(A)
+        found = real(A)
+        tab = A.tables
         bad = next((M(v, l) for v in A.vertices for l in range(2, A.c[v - 1])), None)
         if bad is None:
-            return tilting
-        T = ModuleSet.of([*tilting[-1][1:], bad])
-        planted[A] = (T, bad)
-        return tilting[:-1] + [T]
+            return found
+        cands = sorted([*tab.ext1_candidates, tab.at(*bad)])
+        new = {i: a for a, i in enumerate(cands)}
+        moved = [tuple(new[tab.ext1_candidates[a]] for a in at) for at in found]
+        moved[-1] = tuple(sorted([*moved[-1][1:], new[tab.at(*bad)]]))
+        last = tab.module_set(tab.ext1_candidates[a] for a in found[-1])
+        planted[A] = (ModuleSet.of([*last[1:], bad]), bad)
+        monkeypatch.setattr(tab, "ext1_candidates", cands)
+        monkeypatch.setattr(tab, "ext1_position", new)
+        return moved
 
-    monkeypatch.setattr(auslander, "enumerate_tilting", stub)
+    monkeypatch.setattr(auslander, "_tilting_cliques", stub)
     family = auslander_family(3)
     shapes = V.shape_assertions(family)
     counts = V.count_assertions(family)
@@ -215,20 +237,20 @@ def test_non_simple_non_projective_summand_fails_the_shape_checks(monkeypatch):
 
 
 def test_second_gen_minimal_module_fails_the_minimum(monkeypatch):
-    # The formula module plus a proper quotient of one of its summands has
-    # the same Gen class, so the list holds two Gen-minimal modules.
-    real = auslander.enumerate_tilting
+    # The formula module without a summand shorter than another at its top
+    # has the same Gen class, so the list holds two Gen-minimal modules.
+    real = auslander._tilting_cliques
     twins = {}
 
     def stub(A):
         ms = tilting.minimal_tilting(A)
-        extra = next((M(m.top, l) for m in ms for l in range(1, m.length) if M(m.top, l) not in ms), None)
-        if extra is None:
+        shorter = next((m for m in ms if any(x.top == m.top and x.length > m.length for x in ms)), None)
+        if shorter is None:
             return real(A)
-        twins[A] = (ms, ModuleSet.of([*ms, extra]))
-        return real(A) + [twins[A][1]]
+        twins[A] = (ms, ms.minus(shorter))
+        return real(A) + [positions(A, twins[A][1])]
 
-    monkeypatch.setattr(auslander, "enumerate_tilting", stub)
+    monkeypatch.setattr(auslander, "_tilting_cliques", stub)
     family = auslander_family(3)
     minimal = V.minimal_tilting_assertions(family)
     counts = V.count_assertions(family)
@@ -248,11 +270,11 @@ def test_second_gen_minimal_module_fails_the_minimum(monkeypatch):
 
 def test_count_check_validates_no_enumerated_module(monkeypatch):
     # The listed modules were verified by the enumeration, and the count
-    # check reads their summand masks; `minimal_tilting` builds the formula
-    # module from Gamma's Kupisch series.  Nothing is validated.
+    # check reads their candidate positions; `minimal_tilting` builds the
+    # formula module from Gamma's Kupisch series.  Nothing is validated.
     family = auslander_family(6)
     for res in family:
-        res.tilting  # enumerate before counting
+        res.cliques  # enumerate before counting
         res.gamma.tables.projinj_socles  # and read Gamma's own projectives
     calls = 0
     real = algebra.Algebra.check_module
@@ -268,27 +290,39 @@ def test_count_check_validates_no_enumerated_module(monkeypatch):
     assert calls == 0
 
 
+def test_count_check_builds_no_tilting_module():
+    # Past n = 6 `paper_report` runs only the counts, which read positions.
+    family = auslander_family(8)
+    assert all(r["passed"] for r in V.count_assertions(family))
+    assert not [res for res in family if "tilting" in vars(res)]
+
+
 def test_paper_report_enumerates_each_gamma_once(monkeypatch):
-    calls = []
-    real = auslander.enumerate_tilting
+    calls = Counter()
 
-    def counting(A):
-        calls.append(A)
-        return real(A)
+    def counting(name, real):
+        def wrapper(A):
+            calls[name] += 1
+            return real(A)
 
-    monkeypatch.setattr(auslander, "enumerate_tilting", counting)
+        return wrapper
+
+    monkeypatch.setattr(auslander, "_tilting_cliques", counting("_tilting_cliques", auslander._tilting_cliques))
+    enumerate_tilting = counting("enumerate_tilting", tilting.enumerate_tilting)
+    for mod in (tilting, auslander, V):
+        monkeypatch.setattr(mod, "enumerate_tilting", enumerate_tilting, raising=False)
     V.paper_report(4)
     # 2 * 4 family members, plus the golden lists' n=3 pair and the dual numbers
-    assert len(calls) == 11
+    assert calls == {"_tilting_cliques": 11}
 
 
 def test_paper_report_checks_each_gamma_once(monkeypatch):
     """Two reports read each per-Gamma check; it runs once per algebra (the
-    summand masks, the shape and minimum checks on them, the profile).  The
+    shape and minimum checks on candidate positions, the profile).  The
     checks for modules from outside, `summand_shape_check` and
     `check_gen_minimum`, do not run."""
     family = auslander_family(6)
-    names = ("_summand_masks", "_shape_offenders", "minimal_tilting", "_gen_minimum")
+    names = ("_shape_offenders", "minimal_tilting", "_gen_minimum")
     expected = Counter(
         [(name, res.gamma) for name in names for res in family]
         + [("gorenstein_profile", res.gamma) for res in family]
