@@ -63,10 +63,15 @@ class AuslanderResult:
     projinj: frozenset[int]
 
     @cached_property
+    def _verified(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        """`_tilting_cliques(gamma)`: `cliques` and their masks, for both checks."""
+        return _tilting_cliques(self.gamma)
+
+    @property
     def cliques(self) -> list[tuple[int, ...]]:
         """The tilting modules of gamma, verified, as `_tilting_cliques`
         positions over its Ext^1 candidates, in `enumerate_tilting` order."""
-        return _tilting_cliques(self.gamma)
+        return self._verified[0]
 
     @cached_property
     def tilting(self) -> list[ModuleSet]:
@@ -74,14 +79,9 @@ class AuslanderResult:
         return _modules(self.gamma, self.cliques)
 
     @cached_property
-    def _keys(self) -> list[int]:
-        """The `tables.mask` of each of `cliques`, read once for both checks."""
-        return [mask(at) for at in self.cliques]
-
-    @cached_property
     def shape_offenders(self) -> list[tuple[ModuleSet, list[IndecModule]]]:
         """Each tilting module with the summands `summand_shape_check` flags."""
-        return _shape_offenders(self.gamma, self.cliques, self._keys)
+        return _shape_offenders(self.gamma, *self._verified)
 
     @cached_property
     def minimum(self) -> tuple[ModuleSet | None, str | None]:
@@ -89,7 +89,7 @@ class AuslanderResult:
         `tilting`, else (None, the text of the error raised)."""
         try:
             ms = minimal_tilting(self.gamma)
-            _gen_minimum(self.gamma, ms, self.cliques, self._keys)
+            _gen_minimum(self.gamma, ms, *self._verified)
         except (AlgebraError, TiltingError) as exc:
             return None, str(exc)
         return ms, None

@@ -212,7 +212,7 @@ def cmd_profile(A: Algebra, args) -> object:
 
 
 def cmd_tilt_enumerate(A: Algebra, args) -> object:
-    rows = _tilting_cliques(A)  # verified, as Ext^1 candidate positions
+    rows, _ = _tilting_cliques(A)  # verified, as Ext^1 candidate positions
     lits = [str(A.tables.modules[i]) for i in A.tables.ext1_candidates]
     if args.format == "json":
         frags = _json_items(map(json.dumps, lits), 6)

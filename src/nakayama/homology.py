@@ -4,11 +4,13 @@ Everything here reduces to arithmetic on the Kupisch coordinates (top,
 length) of the modules.  Each closed form is written once, as a private
 kernel that trusts its arguments: `_hom`, `_syzygy`, `_cosyzygy`, `_tau`,
 `_ext1` and the resolution orbit `_dim_along` behind `proj_dim` and
-`inj_dim`.  The public functions validate each module once, with
-`Algebra.check_module`, and then call the kernels; `tables.Tables` builds
-its candidate masks from the same kernels, pair by pair.  The test suite
-holds the kernels to an independent copy of the formulas kept in
-`tests/test_tables.py` and to the matrix oracle.
+`inj_dim`.  They work on the coordinates: `_hom` reads any (top, length)
+pair, so `_ext1` builds no module.  The public functions validate each
+module once, with `Algebra.check_module`, then call the kernels;
+`tables.Tables` builds its candidate masks from the same kernels, on the
+pairs that can conflict.  The test suite holds the kernels to an
+independent copy of the formulas in `tests/test_tables.py` and to the
+matrix oracle.
 
 Infinite projective or injective dimension is reported as ``math.inf``
 (the syzygy orbit of a uniserial module is eventually periodic, so a
@@ -29,10 +31,11 @@ INFINITE = math.inf
 # -- kernels: no validation, the caller vouches for its modules ---------------
 
 
-def _hom(A: Algebra, M: IndecModule, N: IndecModule) -> int:
-    """dim Hom: the k <= min(lengths) with k = top M - top N + len N (mod n if cyclic)."""
-    short = min(M.length, N.length)
-    k = M.top - N.top + N.length
+def _hom(A: Algebra, M: tuple[int, int], N: tuple[int, int]) -> int:
+    """dim Hom of (top, length) pairs: the k <= min(lengths) with k = top M - top N + len N (mod n if cyclic)."""
+    (top, length), (ntop, nlength) = M, N
+    short = min(length, nlength)
+    k = top - ntop + nlength
     if A.kind == CYCLIC:
         n = len(A.c)
         k = (k - 1) % n + 1
@@ -60,10 +63,13 @@ def _tau(A: Algebra, M: IndecModule) -> IndecModule | None:
 
 
 def _ext1(A: Algebra, M: IndecModule, N: IndecModule) -> int:
-    omega = _syzygy(A, M)
-    if omega is None:
+    """hom(Omega M, N) - hom(P(top M), N) + hom(M, N) on integer pairs; 0 for
+    projective M and when Hom(Omega M, N) = 0, of which Ext^1(M, N) is a quotient."""
+    top, length = M
+    if length == (cover := A.c[top - 1]):
         return 0
-    return _hom(A, omega, N) - _hom(A, IndecModule(M.top, A.c[M.top - 1]), N) + _hom(A, M, N)
+    h = _hom(A, (A.down(top, length), cover - length), N)
+    return h and h - _hom(A, (top, cover), N) + _hom(A, M, N)
 
 
 def _dim_along(step: Callable, A: Algebra, M: IndecModule | None) -> int | float:

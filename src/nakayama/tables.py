@@ -6,14 +6,21 @@ arithmetic on the Kupisch series (`at`), and holds what the enumerators
 read: the socles of the projective-injectives, and the two compatibility
 graphs `ext1_perp` and `tau_perp`, whose vertices are only their
 candidates, the modules that can be a summand at all, numbered 0, 1, ...
-in index order.  Each is built by calling the unvalidated kernels of
-`homology` once per module and candidate pair (pd <= 1 takes two syzygy
-steps), so each closed form has one copy and a module of a large algebra
-costs a scan, not a row, nor a bit in every mask.  Each is built on first
-use and kept on the `Tables` object, which `Algebra.tables` caches on the
-algebra instance; nothing is kept at module level.  The test suite checks
-every bit against an independent copy of the formulas and the oracle
-checks the kernels through the public functions.
+in index order.  Each is built from the unvalidated kernels of `homology`
+(pd <= 1 takes two syzygy steps), so each closed form has one copy, and
+from local conflicts: a nonzero map X -> Y of uniserial modules has an
+image with top X, so it needs top X in CF(Y), the composition factors of
+Y.  By the Auslander-Reiten formula Ext^1(M, N) = D Hom-bar(N, tau M)
+(Assem-Simson-Skowronski, Elements I, IV.2), Ext^1(M, N) != 0 and
+Hom(N, tau M) != 0 both need top N in CF(tau M), min(len tau M, n)
+vertices.  So `_perp` tests each candidate M only against those with top
+in CF(tau M), at a cost of the candidates, times |CF(tau M)|, times the
+candidates per top, not k^2: a module costs a scan, not a row.
+Each is built on first use and kept on the `Tables` object, which
+`Algebra.tables` caches on the algebra instance; nothing is kept at
+module level.  The test suite checks every bit against an independent
+copy of the formulas and the oracle checks the kernels through the
+public functions.
 
 Modules entering from outside are validated once, by `indices`, which
 refuses a module that is not basic; code behind that line works on table
@@ -79,7 +86,7 @@ class Tables:
     @cached_property
     def ext1_perp(self) -> list[int]:
         A, mods = self.algebra, self.modules
-        return _perp(self.ext1_candidates, lambda i, j: not _ext1(A, mods[i], mods[j]))
+        return self._perp(self.ext1_candidates, lambda i, t, j: _ext1(A, mods[i], mods[j]))
 
     @cached_property
     def tau_candidates(self) -> list[int]:
@@ -90,24 +97,29 @@ class Tables:
     @cached_property
     def tau_perp(self) -> list[int]:
         A, mods = self.algebra, self.modules
-        taus = {i: _tau(A, mods[i]) for i in self.tau_candidates}
-        return _perp(self.tau_candidates, lambda i, j: taus[j] is None or not _hom(A, mods[i], taus[j]))
+        return self._perp(self.tau_candidates, lambda i, t, j: _hom(A, mods[j], t))
+
+    def _perp(self, cands: list[int], conflict: Callable[[int, IndecModule, int], int]) -> list[int]:
+        """Masks over positions in `cands`, full but for the conflicts: for i, j = cands[a], cands[b]
+        with top M_j in CF(tau M_i), a true conflict(i, tau M_i, j) clears bits b of a and a of b."""
+        A, mods = self.algebra, self.modules
+        by_top: dict[int, list[int]] = {}
+        for b, j in enumerate(cands):
+            by_top.setdefault(mods[j].top, []).append(b)
+        perp = [(1 << len(cands)) - 1] * len(cands)
+        for a, i in enumerate(cands):
+            if (t := _tau(A, mods[i])) is None:
+                continue
+            for k in range(min(t.length, A.n)):
+                for b in by_top.get(A.down(t.top, k), ()):
+                    if conflict(i, t, cands[b]):
+                        perp[a] &= ~(1 << b)
+                        perp[b] &= ~(1 << a)
+        return perp
 
     def module_set(self, idx: Iterable[int]) -> ModuleSet:
         """The basic module with summands at increasing indices idx."""
         return ModuleSet([self.modules[i] for i in idx])
-
-
-def _perp(cands: list[int], vanishes: Callable[[int, int], bool]) -> list[int]:
-    """Masks over positions in `cands`: bit b of entry a is set when a == b, or
-    when vanishes(i, j) and vanishes(j, i) for i, j = cands[a], cands[b]."""
-    perp = [1 << a for a in range(len(cands))]
-    for a, i in enumerate(cands):
-        for b, j in enumerate(cands[a + 1 :], a + 1):
-            if vanishes(i, j) and vanishes(j, i):
-                perp[a] |= 1 << b
-                perp[b] |= 1 << a
-    return perp
 
 
 def indices(A: Algebra, ms: ModuleSet) -> list[int]:

@@ -115,9 +115,10 @@ def summand_shape_check(A: Algebra, ms: ModuleSet) -> list[IndecModule]:
     return [m for m in ms if not (m.length == c[m.top - 1] or (m.length == 1 and m.top in socles))]
 
 
-def _tilting_cliques(A: Algebra) -> list[tuple[int, ...]]:
+def _tilting_cliques(A: Algebra) -> tuple[list[tuple[int, ...]], list[int]]:
     """All basic tilting modules as increasing Ext^1 candidate positions,
-    sorted as their canonical summand tuples: the `tables.cliques` order.
+    sorted as their canonical summand tuples (the `tables.cliques` order),
+    and the `tables.mask` of each, which the check below ORs anyway.
 
     Every clique is re-verified on its candidate positions, the check
     `_violation` makes once it has mapped table indices to positions: n
@@ -127,6 +128,7 @@ def _tilting_cliques(A: Algebra) -> list[tuple[int, ...]]:
     tab = A.tables
     cands, perp = tab.ext1_candidates, tab.ext1_perp
     found = cliques(perp, (1 << len(perp)) - 1, A.n)
+    keys = []
     for at in found:
         summands, common = 0, -1
         for a in at:
@@ -134,7 +136,8 @@ def _tilting_cliques(A: Algebra) -> list[tuple[int, ...]]:
             common &= perp[a]
         if summands & ~common or len(at) != A.n:
             raise TiltingError(f"not a tilting module: {_violation(A, [cands[a] for a in at])}")
-    return found
+        keys.append(summands)
+    return found, keys
 
 
 def _modules(A: Algebra, found: Sequence[Sequence[int]]) -> list[ModuleSet]:
@@ -146,7 +149,7 @@ def _modules(A: Algebra, found: Sequence[Sequence[int]]) -> list[ModuleSet]:
 
 def enumerate_tilting(A: Algebra) -> list[ModuleSet]:
     """All basic tilting modules, sorted: the verified cliques of `_tilting_cliques` as modules."""
-    return _modules(A, _tilting_cliques(A))
+    return _modules(A, _tilting_cliques(A)[0])
 
 
 def _shape_offenders(
@@ -424,11 +427,10 @@ def exchange_graph(A: Algebra) -> ExchangeGraph:
     cover (i, j) when i is in `below[j]`, else (j, i).  A pair with neither
     below the other contradicts the theorem and raises TiltingError.
     """
-    clique = _tilting_cliques(A)
+    clique, keys = _tilting_cliques(A)
     nodes = _modules(A, clique)
     tab = A.tables
     cands, perp = tab.ext1_candidates, tab.ext1_perp
-    keys = [mask(at) for at in clique]
     node = {bits: i for i, bits in enumerate(keys)}
     edges = []
     for i, (at, bits) in enumerate(zip(clique, keys)):

@@ -225,7 +225,7 @@ class TestBijection:
 
     def test_repeated_tilting_module_is_not_injective(self, monkeypatch):
         real = auslander._tilting_cliques
-        monkeypatch.setattr(auslander, "_tilting_cliques", lambda A: real(A) + real(A)[:1])
+        monkeypatch.setattr(auslander, "_tilting_cliques", lambda A: tuple(x + x[:1] for x in real(A)))
         report = verify_bijection(auslander_algebra(make_rsz_nakayama(3, "linear")))
         assert (report.injective, report.surjective, report.passed) == (False, True, False)
         assert (report.tilting_count, report.sttilt_count) == (5, 4)

@@ -5,6 +5,7 @@ import math
 import random
 import re
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +148,26 @@ def kupisch_algebras(draw, max_entry=8, peak=False, max_n=12):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(kupisch_algebras())
 def test_tables_equal_closed_forms_on_random_series(A):
+    assert_tables_match_closed_forms(A)
+
+
+@st.composite
+def wrapping_cyclic_series(draw):
+    """Cyclic series on N <= 4 vertices with entries up to 3N, the first
+    one 2N to 3N, so tau M runs round the cycle and its composition factors
+    are every vertex, some of them twice."""
+    n = draw(st.integers(1, 4))
+    c = [draw(st.integers(max(2, 2 * n), 3 * n))]
+    for i in range(1, n):
+        c.append(draw(st.integers(max(2, c[0] - 1 - (n - 1 - i)), min(c[-1] + 1, 3 * n))))
+    return Algebra("cyclic", tuple(c))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(wrapping_cyclic_series())
+def test_tables_equal_closed_forms_when_tau_wraps_round_the_cycle(A):
+    """The masks test only the pairs (M, N) with top N a composition factor
+    of tau M; here those factors wrap round the cycle."""
     assert_tables_match_closed_forms(A)
 
 
@@ -339,21 +360,17 @@ def test_projinj_socles_validate_nothing_more(monkeypatch):
             assert socles == ref_projinj_socles(gamma)
 
 
-def test_kernel_calls_grow_linearly_in_the_dimension(monkeypatch):
-    """The one simple of cyclic (d,) has d indecomposables but a single
-    tilting and a single tau-rigid candidate, the projective, so the masks
-    cost a scan of the modules, not a d x d table.  Over the self-injective
-    cyclic (d,)*12 the syzygy orbits have six modules, but a tilting
-    candidate is decided in two syzygy steps, so the regular module, the one
-    tilting module, costs at most 3 kernel calls per module."""
-    calls = 0
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts the calls `tables` makes to the `homology` kernels; set
+    `budget` and zero `calls` before each build.  A call past the budget
+    fails at once, not after a quadratic build."""
+    counter = SimpleNamespace(calls=0, budget=0)
 
     def counted(kernel):
         def wrapper(*args):
-            nonlocal calls
-            calls += 1
-            # Fail at once, not after a quadratic build.
-            assert calls <= budget, f"more than {budget} kernel calls"
+            counter.calls += 1
+            assert counter.calls <= counter.budget, f"more than {counter.budget} kernel calls"
             return kernel(*args)
 
         return wrapper
@@ -362,9 +379,19 @@ def test_kernel_calls_grow_linearly_in_the_dimension(monkeypatch):
     assert {"_hom", "_tau"} <= kernels.keys()
     for name, kernel in kernels.items():
         monkeypatch.setattr(tables, name, counted(kernel))
+    return counter
+
+
+def test_kernel_calls_grow_linearly_in_the_dimension(kernel_calls):
+    """The one simple of cyclic (d,) has d indecomposables but a single
+    tilting and a single tau-rigid candidate, the projective, so the masks
+    cost a scan of the modules, not a d x d table.  Over the self-injective
+    cyclic (d,)*12 the syzygy orbits have six modules, but a tilting
+    candidate is decided in two syzygy steps, so the regular module, the one
+    tilting module, costs at most 3 kernel calls per module."""
     counts = {}
     for d in (1000, 2000):
-        calls, budget = 0, 20 * d
+        kernel_calls.calls, kernel_calls.budget = 0, 20 * d
         A = Algebra("cyclic", (d,))
         P = ModuleSet.of([M(1, d)])
         assert enumerate_tilting(A) == [P]
@@ -372,11 +399,28 @@ def test_kernel_calls_grow_linearly_in_the_dimension(monkeypatch):
             (ModuleSet.of([]), {1}),
             (P, set()),
         ]
-        counts[d] = calls
+        counts[d] = kernel_calls.calls
     assert counts[2000] <= 2.2 * counts[1000], counts
     for d in (1000, 2000):
         A = Algebra("cyclic", (d,) * 12)
-        calls, budget = 0, 3 * A.dimension()
+        kernel_calls.calls, kernel_calls.budget = 0, 3 * A.dimension()
         assert enumerate_tilting(A) == [H.regular_module(A)]
-        counts[d, 12] = calls
+        counts[d, 12] = kernel_calls.calls
     assert counts[2000, 12] <= 2.2 * counts[1000, 12], counts
+
+
+def test_masks_test_only_local_conflicts(kernel_calls):
+    """Gamma of rsz cyclic n has 5n indecomposables, 3n tilting and 5n
+    tau-rigid candidates.  A conflict lies among the candidates whose top is
+    a composition factor of tau M, at most three vertices here, so both
+    masks cost a few kernel calls per module, where testing all pairs costs
+    about 24 n^2 (239,402 calls at n = 100)."""
+    counts = {}
+    for n in (100, 200):
+        gamma = auslander_algebra(make_rsz_nakayama(n, "cyclic")).gamma
+        A = Algebra(gamma.kind, gamma.c)
+        kernel_calls.calls, kernel_calls.budget = 0, 10 * A.dimension()
+        tab = A.tables
+        assert (len(tab.ext1_perp), len(tab.tau_perp)) == (3 * n, 5 * n)
+        counts[n] = kernel_calls.calls
+    assert counts[200] <= 2.2 * counts[100], counts

@@ -645,6 +645,7 @@ class TestPositionChecks:
         for res in auslander_family(8):
             gamma = res.gamma
             assert res.cliques == [positions(gamma, T) for T in res.tilting]
+            assert res._verified[1] == [mask(at) for at in res.cliques]
             shapes = [(T, bad) for T in res.tilting if (bad := summand_shape_check(gamma, T))]
             assert res.shape_offenders == shapes == []
             ms = minimal_tilting(gamma)
@@ -833,7 +834,7 @@ class TestExchangeGraphReference:
             for X in g.nodes[a]
             if X not in g.nodes[dropped]
         }
-        monkeypatch.setattr(nakayama.tilting, "_tilting_cliques", lambda A: listed)
+        monkeypatch.setattr(nakayama.tilting, "_tilting_cliques", lambda A: (listed, [mask(at) for at in listed]))
         with pytest.raises(TiltingError) as err:
             exchange_graph(gamma_lin3)
         named = re.fullmatch(r"the mutation of (.*) at (M\(\d+,\d+\)), (.*), is not enumerated", str(err.value))

@@ -15,6 +15,7 @@ from nakayama import algebra, auslander, homology, tau_tilting, tilting
 from nakayama import verification as V
 from nakayama.algebra import Algebra, IndecModule as M, ModuleSet
 from nakayama.auslander import auslander_family
+from nakayama.tables import mask
 
 
 def verdicts(records):
@@ -176,11 +177,16 @@ def positions(A, T):
     return tuple(tab.ext1_position[tab.at(*m)] for m in T)
 
 
+def keyed(found):
+    """A stubbed `_tilting_cliques` result: the positions and their masks."""
+    return found, [mask(at) for at in found]
+
+
 def test_missing_formula_module_fails_only_the_minimum(monkeypatch):
     real = auslander._tilting_cliques
 
     def stub(A):
-        return [at for at in real(A) if at != positions(A, auslander.minimal_tilting(A))]
+        return keyed([at for at in real(A)[0] if at != positions(A, auslander.minimal_tilting(A))])
 
     monkeypatch.setattr(auslander, "_tilting_cliques", stub)
     family = auslander_family(2)
@@ -205,11 +211,11 @@ def test_non_simple_non_projective_summand_fails_the_shape_checks(monkeypatch):
     planted = {}
 
     def stub(A):
-        found = real(A)
+        found = real(A)[0]
         tab = A.tables
         bad = next((M(v, l) for v in A.vertices for l in range(2, A.c[v - 1])), None)
         if bad is None:
-            return found
+            return keyed(found)
         cands = sorted([*tab.ext1_candidates, tab.at(*bad)])
         new = {i: a for a, i in enumerate(cands)}
         moved = [tuple(new[tab.ext1_candidates[a]] for a in at) for at in found]
@@ -218,7 +224,7 @@ def test_non_simple_non_projective_summand_fails_the_shape_checks(monkeypatch):
         planted[A] = (ModuleSet.of([*last[1:], bad]), bad)
         monkeypatch.setattr(tab, "ext1_candidates", cands)
         monkeypatch.setattr(tab, "ext1_position", new)
-        return moved
+        return keyed(moved)
 
     monkeypatch.setattr(auslander, "_tilting_cliques", stub)
     family = auslander_family(3)
@@ -248,7 +254,7 @@ def test_second_gen_minimal_module_fails_the_minimum(monkeypatch):
         if shorter is None:
             return real(A)
         twins[A] = (ms, ms.minus(shorter))
-        return real(A) + [positions(A, twins[A][1])]
+        return keyed(real(A)[0] + [positions(A, twins[A][1])])
 
     monkeypatch.setattr(auslander, "_tilting_cliques", stub)
     family = auslander_family(3)
