@@ -4,13 +4,12 @@ Everything here reduces to arithmetic on the Kupisch coordinates (top,
 length) of the modules.  Each closed form is written once, as a private
 kernel that trusts its arguments: `_hom`, `_syzygy`, `_cosyzygy`, `_tau`,
 `_ext1` and the resolution orbit `_dim_along` behind `proj_dim` and
-`inj_dim`.  They work on the coordinates: `_hom` reads any (top, length)
-pair, so `_ext1` builds no module.  The public functions validate each
-module once, with `Algebra.check_module`, then call the kernels;
-`tables.Tables` builds its candidate masks from the same kernels, on the
-pairs that can conflict.  The test suite holds the kernels to an
-independent copy of the formulas in `tests/test_tables.py` and to the
-matrix oracle.
+`inj_dim`, all on coordinates: `_hom` reads any (top, length) pair, so
+`_ext1` builds no module.  The public functions validate each module
+once, with `Algebra.check_module`, then call the kernels; `tables.Tables`
+builds its candidate masks from the same kernels, on the pairs that can
+conflict.  The test suite holds the kernels to an independent copy of
+the formulas in `tests/test_tables.py` and to the matrix oracle.
 
 Infinite projective or injective dimension is reported as ``math.inf``
 (the syzygy orbit of a uniserial module is eventually periodic, so a
@@ -32,7 +31,8 @@ INFINITE = math.inf
 
 
 def _hom(A: Algebra, M: tuple[int, int], N: tuple[int, int]) -> int:
-    """dim Hom of (top, length) pairs: the k <= min(lengths) with k = top M - top N + len N (mod n if cyclic)."""
+    """dim Hom of (top, length) pairs: the k <= min(lengths) with k = top M - top N + len N,
+    mod n if cyclic, where a top counts only mod n."""
     (top, length), (ntop, nlength) = M, N
     short = min(length, nlength)
     k = top - ntop + nlength
@@ -68,7 +68,7 @@ def _ext1(A: Algebra, M: IndecModule, N: IndecModule) -> int:
     top, length = M
     if length == (cover := A.c[top - 1]):
         return 0
-    h = _hom(A, (A.down(top, length), cover - length), N)
+    h = _hom(A, (top - length, cover - length), N)  # Omega M, its top mod n
     return h and h - _hom(A, (top, cover), N) + _hom(A, M, N)
 
 

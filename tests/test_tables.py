@@ -412,7 +412,7 @@ def test_kernel_calls_grow_linearly_in_the_dimension(kernel_calls):
 def test_masks_test_only_local_conflicts(kernel_calls):
     """Gamma of rsz cyclic n has 5n indecomposables, 3n tilting and 5n
     tau-rigid candidates.  A conflict lies among the candidates whose top is
-    a composition factor of tau M, at most three vertices here, so both
+    a composition factor of tau M, at most two vertices here, so both
     masks cost a few kernel calls per module, where testing all pairs costs
     about 24 n^2 (239,402 calls at n = 100)."""
     counts = {}
