@@ -32,10 +32,9 @@ INFINITE = math.inf
 
 def _hom(A: Algebra, M: tuple[int, int], N: tuple[int, int]) -> int:
     """dim Hom of (top, length) pairs: the k <= min(lengths) with k = top M - top N + len N,
-    mod n if cyclic, where a top counts only mod n."""
-    (top, length), (ntop, nlength) = M, N
-    short = min(length, nlength)
-    k = top - ntop + nlength
+    mod n if cyclic, where a top counts only mod n.  Indexed, as an IndecModule unpacks slower."""
+    short = min(M[1], N[1])
+    k = M[0] - N[0] + N[1]
     if A.kind == CYCLIC:
         n = len(A.c)
         k = (k - 1) % n + 1
@@ -65,7 +64,7 @@ def _tau(A: Algebra, M: IndecModule) -> IndecModule | None:
 def _ext1(A: Algebra, M: IndecModule, N: IndecModule) -> int:
     """hom(Omega M, N) - hom(P(top M), N) + hom(M, N) on integer pairs; 0 for
     projective M and when Hom(Omega M, N) = 0, of which Ext^1(M, N) is a quotient."""
-    top, length = M
+    top, length = M.top, M.length
     if length == (cover := A.c[top - 1]):
         return 0
     h = _hom(A, (top - length, cover - length), N)  # Omega M, its top mod n
